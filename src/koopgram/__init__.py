@@ -20,7 +20,6 @@ from .balance import (
     balanced_nonlinear,
     factor_error,
     gramians,
-    lift_control_to_balanced,
     truncate,
 )
 from .certify import (
@@ -41,7 +40,6 @@ from .gsvd import (
     GsvdFactor,
     SlackViolationError,
     TwoArgMap,
-    aggregate_gain_bound,
     decompose,
     decompose_control,
     decompose_linear_plus,
@@ -64,7 +62,6 @@ from .koopman import (
     TrajectoryDataset,
     build_dictionary,
     collect_trajectories,
-    factor_residual,
     fit_generator,
     fit_koopman,
     fit_output_matrix,
@@ -74,12 +71,10 @@ from .linalg import (
     LtiSystem,
     SpectrumError,
     StiffnessError,
-    SvdResult,
     hinf_norm,
     integrate_ode,
     pinv,
     solve_lyapunov,
-    svd,
 )
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -104,11 +99,9 @@ __all__ = [
     "SlackViolationError",
     "SpectrumError",
     "StiffnessError",
-    "SvdResult",
     "TrajectoryDataset",
     "TwoArgMap",
     "Verdict",
-    "aggregate_gain_bound",
     "balance",
     "balanced_nonlinear",
     "build_certificate",
@@ -123,7 +116,6 @@ __all__ = [
     "estimate_gains",
     "estimate_gap",
     "factor_error",
-    "factor_residual",
     "feedback_decomposition",
     "feedback_removal_gap",
     "fit_generator",
@@ -136,14 +128,12 @@ __all__ = [
     "input_to_state_norm",
     "integrate_ode",
     "is_control_affine",
-    "lift_control_to_balanced",
     "lifted_control_term",
     "load_system_spec",
     "output_embedding_gap",
     "pinv",
     "run_pipeline",
     "solve_lyapunov",
-    "svd",
     "system_from_spec",
     "truncate",
     "truncation_error_bound",

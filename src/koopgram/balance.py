@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gsvd
 from .koopman import KoopmanModel, residual_map
-from .linalg import LtiSystem, SpectrumError, pinv, solve_lyapunov
+from .linalg import LtiSystem, SpectrumError, is_hurwitz, pinv, solve_lyapunov
 
 __all__ = [
     "MinimalityError",
@@ -29,7 +29,6 @@ __all__ = [
     "balance",
     "truncate",
     "balanced_nonlinear",
-    "lift_control_to_balanced",
     "factor_error",
 ]
 
@@ -147,12 +146,10 @@ class ReducedRealization:
     """Leading blocks of the balanced realization plus the recovery map."""
 
     order: int
-    o: np.ndarray
     a_r: np.ndarray
     b_r: np.ndarray
     c_r: np.ndarray
     r_r: np.ndarray
-    t_inv_r: np.ndarray
     hsv_tail: np.ndarray
 
     @property
@@ -165,23 +162,18 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
     q = bal.q
     if not 1 <= r <= q:
         raise ValueError(f"reduction order must lie in [1, {q}], got {r}")
-    o = np.zeros((q, q))
-    o[:r, :r] = np.eye(r)
     a_r = bal.a_bal[:r, :r]
-    if np.max(np.linalg.eigvals(a_r).real) >= 0:
+    if not is_hurwitz(a_r):
         raise SpectrumError(
             f"truncated dynamics at order {r} are not Hurwitz; "
             "the realization is too close to a repeated Hankel value"
         )
-    t_inv_r = bal.t_inv[:, :r]
     return ReducedRealization(
         order=r,
-        o=o,
         a_r=a_r,
         b_r=bal.b_bal[:r, :],
         c_r=bal.c_bal[:, :r],
-        r_r=t_inv_r[: bal.state_dim, :],
-        t_inv_r=t_inv_r,
+        r_r=bal.t_inv[: bal.state_dim, :r],
         hsv_tail=bal.hsv[r:],
     )
 
@@ -190,28 +182,19 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    Two families of evaluators are exposed.  The state-recovery family
-    (``f_full``, ``f0``, ``f_u``) maps the dynamics at the recovered state
-    ``R z`` back through the recovery pseudoinverse; it is what the
-    control-affinity detection samples.  The lifted family pushes the
-    dictionary derivative through the recovery: ``lifted_control`` and
-    ``error_map`` feed the gain factorizations, and the reduced evaluators
-    (``f_reduced`` and friends) simulate the truncated lifted realization,
-    which is the object the certificates actually bound; its drift is the
-    truncated balanced matrix plus the truncated lifted terms evaluated at
-    the recovered state, so an exactly represented linear plant reduces to
-    classical balanced truncation.
+    ``f_u`` maps the control term at the recovered state ``R z`` back
+    through the recovery pseudoinverse; it is what the control-affinity
+    detection samples.  ``error_map`` and ``error_map_reduced`` push the
+    representation error through the balancing transform and feed the error
+    factorizations.  ``f_reduced`` simulates the truncated lifted
+    realization, which is the object the certificates actually bound; its
+    drift is the truncated balanced matrix plus the truncated lifted terms
+    evaluated at the recovered state, so an exactly represented linear plant
+    reduces to classical balanced truncation.
     """
 
-    f_full: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f0: Callable[[np.ndarray], np.ndarray]
     f_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h_bal: Callable[[np.ndarray], np.ndarray]
     f_reduced: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f0_reduced: Callable[[np.ndarray], np.ndarray]
-    f_u_reduced: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h_reduced: Callable[[np.ndarray], np.ndarray]
-    lifted_control: Callable[[np.ndarray, np.ndarray], np.ndarray]
     error_map: Callable[[np.ndarray], np.ndarray]
     error_map_reduced: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
@@ -243,23 +226,9 @@ def balanced_nonlinear(
     dict_eval = model.dictionary.evaluate
     jac = model.dictionary.jacobian
 
-    def f_full(z, u):
-        x = r_mat @ z
-        return r_pinv @ np.asarray(f(x, u), float)
-
-    def f0(z):
-        return f_full(z, zero_u)
-
     def f_u(z, u):
         x = r_mat @ z
         return r_pinv @ (np.asarray(f(x, u), float) - f0_state(x))
-
-    def h_bal(z):
-        return bal.c_bal @ z
-
-    def lifted_control(z, u):
-        x = r_mat @ z
-        return t @ (np.asarray(jac(x), float) @ (np.asarray(f(x, u), float) - f0_state(x)))
 
     def error_map(z):
         x = r_mat @ z
@@ -279,25 +248,9 @@ def balanced_nonlinear(
         )
         return red.a_r @ z_r + lifted[:order]
 
-    def f0_reduced(z_r):
-        return f_reduced(z_r, zero_u)
-
-    def f_u_reduced(z_r, u):
-        return f_reduced(z_r, u) - f0_reduced(z_r)
-
-    def h_reduced(z_r):
-        return red.c_r @ z_r
-
     return BalancedNonlinear(
-        f_full=f_full,
-        f0=f0,
         f_u=f_u,
-        h_bal=h_bal,
         f_reduced=f_reduced,
-        f0_reduced=f0_reduced,
-        f_u_reduced=f_u_reduced,
-        h_reduced=h_reduced,
-        lifted_control=lifted_control,
         error_map=error_map,
         error_map_reduced=error_map_reduced,
         bal=bal,
@@ -305,33 +258,6 @@ def balanced_nonlinear(
         input_dim=l,
         model=model,
     )
-
-
-def lift_control_to_balanced(
-    bal: BalancedRealization,
-    fu_factor: gsvd.GsvdFactor,
-    bn: BalancedNonlinear,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Norm-preserving control lifting expressed in balanced coordinates.
-
-    Because the balanced control term is the push-forward of the lifted
-    control term through the state recovery, the balanced lifting equals the
-    original factor's lifting evaluated at the recovered state; its kernel
-    radicand therefore inherits the original sizing guarantees, and
-    ``(T B) @ lift(z, u)`` reproduces the balanced control term pointwise.
-    """
-    diag = np.diag(fu_factor.sigma[:, : fu_factor.out_dim])
-    if np.any(diag <= 0.0):
-        raise ValueError(
-            "control gain matrix is not full row rank: every lifted "
-            "coordinate needs a positive gain bound"
-        )
-    r_mat = bal.r
-
-    def balanced_lift(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return fu_factor.lift(r_mat @ np.asarray(z, float), np.asarray(u, float))
-
-    return balanced_lift
 
 
 def factor_error(

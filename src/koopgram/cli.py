@@ -3,8 +3,10 @@
 Subcommands mirror the pipeline stages; `run` executes them all.  Every
 stage reads and writes JSON artifacts in the output directory, so a stage
 can be rerun and diffed in isolation.  Exit codes: 0 when every verdict is
-PASS or SKIPPED, 2 when any verdict is FAIL, 1 on usage errors or missing
-prerequisites.
+PASS or SKIPPED, 2 when any verdict is FAIL, 1 on usage errors, missing
+prerequisites, or a failed computation (for example an integration that
+blows up, an expression that divides by zero, or an H-infinity norm whose
+peak gain cannot be bracketed).
 """
 
 from __future__ import annotations
@@ -90,7 +92,13 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MinimalityError, SlackViolationError, ValueError, KeyError) as exc:
+    except (
+        MinimalityError, SlackViolationError, ValueError, KeyError,
+        # StiffnessError and hinf_norm's bracket failure are RuntimeErrors;
+        # expression systems evaluate in Python floats and raise
+        # ZeroDivisionError or OverflowError
+        RuntimeError, ArithmeticError,
+    ) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

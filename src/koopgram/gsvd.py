@@ -32,7 +32,6 @@ __all__ = [
     "decompose",
     "decompose_linear_plus",
     "decompose_control",
-    "aggregate_gain_bound",
 ]
 
 # normalized radicand values in [-RADICAND_CLAMP, 0) count as touching zero
@@ -355,9 +354,3 @@ def decompose_control(
         norm_arg=1,
         gains=gains,
     )
-
-
-def aggregate_gain_bound(gains: GainProfile) -> float:
-    """Whole-map gain bound ``sqrt(m) * max_i c_i`` from coordinate bounds."""
-    c = gains.coordinate_bounds
-    return float(np.sqrt(c.size) * c.max())

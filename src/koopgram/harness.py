@@ -10,10 +10,7 @@ certificate must always dominate it.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -345,28 +342,7 @@ def _simulate_pair(
     y_full = np.stack([np.atleast_1d(np.asarray(system.h(x), float)) for x in xs])
     y_red = zs @ red.c_r.T
     diff = y_full - y_red
-    l2 = float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=grid)))
-    return grid, y_full, y_red, l2
-
-
-def _dump_trajectory(path: Path, grid, signal, y_full, y_red):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        p = y_full.shape[1]
-        l = signal.fn(grid[:1]).shape[1]
-        writer.writerow(
-            ["t"]
-            + [f"u{i + 1}" for i in range(l)]
-            + [f"y_full{i + 1}" for i in range(p)]
-            + [f"y_red{i + 1}" for i in range(p)]
-        )
-        us = signal.fn(grid)
-        for k, t in enumerate(grid):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in us[k]]
-            row += [repr(float(v)) for v in y_full[k]]
-            row += [repr(float(v)) for v in y_red[k]]
-            writer.writerow(row)
+    return float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=grid)))
 
 
 def estimate_gap(
@@ -376,8 +352,6 @@ def estimate_gap(
     ensemble: Sequence[Signal],
     tol: float = 1e-8,
     n_grid: int = 2001,
-    workers: int = 1,
-    dump_dir=None,
 ) -> GainEstimate:
     """Empirical lower bound on the full-vs-reduced H-infinity error.
 
@@ -387,31 +361,16 @@ def estimate_gap(
     """
     per_signal = []
     excluded = []
-
-    def run(signal: Signal):
-        try:
-            return signal, _simulate_pair(system, bn, red, signal, tol, n_grid), None
-        except (StiffnessError, ValueError) as exc:
-            return signal, None, str(exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, ensemble))
-    else:
-        results = [run(s) for s in ensemble]
-
     value = 0.0
-    for signal, payload, error in results:
-        if error is not None:
-            excluded.append({"signal": signal.name, "error": error})
+    for signal in ensemble:
+        try:
+            l2 = _simulate_pair(system, bn, red, signal, tol, n_grid)
+        except (StiffnessError, ValueError) as exc:
+            excluded.append({"signal": signal.name, "error": str(exc)})
             continue
-        grid, y_full, y_red, l2 = payload
         ratio = l2 / signal.l2_norm
         per_signal.append({"signal": signal.name, "ratio": float(ratio)})
         value = max(value, ratio)
-        if dump_dir is not None:
-            _dump_trajectory(Path(dump_dir) / f"{system.name}-r{red.order}-{signal.name}.csv",
-                             grid, signal, y_full, y_red)
 
     description = f"{len(ensemble)} signals on [0, {ensemble[0].horizon:g}]" if ensemble else "empty"
     return GainEstimate(value=float(value), per_signal=per_signal, ensemble=description, excluded=excluded)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import gsvd
-from .linalg import as_vector, integrate_ode
+from .linalg import as_vector, integrate_ode, is_hurwitz
 
 __all__ = [
     "Dictionary",
@@ -31,7 +31,6 @@ __all__ = [
     "fit_generator",
     "fit_output_matrix",
     "fit_koopman",
-    "factor_residual",
     "lifted_control_term",
 ]
 
@@ -247,8 +246,7 @@ def collect_trajectories(
 class KoopmanModel:
     """Fitted lifted realization: generator, output matrix, residual data.
 
-    Treated as immutable after fitting, except that the residual factor is
-    attached once by ``factor_residual``.
+    Treated as immutable once ``fit_koopman`` has attached the output matrix.
     """
 
     dictionary: Dictionary
@@ -257,7 +255,6 @@ class KoopmanModel:
     residual_gain: float
     output_residual: float = 0.0
     hurwitz: bool = False
-    error_factor: gsvd.GsvdFactor | None = None
 
     @property
     def q(self) -> int:
@@ -328,7 +325,7 @@ def fit_generator(
         residual_gain = max(
             residual_gain, float(np.linalg.norm(targets[k] - a @ phis[k]) / denom)
         )
-    hurwitz = bool(np.max(np.linalg.eigvals(a).real) < -1e-10)
+    hurwitz = is_hurwitz(a, margin=1e-10)
     return KoopmanModel(
         dictionary=dictionary,
         a=a,
@@ -391,36 +388,6 @@ def residual_map(model: KoopmanModel, f0: Callable) -> Callable[[np.ndarray], np
         return np.asarray(dct.jacobian(x), float) @ np.asarray(f0(x), float) - model.a @ phi
 
     return res
-
-
-def factor_residual(
-    model: KoopmanModel,
-    f0: Callable,
-    samples: np.ndarray,
-    slack: float = 1.05,
-) -> gsvd.GsvdFactor:
-    """Factor the representation error through a norm-preserving lift.
-
-    Per-coordinate gains are measured against the lifted-state norm on the
-    supplied state samples; the resulting factor is attached to the model.
-    """
-    res = residual_map(model, f0)
-    samples = np.asarray(samples, float)
-    best = np.zeros(model.q)
-    count = 0
-    for x in samples:
-        phi = np.asarray(model.dictionary.evaluate(x), float)
-        denom = np.linalg.norm(phi)
-        if denom == 0.0:
-            continue
-        best = np.maximum(best, np.abs(res(phi)) / denom)
-        count += 1
-    if count == 0:
-        raise ValueError("no usable samples for residual gains")
-    gains = gsvd.GainProfile(best, source="sampled_estimate", sample_count=count)
-    factor = gsvd.decompose(res, model.q, gains, slack=slack)
-    model.error_factor = factor
-    return factor
 
 
 def lifted_control_term(

@@ -8,20 +8,18 @@ immutable by convention: no function mutates its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
 __all__ = [
-    "SvdResult",
     "LtiSystem",
     "SpectrumError",
     "StiffnessError",
     "as_matrix",
     "as_vector",
-    "svd",
     "pinv",
     "spectral_norm",
     "is_hurwitz",
@@ -61,12 +59,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
-class SvdResult(NamedTuple):
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-
 @dataclass(frozen=True)
 class LtiSystem:
     """Strictly proper continuous-time realization (A, B, C); no direct term."""
@@ -93,16 +85,6 @@ class LtiSystem:
     @property
     def order(self) -> int:
         return self.a.shape[0]
-
-
-def svd(m) -> SvdResult:
-    """Full singular value decomposition m = U @ diag(sigma) @ Vt.
-
-    U and Vt are orthogonal; sigma is nonnegative and nonincreasing.
-    """
-    a = as_matrix(m)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    return SvdResult(u, s, vt)
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
@@ -135,9 +117,9 @@ def is_hurwitz(a, margin: float = 0.0) -> bool:
 
 
 def _require_hurwitz(a: np.ndarray, context: str) -> None:
-    eig = np.linalg.eigvals(a)
-    worst = eig[np.argmax(eig.real)]
-    if worst.real >= 0.0:
+    if not is_hurwitz(a):
+        eig = np.linalg.eigvals(a)
+        worst = eig[np.argmax(eig.real)]
         raise SpectrumError(
             f"{context}: matrix is not Hurwitz (eigenvalue {worst:.6g} "
             "has nonnegative real part)"
@@ -177,13 +159,12 @@ def _sweep_lower_bound(a, b, c, n_points: int = 512) -> float:
     freqs = np.concatenate(
         [[0.0], np.geomspace(lo, hi, n_points), np.abs(eig.imag[eig.imag > 0])]
     )
-    n = a.shape[0]
-    best = 0.0
-    eye = np.eye(n)
-    for w in freqs:
-        g = c @ np.linalg.solve(1j * w * eye - a, b)
-        best = max(best, float(np.linalg.norm(g, 2)))
-    return best
+    n, l = b.shape
+    # an explicit (k, n, l) right-hand side is read as a stack of matrices
+    # by every numpy version, not as a stack of vectors
+    rhs = np.broadcast_to(b, (freqs.size, n, l))
+    g = c @ np.linalg.solve(1j * freqs[:, None, None] * np.eye(n) - a, rhs)
+    return float(np.max(np.linalg.norm(g, 2, axis=(-2, -1))))
 
 
 def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ from .certify import (
     build_certificate,
     control_truncation_gain,
     feedback_decomposition,
-    input_to_state_norm,
+    input_to_state_norm,  # noqa: F401  (perfbench/tracer.py wraps this name here)
     is_control_affine,
     lift_sensitivity_norms,
     output_embedding_gap,
@@ -331,33 +330,30 @@ def stage_certify(config: PipelineConfig) -> dict:
     orders = _validated_orders(config, bal.q)
 
     hinf_output = hinf_norm(LtiSystem(bal.a_bal, bal.b_bal, bal.c_bal))
-    phi_full = input_to_state_norm(bal.a_bal, bal.b_bal)
-    gap_full = output_embedding_gap(bal.c_bal, phi_full)
     lift_norm, recovery_norm = lift_sensitivity_norms(bal, factor)
 
+    # f_u and error_map do not depend on the truncation order, so the
+    # evaluators of the first order serve every order-independent term
+    bn = balanced_nonlinear(system.f, system.l, model, bal, truncate(bal, orders[0]))
+    affine = is_control_affine(bn, seed=config.seed)
+    gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
+    err_full = factor_error(
+        bn, reduced=False, slack=slack, sample_budget=config.sample_budget,
+        seed=[config.seed, _SEED_ERROR_FULL], box=box,
+    )
+    fb_full = feedback_decomposition(bal.a_bal, bal.b_bal, err_full)
+    gap_full = output_embedding_gap(bal.c_bal, fb_full.gp_norm)
+
     certs = []
-    affine = None
     for r in orders:
         red = truncate(bal, r)
         bn = balanced_nonlinear(system.f, system.l, model, bal, red)
-        if affine is None:
-            affine = is_control_affine(bn, seed=config.seed)
-        gain = control_truncation_gain(
-            system.lipschitz_u, lift_norm, recovery_norm, affine
-        )
-        err_full = factor_error(
-            bn, reduced=False, slack=slack, sample_budget=config.sample_budget,
-            seed=[config.seed, _SEED_ERROR_FULL], box=box,
-        )
         err_red = factor_error(
             bn, reduced=True, slack=slack, sample_budget=config.sample_budget,
             seed=[config.seed, _SEED_ERROR_REDUCED, r], box=box,
         )
-        fb_full = feedback_decomposition(bal.a_bal, bal.b_bal, err_full)
         fb_red = feedback_decomposition(red.a_r, red.b_r, err_red)
-        gap_red = output_embedding_gap(
-            red.c_r, input_to_state_norm(red.a_r, red.b_r)
-        )
+        gap_red = output_embedding_gap(red.c_r, fb_red.gp_norm)
         cert = build_certificate(
             order=r,
             full=fb_full,
@@ -388,14 +384,6 @@ def stage_certify(config: PipelineConfig) -> dict:
     return payload
 
 
-def _workers() -> int:
-    default = min(4, os.cpu_count() or 1)
-    cap = os.environ.get("KOOPGRAM_THREADS")
-    if cap is not None:
-        return max(1, min(default, int(cap)))
-    return default
-
-
 def _default_horizon(a_bal: np.ndarray) -> float:
     slowest = float(np.min(-np.linalg.eigvals(a_bal).real))
     return float(np.clip(20.0 / max(slowest, 1e-6), 10.0, 60.0))
@@ -414,14 +402,11 @@ def stage_simulate(config: PipelineConfig) -> dict:
     ensemble = input_ensemble(
         system.l, horizon, count=config.ensemble_count, seed=[config.seed, _SEED_ENSEMBLE]
     )
-    workers = _workers()
     rows = []
     for r in orders:
         red = truncate(bal, r)
         bn = balanced_nonlinear(system.f, system.l, model, bal, red)
-        est = estimate_gap(
-            system, bn, red, ensemble, tol=config.ode_tol, workers=workers
-        )
+        est = estimate_gap(system, bn, red, ensemble, tol=config.ode_tol)
         rows.append({"order": int(r), "estimate": est.to_dict()})
     payload = {
         "system": system.name,

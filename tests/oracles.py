@@ -1,11 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-These deliberately avoid the code paths they verify: the SVD oracle is a
-one-sided Jacobi iteration, the Lyapunov oracle integrates the Gramian
-quadrature directly, the H-infinity oracle is a dense frequency sweep
-(evaluated in batched chunks of frequencies, with no Hamiltonian or
-bisection step), and the ODE oracle is a fixed-step classical Runge-Kutta
-scheme.  Nothing here imports from ``koopgram``.
+These deliberately avoid the code paths they verify: the Lyapunov oracle
+integrates the Gramian quadrature directly, the H-infinity oracle is a dense
+frequency sweep (evaluated in batched chunks of frequencies, with no
+Hamiltonian or bisection step), the coarse-sweep oracle walks the library's
+sweep grid one frequency at a time, and the ODE oracle is a fixed-step
+classical Runge-Kutta scheme.  Nothing here imports from ``koopgram``.
 """
 
 from __future__ import annotations
@@ -16,36 +16,6 @@ import scipy.linalg
 
 # frequencies per batched solve in ``hinf_by_sweep``
 _SWEEP_CHUNK = 4096
-
-
-def jacobi_singular_values(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Singular values via one-sided Jacobi rotations on the columns."""
-    w = np.array(a, dtype=float, copy=True)
-    m, n = w.shape
-    if m < n:
-        w = w.T
-        m, n = w.shape
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = w[:, p] @ w[:, p]
-                beta = w[:, q] @ w[:, q]
-                gamma = w[:, p] @ w[:, q]
-                off = max(off, abs(gamma))
-                if abs(gamma) <= 1e-16 * np.sqrt(alpha * beta) or gamma == 0.0:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - s * w[:, q]
-                w[:, q] = s * wp + c * w[:, q]
-        if off < 1e-14:
-            break
-    sv = np.sqrt(np.sum(w * w, axis=0))
-    return np.sort(sv)[::-1]
 
 
 def lyapunov_by_quadrature(a: np.ndarray, q: np.ndarray, n_nodes: int = 96001) -> np.ndarray:
@@ -102,6 +72,29 @@ def hinf_by_sweep(a, b, c, n_points: int = 100_000) -> float:
         rhs = np.broadcast_to(b, (w.size, n, l))
         g = c @ np.linalg.solve(1j * w[:, None, None] * eye - a, rhs)
         best = max(best, float(np.max(np.linalg.norm(g, 2, axis=(-2, -1)))))
+    return best
+
+
+def sweep_peak_by_loop(a, b, c, n_points: int = 512) -> float:
+    """Peak transfer gain over the coarse sweep grid, one frequency at a time.
+
+    The grid is the one the library's H-infinity initialization sweeps:
+    ``[0]``, ``n_points`` log-spaced frequencies spanning three decades
+    beyond the slowest and fastest poles, and the positive imaginary parts
+    of the poles.  Each frequency takes its own solve and 2-norm.
+    """
+    eig = np.linalg.eigvals(a)
+    mags = np.abs(eig)
+    lo = max(np.min(mags) * 1e-3, 1e-8)
+    hi = max(np.max(mags) * 1e3, 1.0)
+    freqs = np.concatenate(
+        [[0.0], np.geomspace(lo, hi, n_points), np.abs(eig.imag[eig.imag > 0])]
+    )
+    eye = np.eye(a.shape[0])
+    best = 0.0
+    for w in freqs:
+        g = c @ np.linalg.solve(1j * w * eye - a, b)
+        best = max(best, float(np.linalg.norm(g, 2)))
     return best
 
 

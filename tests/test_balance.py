@@ -8,10 +8,9 @@ from koopgram.balance import (
     balanced_nonlinear,
     factor_error,
     gramians,
-    lift_control_to_balanced,
     truncate,
 )
-from koopgram.gsvd import GsvdFactor, decompose_control, estimate_gains
+from koopgram.gsvd import decompose_control, estimate_gains
 from koopgram.koopman import (
     build_dictionary,
     collect_trajectories,
@@ -139,21 +138,14 @@ class TestTruncate:
         red = truncate(bal, 2)
         assert red.hsv_tail.size == 0
         assert np.allclose(red.a_r, bal.a_bal)
-        assert np.allclose(red.o, np.eye(2))
+        assert np.allclose(red.b_r, bal.b_bal)
+        assert np.allclose(red.c_r, bal.c_bal)
 
     def test_first_order_blocks(self):
         bal = balance(DECOUPLED)
         red = truncate(bal, 1)
         assert np.allclose(red.a_r, bal.a_bal[:1, :1])
         assert np.allclose(red.hsv_tail, [0.25])
-
-    def test_zero_padded_projector(self):
-        rng = np.random.default_rng(23)
-        a, b, c = random_stable_system(rng, 3, 1, 1)
-        bal = balance(LtiSystem(a, b, c))
-        red = truncate(bal, 1)
-        assert np.allclose(red.o, np.diag([1.0, 0.0, 0.0]))
-        assert np.allclose(red.o @ red.o, red.o)
 
     def test_out_of_range_rejected(self):
         bal = balance(DECOUPLED)
@@ -175,19 +167,19 @@ class TestBalancedNonlinear:
             z = rng.normal(size=2)
             u = rng.normal(size=1)
             expect = bal.a_bal @ z + bal.t @ (b @ u)
-            assert np.allclose(bn.f_full(z, u), expect, atol=1e-9)
+            assert np.allclose(bn.f_reduced(z, u), expect, atol=1e-9)
 
     def test_control_term_vanishes_at_zero_input(self):
         f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
+        red = truncate(bal, bal.q)
         bn = balanced_nonlinear(f, 1, model, bal, red)
         rng = np.random.default_rng(25)
         for _ in range(200):
             z = rng.normal(size=3)
             assert np.allclose(bn.f_u(z, np.zeros(1)), 0.0, atol=1e-12)
-        assert np.allclose(bn.f_full(np.zeros(3), np.zeros(1)), 0.0, atol=1e-12)
+        assert np.allclose(bn.f_reduced(np.zeros(3), np.zeros(1)), 0.0, atol=1e-12)
 
     def test_error_map_vanishes_for_exact_dictionary(self):
         f, h = slow_manifold()
@@ -213,67 +205,6 @@ class TestBalancedNonlinear:
         for x in xs:
             z = bal.t @ d.evaluate(x)
             assert np.linalg.norm(bal.r @ z - x) <= 1e-8
-
-
-class TestLiftControlToBalanced:
-    def test_zero_input(self):
-        f, h = slow_manifold()
-        d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
-        model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
-        lift = lift_control_to_balanced(bal, factor, bn)
-        assert np.allclose(lift(np.ones(3), np.zeros(1)), 0.0)
-
-    def test_linear_plant_lift_is_state_independent(self):
-        a, b, c, f, h = linear_plant()
-        d = build_dictionary("identity", 2)
-        model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
-        lift = lift_control_to_balanced(bal, factor, bn)
-        u = np.array([0.7])
-        base = lift(np.zeros(2), u)
-        rng = np.random.default_rng(27)
-        for _ in range(50):
-            assert np.allclose(lift(rng.normal(size=2), u), base, atol=1e-12)
-
-    def test_rank_deficient_gain_matrix_rejected(self):
-        a, b, c, f, h = linear_plant()
-        d = build_dictionary("identity", 2)
-        model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
-        starved = GsvdFactor(
-            u=factor.u,
-            sigma=np.zeros_like(factor.sigma),
-            slack=factor.slack,
-            kernel_dim=factor.kernel_dim,
-            map=factor.map,
-            norm_arg=1,
-        )
-        with pytest.raises(ValueError, match="full row rank"):
-            lift_control_to_balanced(bal, starved, bn)
-
-    def test_norm_preservation_and_reconstruction(self):
-        f, h = slow_manifold()
-        d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
-        model, factor, bal = fit_pipeline(f, h, d, gain_box=4.0)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
-        lift = lift_control_to_balanced(bal, factor, bn)
-        rng = np.random.default_rng(28)
-        for _ in range(1000):
-            x = rng.uniform(-2, 2, size=2)
-            z = bal.t @ d.evaluate(x)
-            u = rng.uniform(-3, 3, size=1)
-            v = lift(z, u)
-            nu = np.linalg.norm(u)
-            assert abs(np.linalg.norm(v) - nu) <= 1e-10 * (1.0 + nu)
-            target = bn.lifted_control(z, u)
-            assert np.linalg.norm(bal.b_bal @ v - target) <= 1e-9 * (
-                1.0 + np.linalg.norm(target)
-            )
 
 
 class TestFactorError:

@@ -120,6 +120,36 @@ class TestStages:
         with pytest.raises(ValueError, match="exceed"):
             stage_certify(cfg)
 
+    def test_certify_computes_order_independent_terms_once(self, tmp_path, monkeypatch):
+        from koopgram import certify, pipeline
+
+        orders = [1, 2, 4]
+        _, raw = write_config(tmp_path, system="lti6", reduction_orders=orders)
+        cfg = PipelineConfig(**raw)
+        stage_fit_koopman(cfg)
+        stage_decompose(cfg)
+        stage_balance(cfg)
+
+        calls = {"hinf_norm": 0, "factor_error_full": 0}
+
+        def counted_hinf(original):
+            def hinf_norm(*args, **kwargs):
+                calls["hinf_norm"] += 1
+                return original(*args, **kwargs)
+
+            return hinf_norm
+
+        def factor_error(bn, reduced=False, **kwargs):
+            calls["factor_error_full"] += not reduced
+            return original_factor_error(bn, reduced=reduced, **kwargs)
+
+        original_factor_error = pipeline.factor_error
+        for module in (pipeline, certify):
+            monkeypatch.setattr(module, "hinf_norm", counted_hinf(module.hinf_norm))
+        monkeypatch.setattr(pipeline, "factor_error", factor_error)
+        stage_certify(cfg)
+        assert calls == {"hinf_norm": 2 + len(orders), "factor_error_full": 1}
+
     def test_expression_system_runs(self, tmp_path):
         spec = {
             "name": "expr_lag",
@@ -135,18 +165,6 @@ class TestStages:
         report, code = run_pipeline(cfg, verbose=False)
         assert code == 0
         assert report["system"] == "expr_lag"
-
-
-class TestWorkerPool:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from koopgram.pipeline import _workers
-
-        monkeypatch.setenv("KOOPGRAM_THREADS", "1")
-        assert _workers() == 1
-        monkeypatch.setenv("KOOPGRAM_THREADS", "64")
-        assert _workers() <= 4  # cap never raises the default pool size
-        monkeypatch.delenv("KOOPGRAM_THREADS")
-        assert _workers() >= 1
 
 
 class TestCliEntry:
@@ -169,6 +187,36 @@ class TestCliEntry:
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert "unreadable config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, drift",
+        [
+            # x' = x^2 - x + tanh(u) blows up in finite time from |x| > 1
+            ("fit-koopman", {"op": "add", "args": [
+                {"op": "sub", "args": [{"op": "pow", "args": [{"var": "x1"}, 2]}, {"var": "x1"}]},
+                {"op": "tanh", "args": [{"var": "u1"}]}]}),
+            # x1 / x1 divides by zero when f(0, 0) is checked
+            ("fit-koopman", {"op": "add", "args": [
+                {"op": "div", "args": [{"var": "x1"}, {"var": "x1"}]},
+                {"op": "tanh", "args": [{"var": "u1"}]}]}),
+            # a pole 1e-12 left of the imaginary axis: hinf_norm cannot
+            # bracket the peak gain
+            ("certify", {"op": "add", "args": [
+                {"op": "mul", "args": [-1e-12, {"var": "x1"}]}, {"var": "u1"}]}),
+        ],
+        ids=["finite-time-blowup", "division-by-zero", "unbracketed-hinf"],
+    )
+    def test_library_failure_exits_one(self, tmp_path, capsys, command, drift):
+        spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "f": [drift],
+                "h": [{"var": "x1"}], "lipschitz_u": 1.0}
+        path, _ = write_config(tmp_path, system=spec)
+        stages = ["fit-koopman", "decompose", "balance", "certify"]
+        for cmd in stages[: stages.index(command)]:
+            assert main([cmd, "--config", str(path)]) == 0
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: ")
+        assert "Traceback" not in err
 
     def test_orders_flag_overrides(self, tmp_path):
         path, raw = write_config(tmp_path, system="lti6", reduction_orders=[2])

@@ -5,7 +5,6 @@ from koopgram.gsvd import (
     GainProfile,
     SlackViolationError,
     TwoArgMap,
-    aggregate_gain_bound,
     decompose,
     decompose_control,
     decompose_linear_plus,
@@ -193,24 +192,3 @@ class TestDecomposeControl:
         bad = TwoArgMap(n=1, l=1, p=1, eval=lambda x, u: np.array([x[0] + u[0]]))
         with pytest.raises(ValueError, match="vanish"):
             decompose_control(bad, GainProfile([1.0]))
-
-
-class TestAggregateGainBound:
-    def test_uniform(self):
-        assert np.isclose(aggregate_gain_bound(GainProfile([1, 1, 1, 1])), 2.0)
-
-    def test_single(self):
-        assert np.isclose(aggregate_gain_bound(GainProfile([3.0])), 3.0)
-
-    def test_two_coordinates(self):
-        assert np.isclose(aggregate_gain_bound(GainProfile([1.0, 2.0])), 2.0 * np.sqrt(2.0))
-
-    def test_dominates_sampled_induced_norm(self):
-        f = lambda x: np.array([np.sin(x[0]), x[1] / (1 + x[0] ** 2), np.tanh(x[0] + x[1])])
-        gains = estimate_gains(f, 2, sample_budget=2000, seed=13)
-        bound = aggregate_gain_bound(gains)
-        rng = np.random.default_rng(14)
-        for x in rng.uniform(-5, 5, size=(500, 2)):
-            nx = np.linalg.norm(x)
-            if nx > 0:
-                assert np.linalg.norm(f(x)) <= bound * nx + 1e-12

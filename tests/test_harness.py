@@ -139,13 +139,6 @@ class TestEstimateGap:
         b = estimate_gap(sysd, bn, red, ens, tol=1e-8)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    def test_workers_do_not_change_results(self):
-        sysd, bn, red = _reduced_pair("lti6", r=4)
-        ens = input_ensemble(2, 12.0, count=4, seed=5)
-        serial = estimate_gap(sysd, bn, red, ens, tol=1e-7, workers=1)
-        threaded = estimate_gap(sysd, bn, red, ens, tol=1e-7, workers=4)
-        assert serial.to_dict() == threaded.to_dict()
-
     def test_failed_integration_is_excluded(self):
         sysd, bn, red = _reduced_pair("tanh_first_order", r=1)
 
@@ -170,15 +163,6 @@ class TestEstimateGap:
         est = estimate_gap(sysd, bn, red, ens, tol=1e-7)
         assert est.value <= 2.0 * red.hankel_tail + 1e-6
         assert est.value >= 0.3 * hsv_next
-
-    def test_trajectory_dump(self, tmp_path):
-        sysd, bn, red = _reduced_pair("tanh_first_order", r=1)
-        ens = input_ensemble(1, 8.0, count=1, seed=7)
-        estimate_gap(sysd, bn, red, ens, tol=1e-8, dump_dir=tmp_path)
-        files = list(tmp_path.glob("*.csv"))
-        assert len(files) == 1
-        header = files[0].read_text().splitlines()[0]
-        assert header == "t,u1,y_full1,y_red1"
 
 
 class TestValidateCertificate:

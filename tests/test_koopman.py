@@ -5,11 +5,8 @@ from koopgram.koopman import (
     TrajectoryDataset,
     build_dictionary,
     collect_trajectories,
-    factor_residual,
     fit_generator,
-    fit_koopman,
     fit_output_matrix,
-    residual_map,
 )
 
 
@@ -179,65 +176,3 @@ class TestFitOutputMatrix:
         ref, *_ = np.linalg.lstsq(phis, ys, rcond=None)
         assert np.allclose(c, ref.T, atol=1e-10)
         assert residual > 1e-3
-
-
-class TestFactorResidual:
-    def test_exact_model_gives_zero_error_block(self, slow_manifold_data):
-        d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        model = fit_koopman(
-            slow_manifold_drift, lambda x: x.copy(), d, slow_manifold_data
-        )
-        factor = factor_residual(model, slow_manifold_drift, slow_manifold_data.states)
-        assert np.max(np.abs(np.diag(factor.sigma))) <= 1e-7
-        assert model.error_factor is factor
-
-    def test_cubic_residual_reconstruction(self):
-        def drift(x):
-            return -x + 0.1 * x**3
-
-        d = build_dictionary("identity", 1)
-        rng = np.random.default_rng(3)
-        states = rng.uniform(-1.0, 1.0, size=(200, 1))
-        data = TrajectoryDataset(states, np.zeros(200), {})
-        model = fit_koopman(drift, lambda x: x.copy(), d, data)
-        factor = factor_residual(model, drift, states)
-        res = residual_map(model, drift)
-        for x in states[:50]:
-            phi = d.evaluate(x)
-            err = np.linalg.norm(factor.reconstruct(phi) - res(phi))
-            assert err <= 1e-10 * (1.0 + np.linalg.norm(res(phi)))
-            nphi = np.linalg.norm(phi)
-            assert abs(np.linalg.norm(factor.lift(phi)) - nphi) <= 1e-10 * (1 + nphi)
-
-    def test_sigma_respects_sampled_gain(self):
-        def drift(x):
-            return np.array([-x[0] + 0.3 * np.sin(x[1]), -x[1]])
-
-        d = build_dictionary("identity", 2)
-        rng = np.random.default_rng(4)
-        states = rng.uniform(-2, 2, size=(300, 2))
-        data = TrajectoryDataset(states, np.zeros(300), {})
-        model = fit_koopman(drift, lambda x: x.copy(), d, data)
-        slack = 1.05
-        factor = factor_residual(model, drift, states, slack=slack)
-        res = residual_map(model, drift)
-        g = max(
-            np.linalg.norm(res(x)) / np.linalg.norm(x)
-            for x in states
-            if np.linalg.norm(x) > 0
-        )
-        top = np.max(np.diag(factor.sigma))
-        assert g * (1.0 - 1e-12) <= top <= slack * np.sqrt(model.q) * g
-
-    def test_residual_identity_on_held_out_states(self, slow_manifold_data):
-        d = build_dictionary("identity", 2)
-        model = fit_koopman(
-            slow_manifold_drift, lambda x: np.array([x[0]]), d, slow_manifold_data
-        )
-        factor = factor_residual(model, slow_manifold_drift, slow_manifold_data.states)
-        rng = np.random.default_rng(5)
-        for x in rng.uniform(-1.2, 1.2, size=(50, 2)):
-            phi = d.evaluate(x)
-            lie = d.jacobian(x) @ slow_manifold_drift(x)
-            rebuilt = model.a @ phi + factor.reconstruct(phi)
-            assert np.linalg.norm(rebuilt - lie) <= 1e-9 * (1.0 + np.linalg.norm(lie))

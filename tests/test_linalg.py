@@ -6,19 +6,19 @@ import pytest
 from koopgram.linalg import (
     LtiSystem,
     SpectrumError,
+    _sweep_lower_bound,
     hinf_norm,
     integrate_ode,
     pinv,
     solve_lyapunov,
-    svd,
 )
 
 from oracles import (
     hinf_by_sweep,
-    jacobi_singular_values,
     lyapunov_by_quadrature,
     random_stable_system,
     rk4_fixed_step,
+    sweep_peak_by_loop,
 )
 
 
@@ -34,40 +34,6 @@ class TestLtiSystem:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             LtiSystem([[np.inf]], [[1.0]], [[1.0]])
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(2))
-        assert np.allclose(res.u @ np.diag(res.sigma) @ res.vt, np.eye(2))
-        assert np.allclose(res.sigma, [1.0, 1.0])
-
-    def test_zero(self):
-        res = svd(np.zeros((3, 2)))
-        assert np.allclose(res.sigma, 0.0)
-
-    def test_matches_jacobi_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 3))
-        res = svd(a)
-        ref = jacobi_singular_values(a)
-        assert np.allclose(res.sigma, ref, atol=1e-10)
-
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 2), (8, 8), (3, 7)])
-    def test_reconstruction_and_orthogonality(self, shape):
-        rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        a = rng.normal(size=shape)
-        u, s, vt = svd(a)
-        smat = np.zeros(shape)
-        np.fill_diagonal(smat, s)
-        assert np.linalg.norm(u @ smat @ vt - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.allclose(u.T @ u, np.eye(shape[0]), atol=1e-10)
-        assert np.allclose(vt @ vt.T, np.eye(shape[1]), atol=1e-10)
-        assert np.all(np.diff(s) <= 1e-14)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            svd([[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestPinv:
@@ -164,6 +130,14 @@ class TestHinfNorm:
     def test_rejects_unstable(self):
         with pytest.raises(SpectrumError):
             hinf_norm(LtiSystem([[0.5]], [[1.0]], [[1.0]]))
+
+    def test_batched_sweep_equals_per_frequency_loop(self):
+        rng = np.random.default_rng(9)
+        for k in range(40):
+            n, l, p = (int(v) for v in rng.integers(1, 7, size=3))
+            a, b, c = random_stable_system(rng, n, l, p)
+            for cm in (c, np.eye(n)):
+                assert _sweep_lower_bound(a, b, cm) == sweep_peak_by_loop(a, b, cm)
 
 
 class TestIntegrateOde:
