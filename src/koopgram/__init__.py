@@ -34,7 +34,7 @@ from .certify import (
     output_embedding_gap,
     truncation_error_bound,
 )
-from .expr import compile_expression, load_system_spec, system_from_spec
+from .expr import compile_expression, system_from_spec
 from .gsvd import (
     GainProfile,
     GsvdFactor,
@@ -49,12 +49,10 @@ from .harness import (
     ControlSystem,
     GainEstimate,
     Signal,
-    Verdict,
     builtin_systems,
     estimate_gap,
     get_builtin,
     input_ensemble,
-    validate_certificate,
 )
 from .koopman import (
     Dictionary,
@@ -101,7 +99,6 @@ __all__ = [
     "StiffnessError",
     "TrajectoryDataset",
     "TwoArgMap",
-    "Verdict",
     "balance",
     "balanced_nonlinear",
     "build_certificate",
@@ -129,7 +126,6 @@ __all__ = [
     "integrate_ode",
     "is_control_affine",
     "lifted_control_term",
-    "load_system_spec",
     "output_embedding_gap",
     "pinv",
     "run_pipeline",
@@ -137,5 +133,4 @@ __all__ = [
     "system_from_spec",
     "truncate",
     "truncation_error_bound",
-    "validate_certificate",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import BalancedNonlinear, BalancedRealization
-from .gsvd import GsvdFactor
+from .gsvd import GsvdFactor, sigma_pinv
 from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, spectral_norm
 
 __all__ = [
@@ -155,18 +155,22 @@ def is_control_affine(
         base = bn.f_u(np.zeros(q), u)
         scale = 1.0 + float(np.linalg.norm(base))
         for z in rng.uniform(-box, box, size=(samples, q)):
-            dev = float(np.linalg.norm(bn.f_u(z, u) - base))
-            scale = max(scale, 1.0 + float(np.linalg.norm(bn.f_u(z, u))))
+            fz = bn.f_u(z, u)
+            dev = float(np.linalg.norm(fz - base))
+            scale = max(scale, 1.0 + float(np.linalg.norm(fz)))
             if dev > tol * scale:
                 return False
     return True
 
 
 def lift_sensitivity_norms(
-    bal: BalancedRealization, fu_factor: GsvdFactor
+    bal: BalancedRealization, u: np.ndarray, sigma: np.ndarray
 ) -> tuple[float, float]:
-    """Operator norms ``(|Sigma^+ U^T T^{-1}|, |R^+|)`` entering the gain."""
-    lift = fu_factor._sigma_pinv @ fu_factor.u.T @ bal.t_inv
+    """Operator norms ``(|Sigma^+ U^T T^{-1}|, |R^+|)`` entering the gain.
+
+    ``u`` and ``sigma`` are the factors of the lifted control term.
+    """
+    lift = sigma_pinv(sigma) @ u.T @ bal.t_inv
     return spectral_norm(lift), spectral_norm(pinv(bal.r))
 
 

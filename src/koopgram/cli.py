@@ -4,9 +4,10 @@ Subcommands mirror the pipeline stages; `run` executes them all.  Every
 stage reads and writes JSON artifacts in the output directory, so a stage
 can be rerun and diffed in isolation.  Exit codes: 0 when every verdict is
 PASS or SKIPPED, 2 when any verdict is FAIL, 1 on usage errors, missing
-prerequisites, or a failed computation (for example an integration that
-blows up, an expression that divides by zero, or an H-infinity norm whose
-peak gain cannot be bracketed).
+prerequisites, an output directory that cannot be written, or a failed
+computation (for example an integration that blows up, an expression that
+divides by zero, or an H-infinity norm whose peak gain cannot be
+bracketed).
 """
 
 from __future__ import annotations
@@ -16,25 +17,9 @@ import sys
 
 from .balance import MinimalityError
 from .gsvd import SlackViolationError
-from .pipeline import (
-    MissingArtifactError,
-    PipelineConfig,
-    run_pipeline,
-    stage_balance,
-    stage_certify,
-    stage_decompose,
-    stage_fit_koopman,
-    stage_report,
-    stage_simulate,
-)
+from .pipeline import _STAGES, MissingArtifactError, PipelineConfig, run_pipeline, stage_report
 
-_STAGE_COMMANDS = {
-    "fit-koopman": stage_fit_koopman,
-    "decompose": stage_decompose,
-    "balance": stage_balance,
-    "certify": stage_certify,
-    "simulate": stage_simulate,
-}
+_STAGE_COMMANDS = dict(_STAGES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,8 +81,9 @@ def main(argv=None) -> int:
         MinimalityError, SlackViolationError, ValueError, KeyError,
         # StiffnessError and hinf_norm's bracket failure are RuntimeErrors;
         # expression systems evaluate in Python floats and raise
-        # ZeroDivisionError or OverflowError
-        RuntimeError, ArithmeticError,
+        # ZeroDivisionError or OverflowError; an unwritable output directory
+        # raises an OSError, caught only after MissingArtifactError above
+        RuntimeError, ArithmeticError, OSError,
     ) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -10,15 +10,13 @@ targets without compiling user code.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .harness import ControlSystem
 
-__all__ = ["compile_expression", "system_from_spec", "load_system_spec"]
+__all__ = ["compile_expression", "system_from_spec"]
 
 _UNARY = {
     "neg": lambda a: -a,
@@ -133,8 +131,3 @@ def system_from_spec(spec: dict) -> ControlSystem:
         gain_box=float(spec.get("gain_box", 5.0)),
         suggested_slack=float(spec.get("slack", 1.05)),
     )
-
-
-def load_system_spec(path) -> ControlSystem:
-    """Read a system declaration from a JSON file."""
-    return system_from_spec(json.loads(Path(path).read_text()))

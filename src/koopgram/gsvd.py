@@ -29,6 +29,7 @@ __all__ = [
     "TwoArgMap",
     "SlackViolationError",
     "estimate_gains",
+    "sigma_pinv",
     "decompose",
     "decompose_linear_plus",
     "decompose_control",
@@ -122,12 +123,9 @@ class GsvdFactor:
         diag = np.diag(sigma[:, :p])
         if np.any(np.diff(diag) > 1e-12 * (1.0 + diag.max(initial=0.0))):
             raise ValueError("diagonal of sigma must be nonincreasing")
-        sp = np.zeros((m, p))
-        nz = np.flatnonzero(diag > 0.0)
-        sp[nz, nz] = 1.0 / diag[nz]
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_sigma_pinv", sp)
+        object.__setattr__(self, "_sigma_pinv", sigma_pinv(sigma))
 
     @property
     def out_dim(self) -> int:
@@ -191,6 +189,16 @@ def _sample_points(rng, dim: int, count: int, box: float) -> np.ndarray:
     return np.vstack(pts)
 
 
+def sigma_pinv(sigma: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a ``p x m`` rectangular diagonal ``sigma`` (``m x p``)."""
+    p, m = sigma.shape
+    diag = np.diag(sigma[:, :p])
+    sp = np.zeros((m, p))
+    nz = np.flatnonzero(diag > 0.0)
+    sp[nz, nz] = 1.0 / diag[nz]
+    return sp
+
+
 def estimate_gains(
     f: Callable,
     dims: int | tuple[int, int],
@@ -209,39 +217,23 @@ def estimate_gains(
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     rng = np.random.default_rng(seed)
-    if isinstance(dims, tuple):
-        n, l = dims
-        xs = _sample_points(rng, n, sample_budget, box)
-        us = _sample_points(rng, l, sample_budget, box)
-        count = min(len(xs), len(us))
-        best = None
-        for x, u in zip(xs[:count], us[:count]):
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                continue
-            fx = np.asarray(f(x, u), float).reshape(-1)
-            if not np.all(np.isfinite(fx)):
-                raise ValueError(f"map returned non-finite values at x={x}, u={u}")
-            ratio = np.abs(fx) / nu
-            best = ratio if best is None else np.maximum(best, ratio)
-        samples = count
-    else:
-        n = int(dims)
-        xs = _sample_points(rng, n, sample_budget, box)
-        best = None
-        for x in xs:
-            nx = np.linalg.norm(x)
-            if nx == 0.0:
-                continue
-            fx = np.asarray(f(x), float).reshape(-1)
-            if not np.all(np.isfinite(fx)):
-                raise ValueError(f"map returned non-finite values at x={x}")
-            ratio = np.abs(fx) / nx
-            best = ratio if best is None else np.maximum(best, ratio)
-        samples = len(xs)
+    # one argument tuple per sample; the gain is measured against the last
+    dims = dims if isinstance(dims, tuple) else (int(dims),)
+    samples = list(zip(*(_sample_points(rng, d, sample_budget, box) for d in dims)))
+    best = None
+    for args in samples:
+        scale = np.linalg.norm(args[-1])
+        if scale == 0.0:
+            continue
+        fx = np.asarray(f(*args), float).reshape(-1)
+        if not np.all(np.isfinite(fx)):
+            where = ", ".join(f"{name}={v}" for name, v in zip("xu", args))
+            raise ValueError(f"map returned non-finite values at {where}")
+        ratio = np.abs(fx) / scale
+        best = ratio if best is None else np.maximum(best, ratio)
     if best is None:
         raise ValueError("no nonzero sample points were generated")
-    return GainProfile(best, source="sampled_estimate", sample_count=samples)
+    return GainProfile(best, source="sampled_estimate", sample_count=len(samples))
 
 
 def _sized_sigma(

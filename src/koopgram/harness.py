@@ -17,21 +17,18 @@ import numpy as np
 import scipy.integrate
 
 from .balance import BalancedNonlinear, ReducedRealization
-from .certify import ErrorCertificate
 from .linalg import StiffnessError, integrate_ode
 
 __all__ = [
     "ControlSystem",
     "Signal",
     "GainEstimate",
-    "Verdict",
     "builtin_systems",
     "get_builtin",
     "input_ensemble",
     "signal_l2_norm",
     "estimate_gap",
     "judge_bound",
-    "validate_certificate",
 ]
 
 
@@ -376,49 +373,16 @@ def estimate_gap(
     return GainEstimate(value=float(value), per_signal=per_signal, ensemble=description, excluded=excluded)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of checking an empirical gain against its certificate."""
-
-    status: str  # PASS | FAIL | SKIPPED-SMALL-GAIN
-    tightness: float | None
-    empirical: float
-    bound: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "tightness": None if self.tightness is None else float(self.tightness),
-            "empirical": float(self.empirical),
-            "bound": None if self.bound is None else float(self.bound),
-        }
-
-
 def judge_bound(
     bound: float | None, empirical: float, excluded: int, cushion: float = 1e-6
 ) -> tuple[str, float | None]:
-    """Shared verdict rule: PASS needs the bound honored and zero exclusions."""
+    """The verdict rule: PASS needs the bound honored and zero exclusions.
+
+    The cushion absorbs integration and quadrature error; an unbounded
+    certificate is skipped rather than judged.
+    """
     if bound is None:
         return "SKIPPED-SMALL-GAIN", None
     ok = empirical <= bound + cushion and excluded == 0
     tightness = empirical / bound if bound > 0 else None
     return ("PASS" if ok else "FAIL"), tightness
-
-
-def validate_certificate(
-    cert: ErrorCertificate, est: GainEstimate, cushion: float = 1e-6
-) -> Verdict:
-    """PASS when the measured gap stays below the certified bound.
-
-    The cushion absorbs integration and quadrature error; an unbounded
-    certificate is skipped rather than judged.
-    """
-    status, tightness = judge_bound(
-        cert.total_bound, est.value, len(est.excluded), cushion
-    )
-    return Verdict(
-        status=status,
-        tightness=tightness,
-        empirical=est.value,
-        bound=cert.total_bound,
-    )

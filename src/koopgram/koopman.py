@@ -10,11 +10,8 @@ map and handed to the norm-preserving factorization machinery.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,45 +90,17 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
     )
 
 
-def _validate_user_dictionary(d: Dictionary, seed: int = 0) -> None:
-    rng = np.random.default_rng(seed)
-    phi0 = np.asarray(d.evaluate(np.zeros(d.n)), float)
-    if not np.allclose(phi0, 0.0, atol=1e-12):
-        raise ValueError("observables must vanish at the origin")
-    for x in rng.uniform(-2.0, 2.0, size=(8, d.n)):
-        phi = np.asarray(d.evaluate(x), float)
-        if phi.shape != (d.q,):
-            raise ValueError(f"evaluate must return {d.q} values")
-        if not np.allclose(phi[: d.n], x, atol=1e-12):
-            raise ValueError("dictionary must be state-inclusive")
-        jac = np.asarray(d.jacobian(x), float)
-        if jac.shape != (d.q, d.n):
-            raise ValueError(f"jacobian must be {d.q}x{d.n}")
-        step = 1e-6 * (1.0 + np.linalg.norm(x))
-        for j in range(d.n):
-            ej = np.zeros(d.n)
-            ej[j] = step
-            fd = (np.asarray(d.evaluate(x + ej)) - np.asarray(d.evaluate(x - ej))) / (2 * step)
-            if not np.allclose(jac[:, j], fd, atol=1e-5 * (1.0 + np.abs(fd).max())):
-                raise ValueError("jacobian disagrees with finite differences")
-
-
 def build_dictionary(
     kind: str,
     n: int,
     degree: int | None = None,
     exponents: Sequence[Sequence[int]] | None = None,
-    evaluate: Callable | None = None,
-    jacobian: Callable | None = None,
-    q: int | None = None,
 ) -> Dictionary:
     """Construct an observable dictionary.
 
     kind "identity" lifts by the coordinates alone; "monomials" takes either
     every monomial of total degree 1..degree (no constant, coordinates first)
-    or an explicit exponent list; "user" wraps caller-supplied callables and
-    validates state inclusivity, the zero at the origin, and the Jacobian
-    against central finite differences.
+    or an explicit exponent list.
     """
     if kind == "identity":
         exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -152,13 +121,7 @@ def build_dictionary(
                     exps.append(tuple(e))
             exponents = exps
         return _monomial_dictionary(n, exponents)
-    if kind == "user":
-        if evaluate is None or jacobian is None or q is None:
-            raise ValueError("user dictionaries need evaluate, jacobian and q")
-        d = Dictionary(n=n, q=q, kind="user", evaluate=evaluate, jacobian=jacobian)
-        _validate_user_dictionary(d)
-        return d
-    raise ValueError(f"unknown dictionary kind {kind!r}")
+    raise ValueError(f"dictionary kind must be identity or monomials, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -184,32 +147,6 @@ class TrajectoryDataset:
     @property
     def size(self) -> int:
         return self.states.shape[0]
-
-    def save_csv(self, path) -> None:
-        """Write `t,x1..xn` rows plus a provenance sidecar JSON."""
-        path = Path(path)
-        n = self.states.shape[1]
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-        sidecar = path.with_suffix(".provenance.json")
-        sidecar.write_text(json.dumps(self.provenance, sort_keys=True, indent=2))
-
-    @classmethod
-    def load_csv(cls, path) -> "TrajectoryDataset":
-        path = Path(path)
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        if header[0] != "t":
-            raise ValueError(f"unexpected dataset header {header!r}")
-        arr = np.asarray(rows, float)
-        sidecar = path.with_suffix(".provenance.json")
-        provenance = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-        return cls(states=arr[:, 1:], times=arr[:, 0], provenance=provenance)
 
 
 def collect_trajectories(
@@ -271,27 +208,23 @@ def _design_matrices(
     return phis, targets
 
 
-def _ridge_least_squares(phis: np.ndarray, targets: np.ndarray, ridge: float | None):
-    """Solve min_A sum ||target_k - A phi_k||^2 + ridge ||A||_F^2."""
+def _ridge_least_squares(phis: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Solve min_A sum ||target_k - A phi_k||^2 + ridge ||A||_F^2.
+
+    The ridge is 1e-10 times the mean diagonal of the Gram matrix.
+    """
     gram = phis.T @ phis
-    scale = np.trace(gram) / max(gram.shape[0], 1)
-    if ridge is None:
-        ridge = 1e-10 * scale
-    if ridge == 0.0:
-        eig = np.linalg.eigvalsh(gram)
-        if eig[0] <= 1e-13 * max(eig[-1], 1e-300):
-            raise np.linalg.LinAlgError(
-                "regression is rank deficient; supply a positive ridge"
-            )
+    ridge = 1e-10 * (np.trace(gram) / max(gram.shape[0], 1))
     rhs = phis.T @ targets
     sol = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
-    return sol.T, ridge
+    return sol.T
 
 
-def _split_indices(n_samples: int, holdout_fraction: float, seed: int):
+def _split_indices(n_samples: int, seed: int):
+    """Random (train, hold-out) split holding out a fifth of the samples."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_samples)
-    n_hold = max(int(round(holdout_fraction * n_samples)), 1)
+    n_hold = max(int(round(0.2 * n_samples)), 1)
     return perm[n_hold:], perm[:n_hold]
 
 
@@ -299,8 +232,6 @@ def fit_generator(
     f0: Callable[[np.ndarray], np.ndarray],
     dictionary: Dictionary,
     data: TrajectoryDataset,
-    ridge: float | None = None,
-    holdout_fraction: float = 0.2,
     seed: int = 0,
 ) -> KoopmanModel:
     """Least-squares fit of the lifted generator against Lie derivatives.
@@ -313,9 +244,9 @@ def fit_generator(
         raise ValueError(
             f"need at least {2 * dictionary.q} snapshots, got {data.size}"
         )
-    train_idx, hold_idx = _split_indices(data.size, holdout_fraction, seed)
+    train_idx, hold_idx = _split_indices(data.size, seed)
     phis, targets = _design_matrices(f0, dictionary, data.states)
-    a, _ = _ridge_least_squares(phis[train_idx], targets[train_idx], ridge)
+    a = _ridge_least_squares(phis[train_idx], targets[train_idx])
 
     residual_gain = 0.0
     for k in hold_idx:
@@ -361,11 +292,10 @@ def fit_koopman(
     h: Callable,
     dictionary: Dictionary,
     data: TrajectoryDataset,
-    ridge: float | None = None,
     seed: int = 0,
 ) -> KoopmanModel:
     """Fit generator and output matrix into one model."""
-    model = fit_generator(f0, dictionary, data, ridge=ridge, seed=seed)
+    model = fit_generator(f0, dictionary, data, seed=seed)
     c, output_residual = fit_output_matrix(h, dictionary, data)
     model.c = c
     model.output_residual = output_residual

@@ -34,7 +34,7 @@ from .certify import (
     output_embedding_gap,
 )
 from .expr import system_from_spec
-from .gsvd import GainProfile, GsvdFactor, decompose_control, estimate_gains
+from .gsvd import decompose_control, estimate_gains
 from .harness import ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound
 from .koopman import (
     Dictionary,
@@ -174,17 +174,12 @@ def _resolve_system(config: PipelineConfig) -> ControlSystem:
 
 def _resolve_dictionary(config: PipelineConfig, system) -> Dictionary:
     spec = config.dictionary or system.dictionary_hint
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        return build_dictionary("identity", system.n)
-    if kind == "monomials":
-        return build_dictionary(
-            "monomials",
-            system.n,
-            degree=spec.get("degree"),
-            exponents=spec.get("exponents"),
-        )
-    raise ValueError(f"config dictionaries must be identity or monomials, got {kind!r}")
+    return build_dictionary(
+        spec.get("kind", "identity"),
+        system.n,
+        degree=spec.get("degree"),
+        exponents=spec.get("exponents"),
+    )
 
 
 def _slack(config: PipelineConfig, system) -> float:
@@ -209,7 +204,7 @@ def _collect_data(config: PipelineConfig, system) -> TrajectoryDataset:
     )
 
 
-def _rebuild_model(config, system, dictionary, needed_by: str) -> KoopmanModel:
+def _rebuild_model(config, dictionary, needed_by: str) -> KoopmanModel:
     art = _read_artifact(config, "fit-koopman", needed_by)
     return KoopmanModel(
         dictionary=dictionary,
@@ -218,27 +213,6 @@ def _rebuild_model(config, system, dictionary, needed_by: str) -> KoopmanModel:
         residual_gain=float(art["residual_gain"]),
         output_residual=float(art["output_residual"]),
         hurwitz=bool(art["hurwitz"]),
-    )
-
-
-def _rebuild_control_factor(config, system, dictionary, needed_by: str) -> GsvdFactor:
-    art = _read_artifact(config, "decompose", needed_by)
-    fu = lifted_control_term(
-        system.f, dictionary, l=system.l, lipschitz_u=system.lipschitz_u
-    )
-    gains = GainProfile(
-        np.asarray(art["gains"]["coordinate_bounds"], float),
-        source=art["gains"]["source"],
-        sample_count=art["gains"]["sample_count"],
-    )
-    return GsvdFactor(
-        u=np.asarray(art["u"], float),
-        sigma=np.asarray(art["sigma"], float),
-        slack=float(art["slack"]),
-        kernel_dim=system.l,
-        map=fu,
-        norm_arg=1,
-        gains=gains,
     )
 
 
@@ -320,8 +294,8 @@ def stage_certify(config: PipelineConfig) -> dict:
     """Compute certificates for every requested order; artifact: certificates.json."""
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
-    model = _rebuild_model(config, system, dictionary, "certify")
-    factor = _rebuild_control_factor(config, system, dictionary, "certify")
+    model = _rebuild_model(config, dictionary, "certify")
+    dec = _read_artifact(config, "decompose", "certify")
     bal = BalancedRealization.from_dict(
         _read_artifact(config, "balance", "certify")
     )
@@ -330,7 +304,9 @@ def stage_certify(config: PipelineConfig) -> dict:
     orders = _validated_orders(config, bal.q)
 
     hinf_output = hinf_norm(LtiSystem(bal.a_bal, bal.b_bal, bal.c_bal))
-    lift_norm, recovery_norm = lift_sensitivity_norms(bal, factor)
+    lift_norm, recovery_norm = lift_sensitivity_norms(
+        bal, np.asarray(dec["u"], float), np.asarray(dec["sigma"], float)
+    )
 
     # f_u and error_map do not depend on the truncation order, so the
     # evaluators of the first order serve every order-independent term
@@ -393,7 +369,7 @@ def stage_simulate(config: PipelineConfig) -> dict:
     """Measure empirical full-vs-reduced gains; artifact: empirical.json."""
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
-    model = _rebuild_model(config, system, dictionary, "simulate")
+    model = _rebuild_model(config, dictionary, "simulate")
     bal = BalancedRealization.from_dict(
         _read_artifact(config, "balance", "simulate")
     )

@@ -247,7 +247,7 @@ class TestEndToEndFiveTermPath:
         fb_red = feedback_decomposition(
             red.a_r, red.b_r, factor_error(bn, reduced=True, seed=2, box=sysd.gain_box)
         )
-        lift_norm, rec_norm = lift_sensitivity_norms(bal, factor)
+        lift_norm, rec_norm = lift_sensitivity_norms(bal, factor.u, factor.sigma)
         cert = build_certificate(
             order=1,
             full=fb_full,
@@ -284,7 +284,7 @@ class TestEndToEndLinearCollapse:
         red = truncate(bal, 1)
         bn = balanced_nonlinear(f, 1, model, bal, red)
         affine = is_control_affine(bn)
-        lift_norm, rec_norm = lift_sensitivity_norms(bal, factor)
+        lift_norm, rec_norm = lift_sensitivity_norms(bal, factor.u, factor.sigma)
         gain = control_truncation_gain(1.0, lift_norm, rec_norm, affine)
         assert gain == 0.0
         err_full = factor_error(bn, reduced=False, seed=3)

@@ -218,6 +218,15 @@ class TestCliEntry:
         assert err.startswith(f"error [{command}]: ")
         assert "Traceback" not in err
 
+    def test_unwritable_output_dir_exits_one(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        assert main(["fit-koopman", "--config", str(path), "--out", str(blocker / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [fit-koopman]: ")
+        assert "Traceback" not in err
+
     def test_orders_flag_overrides(self, tmp_path):
         path, raw = write_config(tmp_path, system="lti6", reduction_orders=[2])
         assert main(["fit-koopman", "--config", str(path), "--orders", "3,5"]) == 0

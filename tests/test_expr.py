@@ -1,9 +1,8 @@
-import json
 
 import numpy as np
 import pytest
 
-from koopgram.expr import compile_expression, load_system_spec, system_from_spec
+from koopgram.expr import compile_expression, system_from_spec
 
 
 TANH_FIRST_ORDER_SPEC = {
@@ -87,10 +86,3 @@ class TestSystemFromSpec:
         bad = dict(TANH_FIRST_ORDER_SPEC, n=2)
         with pytest.raises(ValueError, match="derivative expressions"):
             system_from_spec(bad)
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(TANH_FIRST_ORDER_SPEC))
-        sysd = load_system_spec(path)
-        assert sysd.name == "tanh_expr"
-        assert np.allclose(sysd.f(np.array([1.0]), np.zeros(1)), [-1.0])

@@ -8,14 +8,13 @@ from koopgram.certify import FeedbackDecomposition, build_certificate
 from koopgram.gsvd import decompose_control, estimate_gains
 from koopgram.harness import (
     ControlSystem,
-    GainEstimate,
     Signal,
     builtin_systems,
     estimate_gap,
     get_builtin,
     input_ensemble,
+    judge_bound,
     signal_l2_norm,
-    validate_certificate,
 )
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
 from koopgram.linalg import LtiSystem
@@ -175,18 +174,14 @@ class TestValidateCertificate:
             control_gain=0.0, hinf_output=1.0, hsv_tail=[bound / 2.0],
         )
 
-    @staticmethod
-    def _est(value, excluded=()):
-        return GainEstimate(value=value, per_signal=[], ensemble="test", excluded=list(excluded))
-
     def test_pass_with_tightness(self):
-        verdict = validate_certificate(self._cert(0.5), self._est(0.4))
-        assert verdict.status == "PASS"
-        assert np.isclose(verdict.tightness, 0.8)
+        status, tightness = judge_bound(self._cert(0.5).total_bound, 0.4, 0)
+        assert status == "PASS"
+        assert np.isclose(tightness, 0.8)
 
     def test_fail_on_soundness_violation(self):
-        verdict = validate_certificate(self._cert(0.5), self._est(0.6))
-        assert verdict.status == "FAIL"
+        status, _ = judge_bound(self._cert(0.5).total_bound, 0.6, 0)
+        assert status == "FAIL"
 
     def test_skip_on_small_gain_violation(self):
         hot = FeedbackDecomposition(2.0, 0.6, 1.2, False)
@@ -196,11 +191,10 @@ class TestValidateCertificate:
             output_gap_full=0.0, output_gap_reduced=0.0,
             control_gain=0.0, hinf_output=1.0, hsv_tail=[0.1],
         )
-        verdict = validate_certificate(cert, self._est(0.01))
-        assert verdict.status == "SKIPPED-SMALL-GAIN"
+        status, tightness = judge_bound(cert.total_bound, 0.01, 0)
+        assert status == "SKIPPED-SMALL-GAIN"
+        assert tightness is None
 
     def test_exclusions_forbid_pass(self):
-        verdict = validate_certificate(
-            self._cert(0.5), self._est(0.1, excluded=[{"signal": "x", "error": "boom"}])
-        )
-        assert verdict.status == "FAIL"
+        status, _ = judge_bound(self._cert(0.5).total_bound, 0.1, excluded=1)
+        assert status == "FAIL"
