@@ -51,6 +51,7 @@ from .harness import (
     Signal,
     builtin_systems,
     estimate_gap,
+    full_responses,
     get_builtin,
     input_ensemble,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "fit_generator",
     "fit_koopman",
     "fit_output_matrix",
+    "full_responses",
     "get_builtin",
     "gramians",
     "hinf_norm",

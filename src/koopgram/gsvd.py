@@ -75,15 +75,13 @@ class GainProfile:
 class TwoArgMap:
     """A map (x, u) -> R^p whose gain is measured against the second argument.
 
-    ``eval(x, 0)`` must vanish for every x; ``lipschitz_u`` bounds the
-    sensitivity of the map to its second argument.
+    ``eval(x, 0)`` must vanish for every x.
     """
 
     n: int
     l: int
     p: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_u: float = 0.0
 
     def __call__(self, x, u) -> np.ndarray:
         return np.asarray(self.eval(np.asarray(x, float), np.asarray(u, float)), float)

@@ -6,6 +6,10 @@ square-integrable inputs, measure the worst output-difference to input
 energy ratio, and compare it against the a-priori certificate.  The
 empirical ratio is a lower bound on the true induced norm, so a sound
 certificate must always dominate it.
+
+``full_responses(system, ensemble, tol)`` integrates the full system once
+per signal; ``estimate_gap(responses, bn, red, ensemble, tol)`` integrates
+only the reduced system of one order against those outputs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "get_builtin",
     "input_ensemble",
     "signal_l2_norm",
+    "full_responses",
     "estimate_gap",
     "judge_bound",
 ]
@@ -194,7 +199,7 @@ def signal_l2_norm(fn: Callable, horizon: float, n_points: int = 40_001) -> floa
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
 
 
-def _decayed_tone(l, amp, decay, freqs, phases):
+def _decayed_tone(amp, decay, freqs, phases):
     def fn(ts):
         ts = ts[:, None]
         return amp * np.exp(-decay * ts) * np.sin(freqs[None, :] * ts + phases[None, :])
@@ -202,11 +207,11 @@ def _decayed_tone(l, amp, decay, freqs, phases):
     return fn
 
 
-def _noise_burst(l, coeffs, freqs, phases, center, width):
+def _noise_burst(coeffs, freqs, phases, center, width):
     def fn(ts):
         ts = ts[:, None]
         window = np.exp(-(((ts - center) / width) ** 2))
-        tones = np.zeros((ts.shape[0], l))
+        tones = np.zeros((ts.shape[0], coeffs.shape[1]))
         for k in range(coeffs.shape[0]):
             tones += coeffs[k][None, :] * np.sin(freqs[k][None, :] * ts + phases[k][None, :])
         return window * tones
@@ -214,7 +219,7 @@ def _noise_burst(l, coeffs, freqs, phases, center, width):
     return fn
 
 
-def _chirp(l, amp, decay, omega0, rate, phases):
+def _chirp(amp, decay, omega0, rate, phases):
     def fn(ts):
         ts = ts[:, None]
         phase = omega0 * ts + 0.5 * rate * ts * ts
@@ -253,7 +258,6 @@ def input_ensemble(
             (
                 f"tone-{i}",
                 _decayed_tone(
-                    l,
                     amp=rng.uniform(0.5, 1.5),
                     decay=rng.uniform(0.1, 0.3),
                     freqs=tone_freqs[i] * rng.uniform(0.95, 1.05, size=l),
@@ -266,7 +270,6 @@ def input_ensemble(
             (
                 f"burst-{i}",
                 _noise_burst(
-                    l,
                     coeffs=rng.uniform(-1.0, 1.0, size=(5, l)),
                     freqs=rng.uniform(lo, hi, size=(5, l)),
                     phases=rng.uniform(0, 2 * np.pi, size=(5, l)),
@@ -280,7 +283,6 @@ def input_ensemble(
             (
                 f"chirp-{i}",
                 _chirp(
-                    l,
                     amp=rng.uniform(0.5, 1.2),
                     decay=rng.uniform(0.05, 0.15),
                     omega0=lo,
@@ -316,55 +318,59 @@ class GainEstimate:
         }
 
 
-def _simulate_pair(
-    system: ControlSystem,
-    bn: BalancedNonlinear,
-    red: ReducedRealization,
-    signal: Signal,
-    tol: float,
-    n_grid: int,
-):
-    grid = np.linspace(0.0, signal.horizon, n_grid)
+_N_GRID = 2001  # output samples per probe signal, full and reduced alike
 
-    def full_field(t, x):
-        return np.asarray(system.f(x, signal(t)), float)
 
-    def reduced_field(t, z):
-        return np.asarray(bn.f_reduced(z, signal(t)), float)
+def _trajectory(rhs, dim: int, signal: Signal, tol: float):
+    """Grid and states of ``x' = rhs(x, signal(t))`` from rest."""
+    grid = np.linspace(0.0, signal.horizon, _N_GRID)
 
-    _, xs = integrate_ode(full_field, np.zeros(system.n), (0.0, signal.horizon), tol=tol, t_eval=grid)
-    _, zs = integrate_ode(
-        reduced_field, np.zeros(red.order), (0.0, signal.horizon), tol=tol, t_eval=grid
-    )
-    y_full = np.stack([np.atleast_1d(np.asarray(system.h(x), float)) for x in xs])
-    y_red = zs @ red.c_r.T
-    diff = y_full - y_red
-    return float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=grid)))
+    def field(t, x):
+        return np.asarray(rhs(x, signal(t)), float)
+
+    _, xs = integrate_ode(field, np.zeros(dim), (0.0, signal.horizon), tol=tol, t_eval=grid)
+    return grid, xs
+
+
+def full_responses(system: ControlSystem, ensemble: Sequence[Signal], tol: float) -> list:
+    """Full-system output ``h(x)`` from rest on the grid, one entry per signal,
+    or the error text of a failed integration; it does not depend on the
+    reduction order, so every ``estimate_gap`` call shares it."""
+    responses = []
+    for signal in ensemble:
+        try:
+            _, xs = _trajectory(system.f, system.n, signal, tol)
+            responses.append(np.stack([np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]))
+        except (StiffnessError, ValueError) as exc:
+            responses.append(str(exc))
+    return responses
 
 
 def estimate_gap(
-    system: ControlSystem,
-    bn: BalancedNonlinear,
-    red: ReducedRealization,
-    ensemble: Sequence[Signal],
-    tol: float = 1e-8,
-    n_grid: int = 2001,
+    responses: Sequence, bn: BalancedNonlinear, red: ReducedRealization,
+    ensemble: Sequence[Signal], tol: float,
 ) -> GainEstimate:
     """Empirical lower bound on the full-vs-reduced H-infinity error.
 
-    Both systems start from rest.  Signals whose integration fails are
-    excluded and flagged; a clean validation verdict requires zero
-    exclusions.
+    ``responses`` comes from ``full_responses`` on the same ensemble; only
+    the reduced system is integrated here, from rest.  Signals whose full or
+    reduced integration fails are excluded and flagged; a clean validation
+    verdict requires zero exclusions.
     """
     per_signal = []
     excluded = []
     value = 0.0
-    for signal in ensemble:
+    for signal, y_full in zip(ensemble, responses, strict=True):
+        if isinstance(y_full, str):
+            excluded.append({"signal": signal.name, "error": y_full})
+            continue
         try:
-            l2 = _simulate_pair(system, bn, red, signal, tol, n_grid)
+            grid, zs = _trajectory(bn.f_reduced, red.order, signal, tol)
         except (StiffnessError, ValueError) as exc:
             excluded.append({"signal": signal.name, "error": str(exc)})
             continue
+        diff = y_full - zs @ red.c_r.T
+        l2 = float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=grid)))
         ratio = l2 / signal.l2_norm
         per_signal.append({"signal": signal.name, "ratio": float(ratio)})
         value = max(value, ratio)

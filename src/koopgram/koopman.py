@@ -324,7 +324,6 @@ def lifted_control_term(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     dictionary: Dictionary,
     l: int,
-    lipschitz_u: float = 0.0,
 ) -> gsvd.TwoArgMap:
     """Control contribution to the lifted dynamics: D_phi(x) (f(x,u) - f(x,0))."""
 
@@ -334,6 +333,4 @@ def lifted_control_term(
         jac = np.asarray(dictionary.jacobian(x), float)
         return jac @ (np.asarray(f(x, u), float) - np.asarray(f(x, np.zeros(l)), float))
 
-    return gsvd.TwoArgMap(
-        n=dictionary.n, l=l, p=dictionary.q, eval=eval_fu, lipschitz_u=lipschitz_u
-    )
+    return gsvd.TwoArgMap(n=dictionary.n, l=l, p=dictionary.q, eval=eval_fu)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .certify import (
 )
 from .expr import system_from_spec
 from .gsvd import decompose_control, estimate_gains
-from .harness import ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound
+from .harness import ControlSystem, estimate_gap, full_responses, get_builtin, input_ensemble, judge_bound
 from .koopman import (
     Dictionary,
     KoopmanModel,
@@ -77,6 +78,15 @@ _SEED_ENSEMBLE = 4
 _SEED_DATA = 5
 
 
+# the accepted type of each config value that is used without conversion
+_REAL, _NULL = numbers.Real, type(None)
+_CONFIG_TYPES = {
+    "system": (str, dict), "reduction_orders": (list, tuple), "slack": (_REAL, _NULL),
+    "sample_budget": numbers.Integral, "gain_box": (_REAL, _NULL), "dictionary": (dict, _NULL),
+    "ensemble_count": numbers.Integral, "horizon": (_REAL, _NULL), "ode_tol": _REAL, "data": dict,
+}
+
+
 class MissingArtifactError(FileNotFoundError):
     """A stage was invoked before its prerequisite stage."""
 
@@ -113,6 +123,9 @@ class PipelineConfig:
     )
 
     def __post_init__(self):
+        for name, types in _CONFIG_TYPES.items():
+            if not isinstance(getattr(self, name), types):
+                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         self.reduction_orders = [int(r) for r in self.reduction_orders]
         if not self.reduction_orders:
             raise ValueError("reduction_orders must be nonempty")
@@ -125,6 +138,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(raw) - known
@@ -204,18 +219,6 @@ def _collect_data(config: PipelineConfig, system) -> TrajectoryDataset:
     )
 
 
-def _rebuild_model(config, dictionary, needed_by: str) -> KoopmanModel:
-    art = _read_artifact(config, "fit-koopman", needed_by)
-    return KoopmanModel(
-        dictionary=dictionary,
-        a=np.asarray(art["a"], float),
-        c=np.asarray(art["c"], float),
-        residual_gain=float(art["residual_gain"]),
-        output_residual=float(art["output_residual"]),
-        hurwitz=bool(art["hurwitz"]),
-    )
-
-
 def stage_fit_koopman(config: PipelineConfig) -> dict:
     """Fit the lifted generator and output matrix; artifact: koopman.json."""
     system = _resolve_system(config)
@@ -244,9 +247,7 @@ def stage_decompose(config: PipelineConfig) -> dict:
     _read_artifact(config, "fit-koopman", "decompose")
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
-    fu = lifted_control_term(
-        system.f, dictionary, l=system.l, lipschitz_u=system.lipschitz_u
-    )
+    fu = lifted_control_term(system.f, dictionary, l=system.l)
     gains = estimate_gains(
         fu.eval,
         (system.n, system.l),
@@ -283,25 +284,38 @@ def stage_balance(config: PipelineConfig) -> dict:
     return payload
 
 
-def _validated_orders(config: PipelineConfig, q: int) -> list[int]:
-    bad = [r for r in config.reduction_orders if r > q]
+def _reduced_models(config: PipelineConfig, needed_by: str):
+    """System, decompose.json, balanced realization and each order's ``(r, red, bn)``,
+    built once for certify and simulate; artifacts are read in pipeline order,
+    so a missing one names the earliest stage still to run."""
+    system = _resolve_system(config)
+    dictionary = _resolve_dictionary(config, system)
+    koop = _read_artifact(config, "fit-koopman", needed_by)
+    model = KoopmanModel(
+        dictionary=dictionary,
+        a=np.asarray(koop["a"], float),
+        c=np.asarray(koop["c"], float),
+        residual_gain=float(koop["residual_gain"]),
+        output_residual=float(koop["output_residual"]),
+        hurwitz=bool(koop["hurwitz"]),
+    )
+    dec = _read_artifact(config, "decompose", needed_by)
+    bal = BalancedRealization.from_dict(_read_artifact(config, "balance", needed_by))
+    bad = [r for r in config.reduction_orders if r > bal.q]
     if bad:
-        raise ValueError(f"reduction orders {bad} exceed the lifted dimension {q}")
-    return config.reduction_orders
+        raise ValueError(f"reduction orders {bad} exceed the lifted dimension {bal.q}")
+    reduced = []
+    for r in config.reduction_orders:
+        red = truncate(bal, r)
+        reduced.append((r, red, balanced_nonlinear(system.f, system.l, model, bal, red)))
+    return system, dec, bal, reduced
 
 
 def stage_certify(config: PipelineConfig) -> dict:
     """Compute certificates for every requested order; artifact: certificates.json."""
-    system = _resolve_system(config)
-    dictionary = _resolve_dictionary(config, system)
-    model = _rebuild_model(config, dictionary, "certify")
-    dec = _read_artifact(config, "decompose", "certify")
-    bal = BalancedRealization.from_dict(
-        _read_artifact(config, "balance", "certify")
-    )
+    system, dec, bal, reduced = _reduced_models(config, "certify")
     slack = _slack(config, system)
     box = _gain_box(config, system)
-    orders = _validated_orders(config, bal.q)
 
     hinf_output = hinf_norm(LtiSystem(bal.a_bal, bal.b_bal, bal.c_bal))
     lift_norm, recovery_norm = lift_sensitivity_norms(
@@ -310,7 +324,7 @@ def stage_certify(config: PipelineConfig) -> dict:
 
     # f_u and error_map do not depend on the truncation order, so the
     # evaluators of the first order serve every order-independent term
-    bn = balanced_nonlinear(system.f, system.l, model, bal, truncate(bal, orders[0]))
+    _, _, bn = reduced[0]
     affine = is_control_affine(bn, seed=config.seed)
     gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
     err_full = factor_error(
@@ -321,9 +335,7 @@ def stage_certify(config: PipelineConfig) -> dict:
     gap_full = output_embedding_gap(bal.c_bal, fb_full.gp_norm)
 
     certs = []
-    for r in orders:
-        red = truncate(bal, r)
-        bn = balanced_nonlinear(system.f, system.l, model, bal, red)
+    for r, red, bn in reduced:
         err_red = factor_error(
             bn, reduced=True, slack=slack, sample_budget=config.sample_budget,
             seed=[config.seed, _SEED_ERROR_REDUCED, r], box=box,
@@ -367,22 +379,15 @@ def _default_horizon(a_bal: np.ndarray) -> float:
 
 def stage_simulate(config: PipelineConfig) -> dict:
     """Measure empirical full-vs-reduced gains; artifact: empirical.json."""
-    system = _resolve_system(config)
-    dictionary = _resolve_dictionary(config, system)
-    model = _rebuild_model(config, dictionary, "simulate")
-    bal = BalancedRealization.from_dict(
-        _read_artifact(config, "balance", "simulate")
-    )
-    orders = _validated_orders(config, bal.q)
+    system, _, bal, reduced = _reduced_models(config, "simulate")
     horizon = config.horizon or _default_horizon(bal.a_bal)
     ensemble = input_ensemble(
         system.l, horizon, count=config.ensemble_count, seed=[config.seed, _SEED_ENSEMBLE]
     )
+    responses = full_responses(system, ensemble, config.ode_tol)
     rows = []
-    for r in orders:
-        red = truncate(bal, r)
-        bn = balanced_nonlinear(system.f, system.l, model, bal, red)
-        est = estimate_gap(system, bn, red, ensemble, tol=config.ode_tol)
+    for r, red, bn in reduced:
+        est = estimate_gap(responses, bn, red, ensemble, config.ode_tol)
         rows.append({"order": int(r), "estimate": est.to_dict()})
     payload = {
         "system": system.name,

@@ -73,12 +73,12 @@ def test_criterion_1_norm_preservation_and_reconstruction():
     factors.append((decompose_linear_plus(radial, 3, [1.0, 1.0, 1.0]), 3, None))
     factors.append((decompose_linear_plus(lambda x: np.zeros(2), 2, [0.0, 0.0]), 2, None))
     # control-argument maps, norm carried by the second argument
-    fu1 = TwoArgMap(1, 1, 1, lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])]), 1.0)
+    fu1 = TwoArgMap(1, 1, 1, lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])]))
     factors.append((decompose_control(fu1, GainProfile([1.0])), 1, 1))
     bmat = np.array([[1.0, 0.4], [0.0, 1.5]])
-    fu2 = TwoArgMap(2, 2, 2, lambda x, u: bmat @ u, 2.0)
+    fu2 = TwoArgMap(2, 2, 2, lambda x, u: bmat @ u)
     factors.append((decompose_control(fu2, GainProfile(np.linalg.norm(bmat, axis=1)), slack=1.1), 2, 2))
-    fu3 = TwoArgMap(2, 1, 2, lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])]), 1.05)
+    fu3 = TwoArgMap(2, 1, 2, lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])]))
     factors.append((decompose_control(fu3, GainProfile([0.3, 1.0])), 2, 1))
 
     assert len(factors) >= 10
@@ -212,7 +212,7 @@ def test_criterion_6_small_gain_flip_and_divergence():
     d = build_dictionary("identity", 2)
     data = collect_trajectories(sysd.drift, 2, count=25, horizon=3.0, box=1.5, seed=0)
     model = fit_koopman(sysd.drift, sysd.h, d, data)
-    fu = lifted_control_term(sysd.f, d, l=1, lipschitz_u=sysd.lipschitz_u)
+    fu = lifted_control_term(sysd.f, d, l=1)
     gains = estimate_gains(fu.eval, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
     factor = decompose_control(fu, gains, slack=1.05)
     bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=2)

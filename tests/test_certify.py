@@ -235,7 +235,7 @@ class TestEndToEndFiveTermPath:
         data = collect_trajectories(sysd.drift, 2, count=25, horizon=3.0, box=1.5, seed=0)
         model = fit_koopman(sysd.drift, sysd.h, d, data)
         assert model.residual_gain > 1e-4  # genuinely inexact representation
-        fu = lifted_control_term(sysd.f, d, l=1, lipschitz_u=sysd.lipschitz_u)
+        fu = lifted_control_term(sysd.f, d, l=1)
         gains = estimate_gains(fu.eval, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
         factor = decompose_control(fu, gains)
         bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=2)

@@ -78,6 +78,14 @@ class TestStages:
         with pytest.raises(MissingArtifactError, match="fit-koopman"):
             stage_decompose(cfg)
 
+    def test_missing_artifact_names_earliest_stage(self, tmp_path):
+        _, raw = write_config(tmp_path)
+        cfg = PipelineConfig(**raw)
+        stage_fit_koopman(cfg)
+        for stage in (stage_certify, stage_simulate):
+            with pytest.raises(MissingArtifactError, match="run the 'decompose' stage first"):
+                stage(cfg)
+
     def test_stage_composition_equals_run(self, tmp_path):
         _, raw_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_a = PipelineConfig(**raw_a)
@@ -150,6 +158,30 @@ class TestStages:
         stage_certify(cfg)
         assert calls == {"hinf_norm": 2 + len(orders), "factor_error_full": 1}
 
+    def test_simulate_integrates_full_system_once_per_signal(self, tmp_path, monkeypatch):
+        from koopgram import harness
+
+        orders = [1, 2]
+        _, raw = write_config(
+            tmp_path, system="slow_manifold", reduction_orders=orders, ensemble_count=2
+        )
+        cfg = PipelineConfig(**raw)
+        stage_fit_koopman(cfg)
+        stage_decompose(cfg)
+        stage_balance(cfg)
+
+        calls = {"integrate_ode": 0}
+        original = harness.integrate_ode
+
+        def integrate_ode(*args, **kwargs):
+            calls["integrate_ode"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
+        stage_simulate(cfg)
+        # one full-system integration per signal, one reduced per (signal, order)
+        assert calls == {"integrate_ode": 2 + 2 * len(orders)}
+
     def test_expression_system_runs(self, tmp_path):
         spec = {
             "name": "expr_lag",
@@ -187,6 +219,27 @@ class TestCliEntry:
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert "unreadable config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"system": "tanh_first_order", "reduction_orders": 1}',
+            '{"system": 5, "reduction_orders": [1]}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": [1]}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "dictionary": "identity"}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "slack": "x"}',
+        ],
+        ids=["not-an-object", "orders-scalar", "system-number", "data-list",
+             "dictionary-string", "slack-string"],
+    )
+    def test_malformed_config_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["fit-koopman", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable config: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, drift",

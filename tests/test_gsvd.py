@@ -155,7 +155,6 @@ class TestDecomposeControl:
             l=1,
             p=1,
             eval=lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])]),
-            lipschitz_u=1.0,
         )
 
     def test_zero_input_maps_to_zero(self):
@@ -164,7 +163,7 @@ class TestDecomposeControl:
 
     def test_linear_control_term(self):
         b = np.array([[1.0, 0.5], [0.0, 2.0]])
-        fu = TwoArgMap(n=2, l=2, p=2, eval=lambda x, u: b @ u, lipschitz_u=2.0)
+        fu = TwoArgMap(n=2, l=2, p=2, eval=lambda x, u: b @ u)
         gains = GainProfile(np.linalg.norm(b, axis=1))
         factor = decompose_control(fu, gains, slack=1.1)
         rng = np.random.default_rng(11)

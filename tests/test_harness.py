@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from koopgram.harness import (
     Signal,
     builtin_systems,
     estimate_gap,
+    full_responses,
     get_builtin,
     input_ensemble,
     judge_bound,
@@ -18,6 +20,11 @@ from koopgram.harness import (
 )
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
 from koopgram.linalg import LtiSystem
+
+
+def _gap(system, bn, red, ensemble, tol):
+    responses = full_responses(system, ensemble, tol)
+    return estimate_gap(responses, bn, red, ensemble, tol)
 
 
 def _reduced_pair(name, r, seed=0):
@@ -30,7 +37,7 @@ def _reduced_pair(name, r, seed=0):
     )
     data = collect_trajectories(sysd.drift, sysd.n, count=20, horizon=3.0, box=1.5, seed=seed)
     model = fit_koopman(sysd.drift, sysd.h, d, data)
-    fu = lifted_control_term(sysd.f, d, l=sysd.l, lipschitz_u=sysd.lipschitz_u)
+    fu = lifted_control_term(sysd.f, d, l=sysd.l)
     gains = estimate_gains(fu.eval, (sysd.n, sysd.l), sample_budget=500, seed=seed, box=sysd.gain_box)
     factor = decompose_control(fu, gains, slack=sysd.suggested_slack)
     bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=sysd.n)
@@ -120,22 +127,22 @@ class TestEstimateGap:
     def test_full_order_reduction_is_noise_level(self):
         sysd, bn, red = _reduced_pair("tanh_first_order", r=1)
         ens = input_ensemble(1, 12.0, count=3, seed=2)
-        est = estimate_gap(sysd, bn, red, ens, tol=1e-9)
+        est = _gap(sysd, bn, red, ens, tol=1e-9)
         assert est.value <= 1e-6
         assert not est.excluded
 
     def test_monotone_in_ensemble_size(self):
         sysd, bn, red = _reduced_pair("lti6", r=3)
         ens = input_ensemble(2, 15.0, count=5, seed=3)
-        prefix = estimate_gap(sysd, bn, red, ens[:2], tol=1e-7)
-        full = estimate_gap(sysd, bn, red, ens, tol=1e-7)
+        prefix = _gap(sysd, bn, red, ens[:2], tol=1e-7)
+        full = _gap(sysd, bn, red, ens, tol=1e-7)
         assert full.value >= prefix.value
 
     def test_deterministic_json(self):
         sysd, bn, red = _reduced_pair("tanh_first_order", r=1)
         ens = input_ensemble(1, 10.0, count=3, seed=4)
-        a = estimate_gap(sysd, bn, red, ens, tol=1e-8)
-        b = estimate_gap(sysd, bn, red, ens, tol=1e-8)
+        a = _gap(sysd, bn, red, ens, tol=1e-8)
+        b = _gap(sysd, bn, red, ens, tol=1e-8)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_failed_integration_is_excluded(self):
@@ -150,8 +157,26 @@ class TestEstimateGap:
             name="exploding", n=1, l=1, p=1, f=exploding, h=lambda x: x.copy(), lipschitz_u=1.0
         )
         ens = input_ensemble(1, 8.0, count=2, seed=6)
-        est = estimate_gap(bad, bn, red, ens, tol=1e-8)
+        est = _gap(bad, bn, red, ens, tol=1e-8)
         assert len(est.excluded) == 2
+
+        # one failed full integration excludes its signal at every order,
+        # with the error text of that integration
+        base = get_builtin("slow_manifold")
+
+        def exploding2(x, u):
+            if abs(float(x[0])) > 1e-3:
+                raise ValueError("synthetic integration failure")
+            return base.f(x, u)
+
+        responses = full_responses(dataclasses.replace(base, f=exploding2), ens, 1e-8)
+        assert all(isinstance(y, str) and "synthetic" in y for y in responses)
+        expected = [{"signal": s.name, "error": y} for s, y in zip(ens, responses)]
+        for r in (1, 2):
+            _, bn_r, red_r = _reduced_pair("slow_manifold", r=r)
+            est_r = estimate_gap(responses, bn_r, red_r, ens, 1e-8)
+            assert est_r.excluded == expected
+            assert not est_r.per_signal
 
     def test_linear_first_order_truncation_brackets(self):
         # classical behavior: the measured gap sits between a healthy
@@ -159,7 +184,7 @@ class TestEstimateGap:
         sysd, bn, red = _reduced_pair("lti6", r=1)
         hsv_next = float(red.hsv_tail[0])
         ens = input_ensemble(2, 25.0, count=6, seed=8)
-        est = estimate_gap(sysd, bn, red, ens, tol=1e-7)
+        est = _gap(sysd, bn, red, ens, tol=1e-7)
         assert est.value <= 2.0 * red.hankel_tail + 1e-6
         assert est.value >= 0.3 * hsv_next
 
