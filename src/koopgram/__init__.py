@@ -39,9 +39,7 @@ from .gsvd import (
     GainProfile,
     GsvdFactor,
     SlackViolationError,
-    TwoArgMap,
     decompose,
-    decompose_control,
     decompose_linear_plus,
     estimate_gains,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "SpectrumError",
     "StiffnessError",
     "TrajectoryDataset",
-    "TwoArgMap",
     "balance",
     "balanced_nonlinear",
     "build_certificate",
@@ -109,7 +106,6 @@ __all__ = [
     "compile_expression",
     "control_truncation_gain",
     "decompose",
-    "decompose_control",
     "decompose_linear_plus",
     "estimate_gains",
     "estimate_gap",

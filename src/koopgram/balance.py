@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import gsvd
-from .koopman import KoopmanModel, residual_map
-from .linalg import LtiSystem, SpectrumError, is_hurwitz, pinv, solve_lyapunov
+from .koopman import KoopmanModel
+from .linalg import LtiSystem, SpectrumError, as_vector, is_hurwitz, pinv, solve_lyapunov
 
 __all__ = [
     "MinimalityError",
@@ -31,6 +31,11 @@ __all__ = [
     "balanced_nonlinear",
     "factor_error",
 ]
+
+
+# a held-out residual gain at or below this is regression rounding, not
+# structure: the representation error block is identically zero
+EXACT_RESIDUAL_TOL = 1e-8
 
 
 class MinimalityError(ValueError):
@@ -182,15 +187,19 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    ``f_u`` maps the control term at the recovered state ``R z`` back
-    through the recovery pseudoinverse; it is what the control-affinity
-    detection samples.  ``error_map`` and ``error_map_reduced`` push the
-    representation error through the balancing transform and feed the error
-    factorizations.  ``f_reduced`` simulates the truncated lifted
-    realization, which is the object the certificates actually bound; its
-    drift is the truncated balanced matrix plus the truncated lifted terms
-    evaluated at the recovered state, so an exactly represented linear plant
-    reduces to classical balanced truncation.
+    One instance serves every reduction order: the reduced evaluators take
+    the order ``r`` from the length of ``z_r``.  ``f_u`` maps the control
+    term at the recovered state ``R z`` back through the recovery
+    pseudoinverse; it is what the control-affinity detection samples.
+    ``error_map`` and ``error_map_reduced`` push the representation error
+    ``D_phi(x) f(x, 0) - A phi(x)`` at the recovered state through the
+    balancing transform and feed the error factorizations;
+    ``error_map_reduced(z_r)`` is the leading ``r`` rows at ``x = R_r z_r``.
+    ``f_reduced`` simulates the truncated lifted realization, which is the
+    object the certificates actually bound; its drift is the truncated
+    balanced matrix plus the truncated lifted terms evaluated at the
+    recovered state, so an exactly represented linear plant reduces to
+    classical balanced truncation.
     """
 
     f_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -198,7 +207,6 @@ class BalancedNonlinear:
     error_map: Callable[[np.ndarray], np.ndarray]
     error_map_reduced: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
-    red: ReducedRealization
     input_dim: int
     model: KoopmanModel
 
@@ -208,45 +216,44 @@ def balanced_nonlinear(
     input_dim: int,
     model: KoopmanModel,
     bal: BalancedRealization,
-    red: ReducedRealization,
 ) -> BalancedNonlinear:
     """Construct the nonlinear evaluators in balanced and reduced coordinates."""
     l = int(input_dim)
     zero_u = np.zeros(l)
     r_mat = bal.r
     r_pinv = pinv(r_mat)
-    rr_mat = red.r_r
     t = bal.t
-    order = red.order
+    dict_eval = model.dictionary.evaluate
+    jac = model.dictionary.jacobian
 
     def f0_state(x: np.ndarray) -> np.ndarray:
         return np.asarray(f(x, zero_u), float)
 
-    res = residual_map(model, f0_state)
-    dict_eval = model.dictionary.evaluate
-    jac = model.dictionary.jacobian
+    def residual(x):
+        phi = as_vector(dict_eval(x), "lifted state")
+        return np.asarray(jac(x), float) @ f0_state(x) - model.a @ phi
 
     def f_u(z, u):
         x = r_mat @ z
         return r_pinv @ (np.asarray(f(x, u), float) - f0_state(x))
 
     def error_map(z):
-        x = r_mat @ z
-        return t @ res(np.asarray(dict_eval(x), float))
+        return t @ residual(r_mat @ z)
 
     def error_map_reduced(z_r):
-        x = rr_mat @ z_r
-        return (t @ res(np.asarray(dict_eval(x), float)))[:order]
+        order = len(z_r)
+        return (t @ residual(r_mat[:, :order] @ z_r))[:order]
 
     def f_reduced(z_r, u):
         # truncated lifted realization: balanced drift block plus the
         # truncated lifted control and error terms at the recovered state
-        x = rr_mat @ z_r
+        order = len(z_r)
+        x = r_mat[:, :order] @ z_r
         lifted = t @ (
             np.asarray(jac(x), float) @ np.asarray(f(x, u), float)
             - model.a @ np.asarray(dict_eval(x), float)
         )
-        return red.a_r @ z_r + lifted[:order]
+        return bal.a_bal[:order, :order] @ z_r + lifted[:order]
 
     return BalancedNonlinear(
         f_u=f_u,
@@ -254,7 +261,6 @@ def balanced_nonlinear(
         error_map=error_map,
         error_map_reduced=error_map_reduced,
         bal=bal,
-        red=red,
         input_dim=l,
         model=model,
     )
@@ -262,27 +268,27 @@ def balanced_nonlinear(
 
 def factor_error(
     bn: BalancedNonlinear,
-    reduced: bool = False,
+    reduced: ReducedRealization | None = None,
     slack: float = 1.05,
     sample_budget: int = 1000,
     seed: int = 0,
     box: float = 5.0,
-    exact_tol: float = 1e-8,
 ) -> gsvd.GsvdFactor:
-    """Factor the balanced (or reduced) representation error through a lift.
+    """Factor the balanced representation error, or its truncation to ``reduced``.
 
     Exactness is decided by the model's held-out residual gain: at or below
-    ``exact_tol`` the residual is regression rounding, not structure, and the
-    error block is identically zero.  Otherwise per-coordinate gains are
-    sampled over the balanced coordinates.
+    ``EXACT_RESIDUAL_TOL`` the residual is regression rounding, not
+    structure, and the error block is identically zero.  Otherwise
+    per-coordinate gains are sampled over the balanced (or reduced)
+    coordinates.
     """
-    dim = bn.red.order if reduced else bn.bal.q
+    dim = bn.bal.q if reduced is None else reduced.order
 
-    if bn.model.residual_gain <= exact_tol:
+    if bn.model.residual_gain <= EXACT_RESIDUAL_TOL:
         zero = lambda z: np.zeros(dim)
         gains = gsvd.GainProfile(np.zeros(dim), source="sampled_estimate", sample_count=0)
         return gsvd.decompose(zero, dim, gains, slack=slack)
 
-    err = bn.error_map_reduced if reduced else bn.error_map
+    err = bn.error_map if reduced is None else bn.error_map_reduced
     gains = gsvd.estimate_gains(err, dim, sample_budget=sample_budget, seed=seed, box=box)
     return gsvd.decompose(err, dim, gains, slack=slack)

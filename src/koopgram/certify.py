@@ -36,6 +36,12 @@ __all__ = [
 
 # error gains at or below this level certify an exactly represented drift
 EXACT_GAIN_TOL = 1e-9
+# control-affinity probe: states sampled per input, their box half-width, and
+# the relative deviation of the balanced control term that counts as state
+# dependence
+AFFINE_SAMPLES = 64
+AFFINE_BOX = 2.0
+AFFINE_TOL = 1e-10
 
 
 def control_truncation_gain(
@@ -116,19 +122,14 @@ class FeedbackDecomposition:
     small_gain_ok: bool
 
 
-def feedback_decomposition(
-    a,
-    b,
-    error_factor: GsvdFactor | None,
-    tol: float = 1e-6,
-) -> FeedbackDecomposition:
+def feedback_decomposition(a, b, error_factor: GsvdFactor | None) -> FeedbackDecomposition:
     """Split a realization into its plant and static error block.
 
     The plant norm is the identity-output peak gain of (a, b); the error
     gain is the largest singular value of ``pinv(b) @ D_err``, a true L2
     gain because the error lifting preserves the state norm pointwise.
     """
-    gp = input_to_state_norm(a, b, tol=tol)
+    gp = input_to_state_norm(a, b)
     if error_factor is None:
         ge = 0.0
     else:
@@ -140,25 +141,19 @@ def feedback_decomposition(
     )
 
 
-def is_control_affine(
-    bn: BalancedNonlinear,
-    samples: int = 64,
-    seed: int = 0,
-    box: float = 2.0,
-    tol: float = 1e-10,
-) -> bool:
+def is_control_affine(bn: BalancedNonlinear, seed: int = 0) -> bool:
     """Detect a state-independent balanced control term by sampling."""
     rng = np.random.default_rng(seed)
     q = bn.bal.q
     l = bn.input_dim
-    for u in (np.ones(l), rng.uniform(-box, box, size=l)):
+    for u in (np.ones(l), rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=l)):
         base = bn.f_u(np.zeros(q), u)
         scale = 1.0 + float(np.linalg.norm(base))
-        for z in rng.uniform(-box, box, size=(samples, q)):
+        for z in rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, q)):
             fz = bn.f_u(z, u)
             dev = float(np.linalg.norm(fz - base))
             scale = max(scale, 1.0 + float(np.linalg.norm(fz)))
-            if dev > tol * scale:
+            if dev > AFFINE_TOL * scale:
                 return False
     return True
 
@@ -247,7 +242,6 @@ def build_certificate(
     hinf_output: float,
     hsv_tail,
     provenance: dict | None = None,
-    exact_tol: float = EXACT_GAIN_TOL,
 ) -> ErrorCertificate:
     """Assemble the five-term certificate (or its exact-path collapse).
 
@@ -265,7 +259,7 @@ def build_certificate(
     removal_full = feedback_removal_gap(full.gp_norm, full.ge_gain)
     removal_reduced = feedback_removal_gap(reduced.gp_norm, reduced.ge_gain)
 
-    exact = full.ge_gain <= exact_tol and reduced.ge_gain <= exact_tol
+    exact = full.ge_gain <= EXACT_GAIN_TOL and reduced.ge_gain <= EXACT_GAIN_TOL
     failing = None
     if exact:
         total = trunc_bound

@@ -7,8 +7,8 @@ PASS or SKIPPED, 2 when any verdict is FAIL, 1 on usage errors, a config
 that cannot be read or has a value of the wrong type, missing
 prerequisites, an output directory that cannot be written, or a failed
 computation (for example an integration that blows up, an expression that
-divides by zero, or an H-infinity norm whose peak gain cannot be
-bracketed).
+divides by zero, an output map the dictionary does not span, or an
+H-infinity norm whose peak gain cannot be bracketed).
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 A finite-gain map ``f`` is split as ``f = U @ Sigma @ v(.)`` where ``U`` is an
 orthogonal permutation, ``Sigma`` is a rectangular diagonal gain matrix, and
-``v`` is an injective lifting that preserves the Euclidean norm of a
-designated argument pointwise.  All of the gain and non-injectivity of ``f``
-lives in the static matrix ``Sigma``; the lifting carries the nonlinearity.
+``v`` is an injective lifting that preserves the Euclidean norm of the
+map's last argument pointwise: ``x`` for ``f(x)``, ``u`` for ``f(x, u)``.
+All of the gain and non-injectivity of ``f`` lives in the static matrix
+``Sigma``; the lifting carries the nonlinearity.
 
 The lifting splits into a support part (the pseudo-inverse image of ``f``)
 and a kernel part that tops the norm back up through coordinates that
@@ -26,17 +27,17 @@ from .linalg import as_vector
 __all__ = [
     "GainProfile",
     "GsvdFactor",
-    "TwoArgMap",
     "SlackViolationError",
     "estimate_gains",
     "sigma_pinv",
     "decompose",
     "decompose_linear_plus",
-    "decompose_control",
 ]
 
 # normalized radicand values in [-RADICAND_CLAMP, 0) count as touching zero
 RADICAND_CLAMP = 1e-12
+# sampled states on which a two-argument map must vanish at u = 0
+_ZERO_INPUT_CHECKS = 32
 
 
 class SlackViolationError(ValueError):
@@ -72,30 +73,15 @@ class GainProfile:
 
 
 @dataclass(frozen=True)
-class TwoArgMap:
-    """A map (x, u) -> R^p whose gain is measured against the second argument.
-
-    ``eval(x, 0)`` must vanish for every x.
-    """
-
-    n: int
-    l: int
-    p: int
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, x, u) -> np.ndarray:
-        return np.asarray(self.eval(np.asarray(x, float), np.asarray(u, float)), float)
-
-
-@dataclass(frozen=True)
 class GsvdFactor:
-    """Factorization ``f(args) = u @ sigma @ lift(args)``.
+    """Factorization ``f(*args) = u @ sigma @ lift(*args)``.
 
-    ``sigma`` is ``p x m`` rectangular diagonal with its last ``kernel_dim``
-    columns identically zero, so ``m = p + kernel_dim``.  ``lift`` preserves
-    the norm of the designated argument (``args[norm_arg]``) pointwise and is
-    injective in it: the trailing block of the lifted vector is a nonnegative
-    rescaling of that argument.
+    ``args`` is ``(x,)`` or ``(x, u)``.  ``sigma`` is ``p x m`` rectangular
+    diagonal with its last ``kernel_dim`` columns identically zero, so
+    ``m = p + kernel_dim`` and ``kernel_dim`` is the size of the last
+    argument.  ``lift`` preserves the norm of the last argument pointwise and
+    is injective in it: the trailing block of the lifted vector is a
+    nonnegative rescaling of that argument.
     """
 
     u: np.ndarray
@@ -103,7 +89,6 @@ class GsvdFactor:
     slack: float
     kernel_dim: int
     map: Callable[..., np.ndarray]
-    norm_arg: int = 0
     gains: GainProfile | None = None
     violation_hint: str = "per-coordinate gain bounds were underestimated"
     _sigma_pinv: np.ndarray = field(init=False, repr=False)
@@ -133,9 +118,6 @@ class GsvdFactor:
     def lift_dim(self) -> int:
         return self.sigma.shape[1]
 
-    def _designated(self, args) -> np.ndarray:
-        return as_vector(args[self.norm_arg], "designated argument")
-
     def support(self, *args) -> np.ndarray:
         """Support component: pseudo-inverse image of the map value."""
         fx = as_vector(self.map(*args), "map value")
@@ -143,7 +125,7 @@ class GsvdFactor:
 
     def kernel(self, *args) -> np.ndarray:
         """Kernel component: norm completion through the zeroed columns."""
-        a = self._designated(args)
+        a = as_vector(args[-1], "last argument")
         out = np.zeros(self.lift_dim)
         norm2 = float(a @ a)
         if norm2 == 0.0:
@@ -252,22 +234,49 @@ def _sized_sigma(
     return u, sigma
 
 
+def _check_control_term(f: Callable, n: int, l: int, gains: GainProfile) -> None:
+    """``f(x, 0) = 0`` on sampled states, and one gain per output coordinate."""
+    rng = np.random.default_rng(0)
+    zero_u = np.zeros(l)
+    one_u = np.ones(l)
+    scale = 0.0
+    worst = 0.0
+    for x in rng.uniform(-1.0, 1.0, size=(_ZERO_INPUT_CHECKS, n)):
+        ref = np.asarray(f(x, one_u), float).reshape(-1)
+        if ref.size != gains.size:
+            raise ValueError("gain profile size must match the output dimension")
+        worst = max(worst, np.linalg.norm(np.asarray(f(x, zero_u), float)))
+        scale = max(scale, np.linalg.norm(ref))
+    if worst > 1e-10 * (1.0 + scale):
+        raise ValueError(
+            f"control term does not vanish at u=0 (residual {worst:.3e})"
+        )
+
+
 def decompose(
-    f: Callable[[np.ndarray], np.ndarray],
-    n: int,
+    f: Callable[..., np.ndarray],
+    dims: int | tuple[int, int],
     gains: GainProfile,
     slack: float = 1.05,
 ) -> GsvdFactor:
-    """Factor a finite-gain map ``f: R^n -> R^p`` through a norm-preserving lift.
+    """Factor a finite-gain map through a lift that keeps its last argument's norm.
 
-    ``slack`` must be at least 1; at exactly 1 the caller asserts the gain
-    bounds are exact and the radicand may touch zero.
+    ``dims = n`` means ``f(x)`` with ``x`` in R^n; ``dims = (n, l)`` means
+    ``f(x, u)`` with the norm carried by ``u`` in R^l, as in
+    ``estimate_gains``.  A two-argument map must vanish at ``u = 0`` (checked
+    on sampled states) and ``gains`` must hold one bound per output
+    coordinate; its lift then vanishes at ``u = 0`` too.  ``slack`` must be at
+    least 1; at exactly 1 the caller asserts the gain bounds are exact and the
+    radicand may touch zero.
     """
+    dims = dims if isinstance(dims, tuple) else (int(dims),)
+    if len(dims) == 2:
+        _check_control_term(f, *dims, gains)
     if slack < 1.0:
         raise ValueError("slack must be >= 1")
-    u, sigma = _sized_sigma(gains.coordinate_bounds, slack, n)
+    u, sigma = _sized_sigma(gains.coordinate_bounds, slack, dims[-1])
     return GsvdFactor(
-        u=u, sigma=sigma, slack=slack, kernel_dim=n, map=f, norm_arg=0, gains=gains
+        u=u, sigma=sigma, slack=slack, kernel_dim=dims[-1], map=f, gains=gains
     )
 
 
@@ -298,49 +307,6 @@ def decompose_linear_plus(
         slack=1.0,
         kernel_dim=n,
         map=f,
-        norm_arg=0,
         gains=GainProfile(sup, source="user_supplied"),
         violation_hint="the supplied singular-value suprema (structural membership) were violated",
-    )
-
-
-def decompose_control(
-    fu: TwoArgMap,
-    gains: GainProfile,
-    slack: float = 1.05,
-    check_points: int = 32,
-    seed: int = 0,
-) -> GsvdFactor:
-    """Factor a two-argument control term through a lift norm-preserving in u.
-
-    The lifted vector satisfies ``||lift(x, u)|| = ||u||`` and vanishes at
-    ``u = 0``.  ``fu(x, 0) = 0`` is verified on sampled states before
-    construction.
-    """
-    if gains.size != fu.p:
-        raise ValueError("gain profile size must match the output dimension")
-    rng = np.random.default_rng(seed)
-    zero_u = np.zeros(fu.l)
-    scale = 0.0
-    worst = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=(check_points, fu.n)):
-        val = np.linalg.norm(fu(x, zero_u))
-        ref = np.linalg.norm(fu(x, np.ones(fu.l)))
-        worst = max(worst, val)
-        scale = max(scale, ref)
-    if worst > 1e-10 * (1.0 + scale):
-        raise ValueError(
-            f"control term does not vanish at u=0 (residual {worst:.3e})"
-        )
-    if slack < 1.0:
-        raise ValueError("slack must be >= 1")
-    u, sigma = _sized_sigma(gains.coordinate_bounds, slack, fu.l)
-    return GsvdFactor(
-        u=u,
-        sigma=sigma,
-        slack=slack,
-        kernel_dim=fu.l,
-        map=fu,
-        norm_arg=1,
-        gains=gains,
     )

@@ -4,8 +4,10 @@ The drift ``f(x, 0)`` is lifted through a dictionary of observables whose
 first ``n`` entries are the state coordinates themselves.  The generator is
 fit by least squares against analytically evaluated Lie derivatives
 ``D_phi(x) @ f(x, 0)``, which keeps integrator noise out of the regression.
-Whatever the finite dictionary cannot represent is captured as a residual
-map and handed to the norm-preserving factorization machinery.
+Whatever the finite dictionary cannot represent, the representation error
+``D_phi(x) f(x, 0) - A phi(x)``, is evaluated by
+``balance.balanced_nonlinear`` and priced by the norm-preserving
+factorization machinery.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import gsvd
-from .linalg import as_vector, integrate_ode, is_hurwitz
+from .linalg import integrate_ode, is_hurwitz
 
 __all__ = [
     "Dictionary",
@@ -302,30 +303,16 @@ def fit_koopman(
     return model
 
 
-def residual_map(model: KoopmanModel, f0: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Representation error as a map of the lifted vector.
-
-    The state is recovered from the leading coordinates (the dictionary is
-    state-inclusive), so the map is evaluable at any lifted point and
-    vanishes identically when the dictionary represents the drift exactly.
-    """
-    n = model.dictionary.n
-    dct = model.dictionary
-
-    def res(phi: np.ndarray) -> np.ndarray:
-        phi = as_vector(phi, "lifted state")
-        x = phi[:n]
-        return np.asarray(dct.jacobian(x), float) @ np.asarray(f0(x), float) - model.a @ phi
-
-    return res
-
-
 def lifted_control_term(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     dictionary: Dictionary,
     l: int,
-) -> gsvd.TwoArgMap:
-    """Control contribution to the lifted dynamics: D_phi(x) (f(x,u) - f(x,0))."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Control contribution to the lifted dynamics: D_phi(x) (f(x,u) - f(x,0)).
+
+    The returned map ``(x, u) -> R^q`` vanishes at ``u = 0``; factor it with
+    ``gsvd.decompose(fu, (n, l), gains)``.
+    """
 
     def eval_fu(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
@@ -333,4 +320,4 @@ def lifted_control_term(
         jac = np.asarray(dictionary.jacobian(x), float)
         return jac @ (np.asarray(f(x, u), float) - np.asarray(f(x, np.zeros(l)), float))
 
-    return gsvd.TwoArgMap(n=dictionary.n, l=l, p=dictionary.q, eval=eval_fu)
+    return eval_fu

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .certify import (
     output_embedding_gap,
 )
 from .expr import system_from_spec
-from .gsvd import decompose_control, estimate_gains
+from .gsvd import decompose, estimate_gains
 from .harness import ControlSystem, estimate_gap, full_responses, get_builtin, input_ensemble, judge_bound
 from .koopman import (
     Dictionary,
@@ -77,11 +78,16 @@ _SEED_ERROR_REDUCED = 3
 _SEED_ENSEMBLE = 4
 _SEED_DATA = 5
 
+# largest accepted fit residual of h(x) ~ C phi(x), relative to the largest
+# output norm on the data; no certificate term prices a larger one
+OUTPUT_RESIDUAL_TOL = 1e-6
 
-# the accepted type of each config value that is used without conversion
+
+# the accepted type of each config value
 _REAL, _NULL = numbers.Real, type(None)
 _CONFIG_TYPES = {
-    "system": (str, dict), "reduction_orders": (list, tuple), "slack": (_REAL, _NULL),
+    "system": (str, dict), "reduction_orders": (list, tuple), "output_dir": (str, os.PathLike),
+    "seed": numbers.Integral, "slack": (_REAL, _NULL),
     "sample_budget": numbers.Integral, "gain_box": (_REAL, _NULL), "dictionary": (dict, _NULL),
     "ensemble_count": numbers.Integral, "horizon": (_REAL, _NULL), "ode_tol": _REAL, "data": dict,
 }
@@ -126,6 +132,8 @@ class PipelineConfig:
         for name, types in _CONFIG_TYPES.items():
             if not isinstance(getattr(self, name), types):
                 raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
+        if not all(isinstance(r, numbers.Integral) for r in self.reduction_orders):
+            raise ValueError(f"reduction orders must be integers: {self.reduction_orders!r}")
         self.reduction_orders = [int(r) for r in self.reduction_orders]
         if not self.reduction_orders:
             raise ValueError("reduction_orders must be nonempty")
@@ -220,13 +228,24 @@ def _collect_data(config: PipelineConfig, system) -> TrajectoryDataset:
 
 
 def stage_fit_koopman(config: PipelineConfig) -> dict:
-    """Fit the lifted generator and output matrix; artifact: koopman.json."""
+    """Fit the lifted generator and output matrix; artifact: koopman.json.
+
+    Raises ``ValueError`` when the dictionary does not span the output map:
+    the worst fit residual of ``h(x) ~ C phi(x)`` on the data exceeds
+    ``OUTPUT_RESIDUAL_TOL`` times the largest output norm there.
+    """
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
     data = _collect_data(config, system)
     model = fit_koopman(
         system.drift, system.h, dictionary, data, seed=config.seed
     )
+    scale = max(float(np.linalg.norm(np.atleast_1d(system.h(x)))) for x in data.states)
+    if model.output_residual > OUTPUT_RESIDUAL_TOL * scale:
+        raise ValueError(
+            f"output residual {model.output_residual:.3g} exceeds {OUTPUT_RESIDUAL_TOL:g} "
+            f"times the output scale {scale:.3g}: the dictionary must span the output map h"
+        )
     payload = {
         "system": system.name,
         "dims": {"n": system.n, "l": system.l, "p": system.p, "q": dictionary.q},
@@ -248,14 +267,15 @@ def stage_decompose(config: PipelineConfig) -> dict:
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
     fu = lifted_control_term(system.f, dictionary, l=system.l)
+    dims = (system.n, system.l)
     gains = estimate_gains(
-        fu.eval,
-        (system.n, system.l),
+        fu,
+        dims,
         sample_budget=config.sample_budget,
         seed=[config.seed, _SEED_GAINS],
         box=_gain_box(config, system),
     )
-    factor = decompose_control(fu, gains, slack=_slack(config, system))
+    factor = decompose(fu, dims, gains, slack=_slack(config, system))
     payload = {
         "u": factor.u.tolist(),
         "sigma": factor.sigma.tolist(),
@@ -285,9 +305,10 @@ def stage_balance(config: PipelineConfig) -> dict:
 
 
 def _reduced_models(config: PipelineConfig, needed_by: str):
-    """System, decompose.json, balanced realization and each order's ``(r, red, bn)``,
-    built once for certify and simulate; artifacts are read in pipeline order,
-    so a missing one names the earliest stage still to run."""
+    """System, decompose.json, balanced realization, its nonlinear evaluators and
+    each order's truncation, built once for certify and simulate; artifacts are
+    read in pipeline order, so a missing one names the earliest stage still to
+    run."""
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
     koop = _read_artifact(config, "fit-koopman", needed_by)
@@ -304,16 +325,13 @@ def _reduced_models(config: PipelineConfig, needed_by: str):
     bad = [r for r in config.reduction_orders if r > bal.q]
     if bad:
         raise ValueError(f"reduction orders {bad} exceed the lifted dimension {bal.q}")
-    reduced = []
-    for r in config.reduction_orders:
-        red = truncate(bal, r)
-        reduced.append((r, red, balanced_nonlinear(system.f, system.l, model, bal, red)))
-    return system, dec, bal, reduced
+    reduced = [truncate(bal, r) for r in config.reduction_orders]
+    return system, dec, bal, balanced_nonlinear(system.f, system.l, model, bal), reduced
 
 
 def stage_certify(config: PipelineConfig) -> dict:
     """Compute certificates for every requested order; artifact: certificates.json."""
-    system, dec, bal, reduced = _reduced_models(config, "certify")
+    system, dec, bal, bn, reduced = _reduced_models(config, "certify")
     slack = _slack(config, system)
     box = _gain_box(config, system)
 
@@ -322,28 +340,25 @@ def stage_certify(config: PipelineConfig) -> dict:
         bal, np.asarray(dec["u"], float), np.asarray(dec["sigma"], float)
     )
 
-    # f_u and error_map do not depend on the truncation order, so the
-    # evaluators of the first order serve every order-independent term
-    _, _, bn = reduced[0]
     affine = is_control_affine(bn, seed=config.seed)
     gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
     err_full = factor_error(
-        bn, reduced=False, slack=slack, sample_budget=config.sample_budget,
+        bn, reduced=None, slack=slack, sample_budget=config.sample_budget,
         seed=[config.seed, _SEED_ERROR_FULL], box=box,
     )
     fb_full = feedback_decomposition(bal.a_bal, bal.b_bal, err_full)
     gap_full = output_embedding_gap(bal.c_bal, fb_full.gp_norm)
 
     certs = []
-    for r, red, bn in reduced:
+    for red in reduced:
         err_red = factor_error(
-            bn, reduced=True, slack=slack, sample_budget=config.sample_budget,
-            seed=[config.seed, _SEED_ERROR_REDUCED, r], box=box,
+            bn, reduced=red, slack=slack, sample_budget=config.sample_budget,
+            seed=[config.seed, _SEED_ERROR_REDUCED, red.order], box=box,
         )
         fb_red = feedback_decomposition(red.a_r, red.b_r, err_red)
         gap_red = output_embedding_gap(red.c_r, fb_red.gp_norm)
         cert = build_certificate(
-            order=r,
+            order=red.order,
             full=fb_full,
             reduced=fb_red,
             output_gap_full=gap_full,
@@ -379,16 +394,16 @@ def _default_horizon(a_bal: np.ndarray) -> float:
 
 def stage_simulate(config: PipelineConfig) -> dict:
     """Measure empirical full-vs-reduced gains; artifact: empirical.json."""
-    system, _, bal, reduced = _reduced_models(config, "simulate")
+    system, _, bal, bn, reduced = _reduced_models(config, "simulate")
     horizon = config.horizon or _default_horizon(bal.a_bal)
     ensemble = input_ensemble(
         system.l, horizon, count=config.ensemble_count, seed=[config.seed, _SEED_ENSEMBLE]
     )
     responses = full_responses(system, ensemble, config.ode_tol)
     rows = []
-    for r, red, bn in reduced:
+    for red in reduced:
         est = estimate_gap(responses, bn, red, ensemble, config.ode_tol)
-        rows.append({"order": int(r), "estimate": est.to_dict()})
+        rows.append({"order": red.order, "estimate": est.to_dict()})
     payload = {
         "system": system.name,
         "horizon": float(horizon),

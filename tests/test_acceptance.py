@@ -19,9 +19,7 @@ from koopgram.certify import (
 )
 from koopgram.gsvd import (
     GainProfile,
-    TwoArgMap,
     decompose,
-    decompose_control,
     decompose_linear_plus,
     estimate_gains,
 )
@@ -73,13 +71,13 @@ def test_criterion_1_norm_preservation_and_reconstruction():
     factors.append((decompose_linear_plus(radial, 3, [1.0, 1.0, 1.0]), 3, None))
     factors.append((decompose_linear_plus(lambda x: np.zeros(2), 2, [0.0, 0.0]), 2, None))
     # control-argument maps, norm carried by the second argument
-    fu1 = TwoArgMap(1, 1, 1, lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])]))
-    factors.append((decompose_control(fu1, GainProfile([1.0])), 1, 1))
+    fu1 = lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])])
+    factors.append((decompose(fu1, (1, 1), GainProfile([1.0])), 1, 1))
     bmat = np.array([[1.0, 0.4], [0.0, 1.5]])
-    fu2 = TwoArgMap(2, 2, 2, lambda x, u: bmat @ u)
-    factors.append((decompose_control(fu2, GainProfile(np.linalg.norm(bmat, axis=1)), slack=1.1), 2, 2))
-    fu3 = TwoArgMap(2, 1, 2, lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])]))
-    factors.append((decompose_control(fu3, GainProfile([0.3, 1.0])), 2, 1))
+    fu2 = lambda x, u: bmat @ u
+    factors.append((decompose(fu2, (2, 2), GainProfile(np.linalg.norm(bmat, axis=1)), slack=1.1), 2, 2))
+    fu3 = lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])])
+    factors.append((decompose(fu3, (2, 1), GainProfile([0.3, 1.0])), 2, 1))
 
     assert len(factors) >= 10
     ok = True
@@ -89,7 +87,7 @@ def test_criterion_1_norm_preservation_and_reconstruction():
                 args = (rng.uniform(-4.0, 4.0, size=n),)
             else:
                 args = (rng.uniform(-4.0, 4.0, size=n), rng.uniform(-4.0, 4.0, size=l))
-            designated = args[factor.norm_arg]
+            designated = args[-1]
             v = factor.lift(*args)
             na = np.linalg.norm(designated)
             ok &= abs(np.linalg.norm(v) - na) <= 1e-10 * (1.0 + na)
@@ -213,12 +211,12 @@ def test_criterion_6_small_gain_flip_and_divergence():
     data = collect_trajectories(sysd.drift, 2, count=25, horizon=3.0, box=1.5, seed=0)
     model = fit_koopman(sysd.drift, sysd.h, d, data)
     fu = lifted_control_term(sysd.f, d, l=1)
-    gains = estimate_gains(fu.eval, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
-    factor = decompose_control(fu, gains, slack=1.05)
+    gains = estimate_gains(fu, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
+    factor = decompose(fu, (2, 1), gains, slack=1.05)
     bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=2)
     red = truncate(bal, 1)
-    bn = balanced_nonlinear(sysd.f, 1, model, bal, red)
-    err = factor_error(bn, reduced=False, seed=1, box=sysd.gain_box)
+    bn = balanced_nonlinear(sysd.f, 1, model, bal)
+    err = factor_error(bn, reduced=None, seed=1, box=sysd.gain_box)
     fb = feedback_decomposition(bal.a_bal, bal.b_bal, err)
     assert fb.small_gain_ok and fb.ge_gain > 0
 
@@ -231,7 +229,7 @@ def test_criterion_6_small_gain_flip_and_divergence():
     hot_scale = 1.05 / fb.loop_gain
     fb_hot = feedback_decomposition(bal.a_bal, bal.b_bal, Scaled(hot_scale))
     ok = fb_hot.loop_gain >= 1.0 and not fb_hot.small_gain_ok
-    cold = feedback_decomposition(red.a_r, red.b_r, factor_error(bn, reduced=True, seed=2))
+    cold = feedback_decomposition(red.a_r, red.b_r, factor_error(bn, reduced=red, seed=2))
     cert_hot = build_certificate(
         order=1, full=fb_hot, reduced=cold,
         output_gap_full=0.1, output_gap_reduced=0.1,

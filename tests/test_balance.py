@@ -10,7 +10,7 @@ from koopgram.balance import (
     gramians,
     truncate,
 )
-from koopgram.gsvd import decompose_control, estimate_gains
+from koopgram.gsvd import decompose, estimate_gains
 from koopgram.koopman import (
     build_dictionary,
     collect_trajectories,
@@ -52,8 +52,8 @@ def fit_pipeline(f, h, dictionary, seed=0, slack=1.2, gain_box=3.0):
     data = collect_trajectories(f0, dictionary.n, count=25, horizon=3.0, box=1.5, seed=seed)
     model = fit_koopman(f0, h, dictionary, data)
     fu = lifted_control_term(f, dictionary, l=1)
-    gains = estimate_gains(fu.eval, (dictionary.n, 1), sample_budget=2000, seed=seed, box=gain_box)
-    factor = decompose_control(fu, gains, slack=slack)
+    gains = estimate_gains(fu, (dictionary.n, 1), sample_budget=2000, seed=seed, box=gain_box)
+    factor = decompose(fu, (dictionary.n, 1), gains, slack=slack)
     b = factor.u @ factor.sigma
     sys = LtiSystem(model.a, b, model.c)
     bal = balance(sys, state_dim=dictionary.n)
@@ -160,8 +160,7 @@ class TestBalancedNonlinear:
         a, b, c, f, h = linear_plant()
         d = build_dictionary("identity", 2)
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         rng = np.random.default_rng(24)
         for _ in range(100):
             z = rng.normal(size=2)
@@ -173,8 +172,7 @@ class TestBalancedNonlinear:
         f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, bal.q)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         rng = np.random.default_rng(25)
         for _ in range(200):
             z = rng.normal(size=3)
@@ -185,13 +183,27 @@ class TestBalancedNonlinear:
         f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         rng = np.random.default_rng(26)
         for _ in range(200):
             z = rng.uniform(-3, 3, size=3)
             assert np.linalg.norm(bn.error_map(z)) <= 1e-8
             assert np.linalg.norm(bn.error_map_reduced(z[:2])) <= 1e-8
+
+    def test_one_instance_serves_every_order(self):
+        # identity dictionary: the slow-manifold drift leaves a nonzero error
+        f, h = slow_manifold()
+        d = build_dictionary("identity", 2)
+        model, factor, bal = fit_pipeline(f, h, d)
+        bn = balanced_nonlinear(f, 1, model, bal)
+        rng = np.random.default_rng(27)
+        for r in range(1, bal.q + 1):
+            for _ in range(50):
+                z_r = rng.uniform(-2, 2, size=r)
+                full = bn.error_map(np.concatenate([z_r, np.zeros(bal.q - r)]))[:r]
+                got = bn.error_map_reduced(z_r)
+                assert np.linalg.norm(full) > 0.0
+                assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
 
     def test_state_recovery_along_trajectory(self):
         f, h = slow_manifold()
@@ -212,8 +224,7 @@ class TestFactorError:
         f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         err_factor = factor_error(bn, sample_budget=400, seed=1, box=3.0)
         assert np.all(np.diag(err_factor.sigma) == 0.0)
 
@@ -221,8 +232,7 @@ class TestFactorError:
         f, h = slow_manifold()
         d = build_dictionary("identity", 2)
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 1)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         err_factor = factor_error(bn, sample_budget=400, seed=2, box=3.0)
         assert np.max(np.abs(np.diag(err_factor.sigma))) > 0.01
         rng = np.random.default_rng(29)

@@ -128,16 +128,14 @@ class TestIsControlAffine:
         _, _, _, f, h = linear_plant()
         d = build_dictionary("identity", 2)
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         assert is_control_affine(bn)
 
     def test_state_scaled_control_is_not_affine(self):
         f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
-        red = truncate(bal, 2)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         assert not is_control_affine(bn)
 
 
@@ -226,7 +224,7 @@ class TestEndToEndFiveTermPath:
     def test_mild_nonlinearity_gives_finite_total_dominating_each_term(self):
         from koopgram.harness import get_builtin
         from koopgram.koopman import collect_trajectories, fit_koopman, lifted_control_term
-        from koopgram.gsvd import decompose_control, estimate_gains
+        from koopgram.gsvd import decompose, estimate_gains
         from koopgram.balance import balance
         from koopgram.linalg import hinf_norm
 
@@ -236,16 +234,16 @@ class TestEndToEndFiveTermPath:
         model = fit_koopman(sysd.drift, sysd.h, d, data)
         assert model.residual_gain > 1e-4  # genuinely inexact representation
         fu = lifted_control_term(sysd.f, d, l=1)
-        gains = estimate_gains(fu.eval, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
-        factor = decompose_control(fu, gains)
+        gains = estimate_gains(fu, (2, 1), sample_budget=1000, seed=0, box=sysd.gain_box)
+        factor = decompose(fu, (2, 1), gains)
         bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=2)
         red = truncate(bal, 1)
-        bn = balanced_nonlinear(sysd.f, 1, model, bal, red)
+        bn = balanced_nonlinear(sysd.f, 1, model, bal)
         fb_full = feedback_decomposition(
-            bal.a_bal, bal.b_bal, factor_error(bn, reduced=False, seed=1, box=sysd.gain_box)
+            bal.a_bal, bal.b_bal, factor_error(bn, reduced=None, seed=1, box=sysd.gain_box)
         )
         fb_red = feedback_decomposition(
-            red.a_r, red.b_r, factor_error(bn, reduced=True, seed=2, box=sysd.gain_box)
+            red.a_r, red.b_r, factor_error(bn, reduced=red, seed=2, box=sysd.gain_box)
         )
         lift_norm, rec_norm = lift_sensitivity_norms(bal, factor.u, factor.sigma)
         cert = build_certificate(
@@ -282,13 +280,13 @@ class TestEndToEndLinearCollapse:
         d = build_dictionary("identity", 2)
         model, factor, bal = fit_pipeline(f, h, d)
         red = truncate(bal, 1)
-        bn = balanced_nonlinear(f, 1, model, bal, red)
+        bn = balanced_nonlinear(f, 1, model, bal)
         affine = is_control_affine(bn)
         lift_norm, rec_norm = lift_sensitivity_norms(bal, factor.u, factor.sigma)
         gain = control_truncation_gain(1.0, lift_norm, rec_norm, affine)
         assert gain == 0.0
-        err_full = factor_error(bn, reduced=False, seed=3)
-        err_red = factor_error(bn, reduced=True, seed=4)
+        err_full = factor_error(bn, reduced=None, seed=3)
+        err_red = factor_error(bn, reduced=red, seed=4)
         fb_full = feedback_decomposition(bal.a_bal, bal.b_bal, err_full)
         fb_red = feedback_decomposition(red.a_r, red.b_r, err_red)
         assert fb_full.ge_gain <= 1e-9

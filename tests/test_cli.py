@@ -147,8 +147,8 @@ class TestStages:
 
             return hinf_norm
 
-        def factor_error(bn, reduced=False, **kwargs):
-            calls["factor_error_full"] += not reduced
+        def factor_error(bn, reduced=None, **kwargs):
+            calls["factor_error_full"] += reduced is None
             return original_factor_error(bn, reduced=reduced, **kwargs)
 
         original_factor_error = pipeline.factor_error
@@ -157,6 +157,30 @@ class TestStages:
         monkeypatch.setattr(pipeline, "factor_error", factor_error)
         stage_certify(cfg)
         assert calls == {"hinf_norm": 2 + len(orders), "factor_error_full": 1}
+
+    def test_one_balanced_nonlinear_serves_every_order(self, tmp_path, monkeypatch):
+        from koopgram import pipeline
+
+        _, raw = write_config(
+            tmp_path, system="slow_manifold", reduction_orders=[1, 2, 3], ensemble_count=1
+        )
+        cfg = PipelineConfig(**raw)
+        stage_fit_koopman(cfg)
+        stage_decompose(cfg)
+        stage_balance(cfg)
+
+        calls = []
+        original = pipeline.balanced_nonlinear
+
+        def balanced_nonlinear(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "balanced_nonlinear", balanced_nonlinear)
+        for stage in (stage_certify, stage_simulate):
+            calls.clear()
+            stage(cfg)
+            assert len(calls) == 1, stage.__name__
 
     def test_simulate_integrates_full_system_once_per_signal(self, tmp_path, monkeypatch):
         from koopgram import harness
@@ -229,14 +253,21 @@ class TestCliEntry:
             '{"system": "tanh_first_order", "reduction_orders": [1], "data": [1]}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "dictionary": "identity"}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "slack": "x"}',
+            '{"system": "tanh_first_order", "reduction_orders": [[1]]}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "seed": [1]}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "output_dir": 5}',
         ],
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
-             "dictionary-string", "slack-string"],
+             "dictionary-string", "slack-string", "orders-nested", "seed-list",
+             "output-dir-number"],
     )
-    def test_malformed_config_exits_one(self, tmp_path, capsys, text):
+    def test_malformed_config_exits_one(self, tmp_path, monkeypatch, capsys, text):
+        # no --out: it would override a malformed output_dir; run inside
+        # tmp_path so a config that parsed could not write elsewhere
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         path.write_text(text)
-        assert main(["fit-koopman", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert main(["fit-koopman", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unreadable config: ")
         assert "Traceback" not in err
@@ -270,6 +301,22 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error [{command}]: ")
         assert "Traceback" not in err
+
+    def test_output_outside_dictionary_span_exits_one(self, tmp_path, capsys):
+        # h = sin(2 x1) is not in the span of the identity dictionary; without
+        # the check the certificate ignores the output residual and FAILs
+        spec = {"name": "sin_output", "n": 1, "l": 1, "p": 1,
+                "f": [{"op": "add", "args": [
+                    {"op": "neg", "args": [{"var": "x1"}]},
+                    {"op": "tanh", "args": [{"var": "u1"}]}]}],
+                "h": [{"op": "sin", "args": [{"op": "mul", "args": [2.0, {"var": "x1"}]}]}],
+                "lipschitz_u": 1.0}
+        path, raw = write_config(tmp_path, system=spec, ensemble_count=5)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [run]: ")
+        assert "the dictionary must span the output map h" in err
+        assert not (Path(raw["output_dir"]) / ARTIFACT_NAMES["fit-koopman"]).exists()
 
     def test_unwritable_output_dir_exits_one(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

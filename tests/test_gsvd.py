@@ -4,9 +4,7 @@ import pytest
 from koopgram.gsvd import (
     GainProfile,
     SlackViolationError,
-    TwoArgMap,
     decompose,
-    decompose_control,
     decompose_linear_plus,
     estimate_gains,
 )
@@ -149,23 +147,18 @@ class TestDecomposeLinearPlus:
 
 class TestDecomposeControl:
     @staticmethod
-    def _tanh_map():
-        return TwoArgMap(
-            n=1,
-            l=1,
-            p=1,
-            eval=lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])]),
-        )
+    def _tanh_map(x, u):
+        return np.array([np.cos(x[0]) * np.tanh(u[0])])
 
     def test_zero_input_maps_to_zero(self):
-        factor = decompose_control(self._tanh_map(), GainProfile([1.0]))
+        factor = decompose(self._tanh_map, (1, 1), GainProfile([1.0]))
         assert np.allclose(factor.lift(np.array([2.0]), np.zeros(1)), 0.0)
 
     def test_linear_control_term(self):
         b = np.array([[1.0, 0.5], [0.0, 2.0]])
-        fu = TwoArgMap(n=2, l=2, p=2, eval=lambda x, u: b @ u)
+        fu = lambda x, u: b @ u
         gains = GainProfile(np.linalg.norm(b, axis=1))
-        factor = decompose_control(fu, gains, slack=1.1)
+        factor = decompose(fu, (2, 2), gains, slack=1.1)
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.normal(size=2)
@@ -175,7 +168,7 @@ class TestDecomposeControl:
             assert np.allclose(factor.reconstruct(x, u), b @ u, atol=1e-12)
 
     def test_norm_preservation_on_samples(self):
-        factor = decompose_control(self._tanh_map(), GainProfile([1.0]), slack=1.05)
+        factor = decompose(self._tanh_map, (1, 1), GainProfile([1.0]), slack=1.05)
         rng = np.random.default_rng(12)
         for _ in range(1000):
             x = rng.uniform(-4, 4, size=1)
@@ -188,6 +181,10 @@ class TestDecomposeControl:
             assert err <= 1e-10 * (1.0 + np.linalg.norm(fx))
 
     def test_rejects_nonvanishing_control_term(self):
-        bad = TwoArgMap(n=1, l=1, p=1, eval=lambda x, u: np.array([x[0] + u[0]]))
+        bad = lambda x, u: np.array([x[0] + u[0]])
         with pytest.raises(ValueError, match="vanish"):
-            decompose_control(bad, GainProfile([1.0]))
+            decompose(bad, (1, 1), GainProfile([1.0]))
+
+    def test_rejects_gain_profile_of_wrong_size(self):
+        with pytest.raises(ValueError, match="gain profile size"):
+            decompose(self._tanh_map, (1, 1), GainProfile([1.0, 1.0]))

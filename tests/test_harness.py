@@ -6,7 +6,7 @@ import pytest
 
 from koopgram.balance import balance, balanced_nonlinear, truncate
 from koopgram.certify import FeedbackDecomposition, build_certificate
-from koopgram.gsvd import decompose_control, estimate_gains
+from koopgram.gsvd import decompose, estimate_gains
 from koopgram.harness import (
     ControlSystem,
     Signal,
@@ -38,11 +38,11 @@ def _reduced_pair(name, r, seed=0):
     data = collect_trajectories(sysd.drift, sysd.n, count=20, horizon=3.0, box=1.5, seed=seed)
     model = fit_koopman(sysd.drift, sysd.h, d, data)
     fu = lifted_control_term(sysd.f, d, l=sysd.l)
-    gains = estimate_gains(fu.eval, (sysd.n, sysd.l), sample_budget=500, seed=seed, box=sysd.gain_box)
-    factor = decompose_control(fu, gains, slack=sysd.suggested_slack)
+    gains = estimate_gains(fu, (sysd.n, sysd.l), sample_budget=500, seed=seed, box=sysd.gain_box)
+    factor = decompose(fu, (sysd.n, sysd.l), gains, slack=sysd.suggested_slack)
     bal = balance(LtiSystem(model.a, factor.u @ factor.sigma, model.c), state_dim=sysd.n)
     red = truncate(bal, r)
-    bn = balanced_nonlinear(sysd.f, sysd.l, model, bal, red)
+    bn = balanced_nonlinear(sysd.f, sysd.l, model, bal)
     return sysd, bn, red
 
 
