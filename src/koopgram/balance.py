@@ -72,36 +72,6 @@ class BalancedRealization:
     def q(self) -> int:
         return self.t.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "state_dim": int(self.state_dim),
-            "q": int(self.q),
-            "hsv": [float(v) for v in self.hsv],
-            "t": self.t.tolist(),
-            "t_inv": self.t_inv.tolist(),
-            "a_bal": self.a_bal.tolist(),
-            "b_bal": self.b_bal.tolist(),
-            "c_bal": self.c_bal.tolist(),
-            "r": self.r.tolist(),
-            "xc": self.xc.tolist(),
-            "yo": self.yo.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BalancedRealization":
-        return cls(
-            t=np.asarray(data["t"], float),
-            t_inv=np.asarray(data["t_inv"], float),
-            hsv=np.asarray(data["hsv"], float),
-            a_bal=np.asarray(data["a_bal"], float),
-            b_bal=np.asarray(data["b_bal"], float),
-            c_bal=np.asarray(data["c_bal"], float),
-            r=np.asarray(data["r"], float),
-            xc=np.asarray(data["xc"], float),
-            yo=np.asarray(data["yo"], float),
-            state_dim=int(data["state_dim"]),
-        )
-
 
 def _check_minimal(gram: np.ndarray, label: str) -> None:
     eig = np.linalg.eigvalsh(gram)

@@ -202,35 +202,6 @@ class ErrorCertificate:
     ge_gain_reduced: float
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        def num(v):
-            return None if v is None else float(v)
-
-        return {
-            "order": int(self.order),
-            "control_gain": float(self.control_gain),
-            "hinf_output": float(self.hinf_output),
-            "hinf_identity": float(self.hinf_identity),
-            "hankel_tail": float(self.hankel_tail),
-            "output_gap_full": float(self.output_gap_full),
-            "output_gap_reduced": float(self.output_gap_reduced),
-            "removal_gap_full": num(self.removal_gap_full),
-            "removal_gap_reduced": num(self.removal_gap_reduced),
-            "truncation_bound": float(self.truncation_bound),
-            "truncation_core": float(self.truncation_core),
-            "total_bound": num(self.total_bound),
-            "status": self.status,
-            "exact_representation": bool(self.exact_representation),
-            "small_gain_full": bool(self.small_gain_full),
-            "small_gain_reduced": bool(self.small_gain_reduced),
-            "failing_loop": self.failing_loop,
-            "full_loop_gain": float(self.full_loop_gain),
-            "reduced_loop_gain": float(self.reduced_loop_gain),
-            "ge_gain_full": float(self.ge_gain_full),
-            "ge_gain_reduced": float(self.ge_gain_reduced),
-            "provenance": self.provenance,
-        }
-
 
 def build_certificate(
     order: int,

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages; `run` executes them all.  Every
 stage reads and writes JSON artifacts in the output directory, so a stage
 can be rerun and diffed in isolation.  Exit codes: 0 when every verdict is
 PASS or SKIPPED, 2 when any verdict is FAIL, 1 on usage errors, a config
-that cannot be read or has a value of the wrong type, missing
+that cannot be read or has a value of the wrong type or out of range, missing
 prerequisites, an output directory that cannot be written, or a failed
 computation (for example an integration that blows up, an expression that
 divides by zero, an output map the dictionary does not span, or an

@@ -309,14 +309,6 @@ class GainEstimate:
     ensemble: str
     excluded: list
 
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "ensemble": self.ensemble,
-            "per_signal": self.per_signal,
-            "excluded": self.excluded,
-        }
-
 
 _N_GRID = 2001  # output samples per probe signal, full and reduced alike
 

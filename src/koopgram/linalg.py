@@ -227,8 +227,8 @@ def integrate_ode(
     t0, tf = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(tf)) or tf <= t0:
         raise ValueError(f"bad integration window [{t0}, {tf}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     result = scipy.integrate.solve_ivp(
         field,
         (t0, tf),

@@ -5,12 +5,17 @@ directory and writes its own, so stages are independently re-runnable and
 their outputs diffable.  All randomness derives from the config seed
 through fixed per-stage offsets, making reruns byte-identical.  Timings are
 printed, never serialized, so reports stay reproducible.
+
+``_jsonable`` and ``_load`` are the only serialisers: an artifact's keys are
+the field names of the dataclasses it holds, and arrays are nested lists.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import numbers
 import os
 import time
@@ -78,6 +83,12 @@ _SEED_ERROR_REDUCED = 3
 _SEED_ENSEMBLE = 4
 _SEED_DATA = 5
 
+# the certificate keys each report row repeats, in report.csv's column order
+_REPORT_CERT_KEYS = (
+    "order", "hankel_tail", "control_gain", "truncation_bound", "total_bound",
+    "status", "small_gain_full", "small_gain_reduced",
+)
+
 # largest accepted fit residual of h(x) ~ C phi(x), relative to the largest
 # output norm on the data; no certificate term prices a larger one
 OUTPUT_RESIDUAL_TOL = 1e-6
@@ -91,6 +102,18 @@ _CONFIG_TYPES = {
     "sample_budget": numbers.Integral, "gain_box": (_REAL, _NULL), "dictionary": (dict, _NULL),
     "ensemble_count": numbers.Integral, "horizon": (_REAL, _NULL), "ode_tol": _REAL, "data": dict,
 }
+# trajectory data settings; a config's ``data`` overrides some of them
+_DATA_DEFAULTS = {
+    "trajectories": 30, "samples_per_trajectory": 10, "horizon": 4.0, "box": 1.5, "tol": 1e-9,
+}
+
+
+def _check_type(name: str, value, types) -> None:
+    """Reject a value not of ``types``; a bool is not a number, a real must be finite."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+    if isinstance(value, _REAL) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -118,22 +141,21 @@ class PipelineConfig:
     ensemble_count: int = 6
     horizon: float | None = None
     ode_tol: float = 1e-8
-    data: dict = field(
-        default_factory=lambda: {
-            "trajectories": 30,
-            "samples_per_trajectory": 10,
-            "horizon": 4.0,
-            "box": 1.5,
-            "tol": 1e-9,
-        }
-    )
+    data: dict = field(default_factory=lambda: dict(_DATA_DEFAULTS))
 
     def __post_init__(self):
         for name, types in _CONFIG_TYPES.items():
-            if not isinstance(getattr(self, name), types):
-                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
-        if not all(isinstance(r, numbers.Integral) for r in self.reduction_orders):
-            raise ValueError(f"reduction orders must be integers: {self.reduction_orders!r}")
+            _check_type(name, getattr(self, name), types)
+        for r in self.reduction_orders:
+            _check_type("reduction order", r, numbers.Integral)
+        for key, value in self.data.items():
+            if key not in _DATA_DEFAULTS:
+                raise ValueError(f"unknown data key {key!r}; known: {sorted(_DATA_DEFAULTS)}")
+            kind = numbers.Integral if isinstance(_DATA_DEFAULTS[key], int) else _REAL
+            _check_type(f"data {key}", value, kind)
+        degree = (self.dictionary or {}).get("degree")
+        if degree is not None:
+            _check_type("dictionary degree", degree, numbers.Integral)
         self.reduction_orders = [int(r) for r in self.reduction_orders]
         if not self.reduction_orders:
             raise ValueError("reduction_orders must be nonempty")
@@ -141,6 +163,11 @@ class PipelineConfig:
             raise ValueError("reduction orders must be positive")
         if self.slack is not None and self.slack < 1.0:
             raise ValueError("slack must be at least 1")
+        positive = {"gain_box": self.gain_box, "horizon": self.horizon,
+                    "ode_tol": self.ode_tol, "dictionary degree": degree}
+        for name, value in positive.items():
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         self.seed = int(self.seed)
 
     @classmethod
@@ -155,22 +182,6 @@ class PipelineConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "reduction_orders": list(self.reduction_orders),
-            "output_dir": str(self.output_dir),
-            "seed": self.seed,
-            "slack": self.slack,
-            "sample_budget": self.sample_budget,
-            "gain_box": self.gain_box,
-            "dictionary": self.dictionary,
-            "ensemble_count": self.ensemble_count,
-            "horizon": self.horizon,
-            "ode_tol": self.ode_tol,
-            "data": dict(self.data),
-        }
-
 
 def _out_dir(config: PipelineConfig) -> Path:
     out = Path(config.output_dir)
@@ -178,8 +189,35 @@ def _out_dir(config: PipelineConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _jsonable(obj):
+    """The JSON value of an artifact payload: dataclasses field by field, arrays
+    and numpy scalars as (nested) lists and Python numbers, paths as strings."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, os.PathLike):
+        return os.fspath(obj)
+    return obj
+
+
+def _load(cls, data: dict, **given):
+    """Rebuild the dataclass ``cls`` from its artifact keys; JSON lists become
+    float arrays, and ``given`` supplies the fields an artifact does not hold."""
+    values = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name not in given}
+    values = {k: np.asarray(v, float) if isinstance(v, list) else v for k, v in values.items()}
+    return cls(**values, **given)
+
+
+def _write_json(path: Path, payload):
+    """Write ``payload`` as JSON and return its JSON value."""
+    value = _jsonable(payload)
+    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n")
+    return value
 
 
 def _read_artifact(config: PipelineConfig, stage: str, needed_by: str) -> dict:
@@ -214,15 +252,15 @@ def _gain_box(config: PipelineConfig, system) -> float:
 
 
 def _collect_data(config: PipelineConfig, system) -> TrajectoryDataset:
-    d = config.data
+    d = {**_DATA_DEFAULTS, **config.data}
     return collect_trajectories(
         system.drift,
         system.n,
-        count=int(d.get("trajectories", 30)),
-        horizon=float(d.get("horizon", 4.0)),
-        samples_per_trajectory=int(d.get("samples_per_trajectory", 10)),
-        box=float(d.get("box", 1.5)),
-        tol=float(d.get("tol", 1e-9)),
+        count=int(d["trajectories"]),
+        horizon=float(d["horizon"]),
+        samples_per_trajectory=int(d["samples_per_trajectory"]),
+        box=float(d["box"]),
+        tol=float(d["tol"]),
         seed=[config.seed, _SEED_DATA],
     )
 
@@ -247,18 +285,13 @@ def stage_fit_koopman(config: PipelineConfig) -> dict:
             f"times the output scale {scale:.3g}: the dictionary must span the output map h"
         )
     payload = {
+        **vars(model),
         "system": system.name,
         "dims": {"n": system.n, "l": system.l, "p": system.p, "q": dictionary.q},
         "dictionary": dictionary.spec(),
-        "a": model.a.tolist(),
-        "c": model.c.tolist(),
-        "residual_gain": float(model.residual_gain),
-        "output_residual": float(model.output_residual),
-        "hurwitz": bool(model.hurwitz),
         "data_provenance": data.provenance,
     }
-    _write_json(_out_dir(config) / ARTIFACT_NAMES["fit-koopman"], payload)
-    return payload
+    return _write_json(_out_dir(config) / ARTIFACT_NAMES["fit-koopman"], payload)
 
 
 def stage_decompose(config: PipelineConfig) -> dict:
@@ -277,18 +310,13 @@ def stage_decompose(config: PipelineConfig) -> dict:
     )
     factor = decompose(fu, dims, gains, slack=_slack(config, system))
     payload = {
-        "u": factor.u.tolist(),
-        "sigma": factor.sigma.tolist(),
-        "slack": float(factor.slack),
-        "lipschitz_u": float(system.lipschitz_u),
-        "gains": {
-            "coordinate_bounds": [float(v) for v in gains.coordinate_bounds],
-            "source": gains.source,
-            "sample_count": gains.sample_count,
-        },
+        "u": factor.u,
+        "sigma": factor.sigma,
+        "slack": factor.slack,
+        "lipschitz_u": system.lipschitz_u,
+        "gains": gains,
     }
-    _write_json(_out_dir(config) / ARTIFACT_NAMES["decompose"], payload)
-    return payload
+    return _write_json(_out_dir(config) / ARTIFACT_NAMES["decompose"], payload)
 
 
 def stage_balance(config: PipelineConfig) -> dict:
@@ -299,9 +327,7 @@ def stage_balance(config: PipelineConfig) -> dict:
     c = np.asarray(koop["c"], float)
     b = np.asarray(dec["u"], float) @ np.asarray(dec["sigma"], float)
     bal = balance(LtiSystem(a, b, c), state_dim=int(koop["dims"]["n"]))
-    payload = bal.to_dict()
-    _write_json(_out_dir(config) / ARTIFACT_NAMES["balance"], payload)
-    return payload
+    return _write_json(_out_dir(config) / ARTIFACT_NAMES["balance"], {**vars(bal), "q": bal.q})
 
 
 def _reduced_models(config: PipelineConfig, needed_by: str):
@@ -311,17 +337,9 @@ def _reduced_models(config: PipelineConfig, needed_by: str):
     run."""
     system = _resolve_system(config)
     dictionary = _resolve_dictionary(config, system)
-    koop = _read_artifact(config, "fit-koopman", needed_by)
-    model = KoopmanModel(
-        dictionary=dictionary,
-        a=np.asarray(koop["a"], float),
-        c=np.asarray(koop["c"], float),
-        residual_gain=float(koop["residual_gain"]),
-        output_residual=float(koop["output_residual"]),
-        hurwitz=bool(koop["hurwitz"]),
-    )
+    model = _load(KoopmanModel, _read_artifact(config, "fit-koopman", needed_by), dictionary=dictionary)
     dec = _read_artifact(config, "decompose", needed_by)
-    bal = BalancedRealization.from_dict(_read_artifact(config, "balance", needed_by))
+    bal = _load(BalancedRealization, _read_artifact(config, "balance", needed_by))
     bad = [r for r in config.reduction_orders if r > bal.q]
     if bad:
         raise ValueError(f"reduction orders {bad} exceed the lifted dimension {bal.q}")
@@ -374,17 +392,16 @@ def stage_certify(config: PipelineConfig) -> dict:
                 "control_affine": bool(affine),
             },
         )
-        certs.append(cert.to_dict())
+        certs.append(cert)
 
     payload = {
         "system": system.name,
         "control_affine": bool(affine),
         "hinf_output": float(hinf_output),
-        "hsv": [float(v) for v in bal.hsv],
+        "hsv": bal.hsv,
         "orders": certs,
     }
-    _write_json(_out_dir(config) / ARTIFACT_NAMES["certify"], payload)
-    return payload
+    return _write_json(_out_dir(config) / ARTIFACT_NAMES["certify"], payload)
 
 
 def _default_horizon(a_bal: np.ndarray) -> float:
@@ -403,15 +420,14 @@ def stage_simulate(config: PipelineConfig) -> dict:
     rows = []
     for red in reduced:
         est = estimate_gap(responses, bn, red, ensemble, config.ode_tol)
-        rows.append({"order": red.order, "estimate": est.to_dict()})
+        rows.append({"order": red.order, "estimate": est})
     payload = {
         "system": system.name,
         "horizon": float(horizon),
         "ensemble_count": int(config.ensemble_count),
         "orders": rows,
     }
-    _write_json(_out_dir(config) / ARTIFACT_NAMES["simulate"], payload)
-    return payload
+    return _write_json(_out_dir(config) / ARTIFACT_NAMES["simulate"], payload)
 
 
 def stage_report(config: PipelineConfig) -> tuple[dict, int]:
@@ -427,29 +443,17 @@ def stage_report(config: PipelineConfig) -> tuple[dict, int]:
         est = est_by_order.get(r)
         if est is None:
             raise ValueError(f"no empirical estimate for order {r}")
-        bound = cert["total_bound"]
-        verdict, tightness = judge_bound(bound, est["value"], len(est["excluded"]))
+        excluded = len(est["excluded"])
+        verdict, tightness = judge_bound(cert["total_bound"], est["value"], excluded)
         any_fail = any_fail or verdict == "FAIL"
-        rows.append(
-            {
-                "order": r,
-                "hankel_tail": cert["hankel_tail"],
-                "control_gain": cert["control_gain"],
-                "truncation_bound": cert["truncation_bound"],
-                "total_bound": bound,
-                "status": cert["status"],
-                "small_gain_full": cert["small_gain_full"],
-                "small_gain_reduced": cert["small_gain_reduced"],
-                "empirical": est["value"],
-                "excluded": len(est["excluded"]),
-                "verdict": verdict,
-                "tightness": tightness,
-            }
-        )
+        rows.append({
+            **{k: cert[k] for k in _REPORT_CERT_KEYS},
+            "empirical": est["value"], "excluded": excluded, "verdict": verdict, "tightness": tightness,
+        })
 
     koop = _read_artifact(config, "fit-koopman", "report")
     report = {
-        "config": config.to_dict(),
+        "config": config,
         "system": certs["system"],
         "dims": koop["dims"],
         "hsv": certs["hsv"],
@@ -460,19 +464,10 @@ def stage_report(config: PipelineConfig) -> tuple[dict, int]:
         "all_sound": not any_fail,
     }
     out = _out_dir(config)
-    _write_json(out / ARTIFACT_NAMES["report"], report)
-
-    csv_columns = [
-        "order", "hankel_tail", "control_gain", "truncation_bound", "total_bound",
-        "status", "small_gain_full", "small_gain_reduced", "empirical",
-        "excluded", "verdict", "tightness",
-    ]
+    report = _write_json(out / ARTIFACT_NAMES["report"], report)
     with (out / "report.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=csv_columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in csv_columns})
-
+        writer = csv.writer(fh)
+        writer.writerows([list(rows[0]) if rows else [], *(row.values() for row in rows)])
     return report, (2 if any_fail else 0)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koopgram import pipeline
 from koopgram.balance import (
     BalancedRealization,
     MinimalityError,
@@ -126,7 +127,7 @@ class TestBalance:
 
     def test_json_roundtrip(self):
         bal = balance(DECOUPLED)
-        back = BalancedRealization.from_dict(bal.to_dict())
+        back = pipeline._load(BalancedRealization, pipeline._jsonable(bal))
         assert np.array_equal(back.t, bal.t)
         assert np.array_equal(back.hsv, bal.hsv)
         assert back.state_dim == bal.state_dim

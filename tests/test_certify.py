@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from koopgram import pipeline
 from koopgram.balance import balanced_nonlinear, factor_error, truncate
 from koopgram.certify import (
     FeedbackDecomposition,
@@ -197,7 +198,7 @@ class TestBuildCertificate:
         assert cert.total_bound is None
         assert cert.status == "small-gain-violated"
         assert cert.failing_loop == "full"
-        assert cert.to_dict()["total_bound"] is None
+        assert pipeline._jsonable(cert)["total_bound"] is None
 
     def test_every_term_below_finite_total(self):
         cert = build_certificate(

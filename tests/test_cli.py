@@ -206,6 +206,50 @@ class TestStages:
         # one full-system integration per signal, one reduced per (signal, order)
         assert calls == {"integrate_ode": 2 + 2 * len(orders)}
 
+    def test_artifact_schema(self, tmp_path):
+        # artifacts serialise dataclass fields automatically, so a new field
+        # must show up here as a deliberate schema edit
+        _, raw = write_config(
+            tmp_path, system="slow_manifold", reduction_orders=[1, 2], ensemble_count=1
+        )
+        report, _ = run_pipeline(PipelineConfig(**raw), verbose=False)
+        out = Path(raw["output_dir"])
+
+        def keys(stage):
+            return json.loads((out / ARTIFACT_NAMES[stage]).read_text())
+
+        assert set(keys("fit-koopman")) == {
+            "a", "c", "data_provenance", "dictionary", "dims", "hurwitz",
+            "output_residual", "residual_gain", "system",
+        }
+        decomposed = keys("decompose")
+        assert set(decomposed) == {"gains", "lipschitz_u", "sigma", "slack", "u"}
+        assert set(decomposed["gains"]) == {"coordinate_bounds", "sample_count", "source"}
+        assert set(keys("balance")) == {
+            "a_bal", "b_bal", "c_bal", "hsv", "q", "r", "state_dim", "t", "t_inv", "xc", "yo",
+        }
+        for cert in keys("certify")["orders"]:
+            assert set(cert) == {
+                "control_gain", "exact_representation", "failing_loop", "full_loop_gain",
+                "ge_gain_full", "ge_gain_reduced", "hankel_tail", "hinf_identity",
+                "hinf_output", "order", "output_gap_full", "output_gap_reduced",
+                "provenance", "reduced_loop_gain", "removal_gap_full",
+                "removal_gap_reduced", "small_gain_full", "small_gain_reduced", "status",
+                "total_bound", "truncation_bound", "truncation_core",
+            }
+        for row in keys("simulate")["orders"]:
+            assert set(row["estimate"]) == {"ensemble", "excluded", "per_signal", "value"}
+        columns = [
+            "order", "hankel_tail", "control_gain", "truncation_bound", "total_bound",
+            "status", "small_gain_full", "small_gain_reduced", "empirical", "excluded",
+            "verdict", "tightness",
+        ]
+        assert len(report["rows"]) == 2
+        for row in report["rows"]:
+            assert list(row) == columns
+        header = (out / "report.csv").read_text().splitlines()[0]
+        assert header.split(",") == columns
+
     def test_expression_system_runs(self, tmp_path):
         spec = {
             "name": "expr_lag",
@@ -256,10 +300,24 @@ class TestCliEntry:
             '{"system": "tanh_first_order", "reduction_orders": [[1]]}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "seed": [1]}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "output_dir": 5}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "seed": true}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "slack": NaN}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "gain_box": -1}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "horizon": -3}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "ode_tol": 0}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "ode_tol": NaN}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectories": [1]}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectoris": 3}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1],'
+            ' "dictionary": {"kind": "monomials", "degree": "2"}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1],'
+            ' "dictionary": {"kind": "monomials", "degree": 2.5}}',
         ],
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
              "dictionary-string", "slack-string", "orders-nested", "seed-list",
-             "output-dir-number"],
+             "output-dir-number", "seed-bool", "slack-nan", "gain-box-negative",
+             "horizon-negative", "ode-tol-zero", "ode-tol-nan", "data-value-list",
+             "data-key-misspelt", "degree-string", "degree-fractional"],
     )
     def test_malformed_config_exits_one(self, tmp_path, monkeypatch, capsys, text):
         # no --out: it would override a malformed output_dir; run inside

@@ -143,7 +143,9 @@ class TestEstimateGap:
         ens = input_ensemble(1, 10.0, count=3, seed=4)
         a = _gap(sysd, bn, red, ens, tol=1e-8)
         b = _gap(sysd, bn, red, ens, tol=1e-8)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(dataclasses.asdict(a), sort_keys=True) == json.dumps(
+            dataclasses.asdict(b), sort_keys=True
+        )
 
     def test_failed_integration_is_excluded(self):
         sysd, bn, red = _reduced_pair("tanh_first_order", r=1)

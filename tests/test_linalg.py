@@ -170,3 +170,9 @@ class TestIntegrateOde:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, x: -x, [1.0], (1.0, 0.0))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_bad_tol(self, tol):
+        # scipy's solve_ivp never returns with rtol = NaN
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=tol)
