@@ -47,11 +47,12 @@ from .harness import (
     ControlSystem,
     GainEstimate,
     Signal,
+    Trajectories,
     builtin_systems,
     estimate_gap,
-    full_responses,
     get_builtin,
     input_ensemble,
+    simulate_ensemble,
 )
 from .koopman import (
     Dictionary,
@@ -97,6 +98,7 @@ __all__ = [
     "SpectrumError",
     "StiffnessError",
     "TrajectoryDataset",
+    "Trajectories",
     "balance",
     "balanced_nonlinear",
     "build_certificate",
@@ -115,7 +117,6 @@ __all__ = [
     "fit_generator",
     "fit_koopman",
     "fit_output_matrix",
-    "full_responses",
     "get_builtin",
     "gramians",
     "hinf_norm",
@@ -127,6 +128,7 @@ __all__ = [
     "output_embedding_gap",
     "pinv",
     "run_pipeline",
+    "simulate_ensemble",
     "solve_lyapunov",
     "system_from_spec",
     "truncate",

@@ -38,6 +38,8 @@ __all__ = [
 RADICAND_CLAMP = 1e-12
 # sampled states on which a two-argument map must vanish at u = 0
 _ZERO_INPUT_CHECKS = 32
+# fewest samples ``estimate_gains`` accepts
+MIN_SAMPLE_BUDGET = 100
 
 
 class SlackViolationError(ValueError):
@@ -194,8 +196,8 @@ def estimate_gains(
     ``box`` plus radial rays at logarithmic scales, which catches maps whose
     gain peaks far from unit scale.  Deterministic for a fixed seed.
     """
-    if sample_budget < 100:
-        raise ValueError("sample_budget must be at least 100")
+    if sample_budget < MIN_SAMPLE_BUDGET:
+        raise ValueError(f"sample_budget must be at least {MIN_SAMPLE_BUDGET}")
     rng = np.random.default_rng(seed)
     # one argument tuple per sample; the gain is measured against the last
     dims = dims if isinstance(dims, tuple) else (int(dims),)

@@ -7,9 +7,16 @@ energy ratio, and compare it against the a-priori certificate.  The
 empirical ratio is a lower bound on the true induced norm, so a sound
 certificate must always dominate it.
 
-``full_responses(system, ensemble, tol)`` integrates the full system once
-per signal; ``estimate_gap(responses, bn, red, ensemble, tol)`` integrates
-only the reduced system of one order against those outputs.
+``simulate_ensemble(system, bn, orders, ensemble, tol)`` makes one ODE solve
+per probe signal, on the stacked state ``[x; z_r1; ...; z_rk]`` of the full
+system and every reduced order: the input is evaluated once per step, and
+all systems share one step sequence, so the full-vs-reduced difference
+carries no integrator noise from different step grids.  When that solve
+fails, the blocks are solved one by one: a failure of the full system
+excludes the signal at every order, with its error text, and a failure of
+one reduced order excludes the signal only at that order.
+``estimate_gap(trajectories, red, ensemble)`` integrates nothing; it turns
+the trajectories into one order's empirical gain.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ __all__ = [
     "get_builtin",
     "input_ensemble",
     "signal_l2_norm",
-    "full_responses",
+    "Trajectories",
+    "simulate_ensemble",
     "estimate_gap",
     "judge_bound",
 ]
@@ -313,56 +321,96 @@ class GainEstimate:
 _N_GRID = 2001  # output samples per probe signal, full and reduced alike
 
 
-def _trajectory(rhs, dim: int, signal: Signal, tol: float):
-    """Grid and states of ``x' = rhs(x, signal(t))`` from rest."""
-    grid = np.linspace(0.0, signal.horizon, _N_GRID)
+@dataclass(frozen=True)
+class Trajectories:
+    """One probe signal's simulation from rest on the output grid.
 
-    def field(t, x):
-        return np.asarray(rhs(x, signal(t)), float)
+    ``full`` is the full system's output ``h(x)``, ``reduced`` maps each
+    order to its reduced state; a block whose solve failed holds the error
+    text instead, and when the full block failed ``reduced`` is empty.
+    """
 
-    _, xs = integrate_ode(field, np.zeros(dim), (0.0, signal.horizon), tol=tol, t_eval=grid)
-    return grid, xs
+    grid: np.ndarray
+    full: np.ndarray | str
+    reduced: dict
 
 
-def full_responses(system: ControlSystem, ensemble: Sequence[Signal], tol: float) -> list:
-    """Full-system output ``h(x)`` from rest on the grid, one entry per signal,
-    or the error text of a failed integration; it does not depend on the
-    reduction order, so every ``estimate_gap`` call shares it."""
-    responses = []
+def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
+    """States of every ``(rhs, dim)`` block, solved together as one stacked ODE
+    ``s' = [rhs_1(s_1, u); rhs_2(s_2, u); ...]`` with ``u = signal(t)`` evaluated
+    once per step, so all blocks share one step sequence."""
+    edges = np.cumsum([0] + [dim for _, dim in blocks])
+    parts = [(rhs, slice(lo, hi)) for (rhs, _), lo, hi in zip(blocks, edges, edges[1:])]
+
+    def field(t, s):
+        u = signal(t)
+        ds = np.empty(s.shape)
+        for rhs, part in parts:
+            ds[part] = rhs(s[part], u)
+        return ds
+
+    _, states = integrate_ode(field, np.zeros(edges[-1]), (0.0, signal.horizon), tol=tol, t_eval=grid)
+    return [states[:, part] for _, part in parts]
+
+
+def _solve_alone(block, signal: Signal, grid: np.ndarray, tol: float):
+    """One block's states, or the error text of its failed solve."""
+    try:
+        return _integrate([block], signal, grid, tol)[0]
+    except (StiffnessError, ValueError) as exc:
+        return str(exc)
+
+
+def simulate_ensemble(
+    system: ControlSystem, bn: BalancedNonlinear, orders: Sequence[int],
+    ensemble: Sequence[Signal], tol: float,
+) -> list[Trajectories]:
+    """Full system and every reduced order from rest, one stacked solve per signal.
+
+    If that solve fails, the full system is solved alone; if it fails too,
+    its error text excludes the signal at every order.  Otherwise each order
+    is solved alone, and only the orders that fail are excluded.
+    """
+    orders = list(dict.fromkeys(orders))
+    blocks = [(system.f, system.n)] + [(bn.f_reduced, r) for r in orders]
+    out = []
     for signal in ensemble:
+        grid = np.linspace(0.0, signal.horizon, _N_GRID)
         try:
-            _, xs = _trajectory(system.f, system.n, signal, tol)
-            responses.append(np.stack([np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]))
-        except (StiffnessError, ValueError) as exc:
-            responses.append(str(exc))
-    return responses
+            states = _integrate(blocks, signal, grid, tol)
+        except (StiffnessError, ValueError):
+            # block by block, so that a failing block cannot exclude the others
+            states = [_solve_alone(blocks[0], signal, grid, tol)]
+            if not isinstance(states[0], str):
+                states += [_solve_alone(block, signal, grid, tol) for block in blocks[1:]]
+        xs = states[0]
+        full = xs if isinstance(xs, str) else np.stack(
+            [np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]
+        )
+        out.append(Trajectories(grid=grid, full=full, reduced=dict(zip(orders, states[1:]))))
+    return out
 
 
 def estimate_gap(
-    responses: Sequence, bn: BalancedNonlinear, red: ReducedRealization,
-    ensemble: Sequence[Signal], tol: float,
+    trajectories: Sequence[Trajectories], red: ReducedRealization, ensemble: Sequence[Signal],
 ) -> GainEstimate:
-    """Empirical lower bound on the full-vs-reduced H-infinity error.
+    """Empirical lower bound on the full-vs-reduced H-infinity error at one order.
 
-    ``responses`` comes from ``full_responses`` on the same ensemble; only
-    the reduced system is integrated here, from rest.  Signals whose full or
-    reduced integration fails are excluded and flagged; a clean validation
-    verdict requires zero exclusions.
+    ``trajectories`` comes from ``simulate_ensemble`` on the same ensemble.
+    Signals whose full or order-``red.order`` solve failed are excluded and
+    flagged; a clean validation verdict requires zero exclusions.
     """
     per_signal = []
     excluded = []
     value = 0.0
-    for signal, y_full in zip(ensemble, responses, strict=True):
-        if isinstance(y_full, str):
-            excluded.append({"signal": signal.name, "error": y_full})
+    for signal, traj in zip(ensemble, trajectories, strict=True):
+        # a failed full solve excludes the signal at every order
+        zs = traj.full if isinstance(traj.full, str) else traj.reduced[red.order]
+        if isinstance(zs, str):
+            excluded.append({"signal": signal.name, "error": zs})
             continue
-        try:
-            grid, zs = _trajectory(bn.f_reduced, red.order, signal, tol)
-        except (StiffnessError, ValueError) as exc:
-            excluded.append({"signal": signal.name, "error": str(exc)})
-            continue
-        diff = y_full - zs @ red.c_r.T
-        l2 = float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=grid)))
+        diff = traj.full - zs @ red.c_r.T
+        l2 = float(np.sqrt(scipy.integrate.simpson(np.sum(diff * diff, axis=1), x=traj.grid)))
         ratio = l2 / signal.l2_norm
         per_signal.append({"signal": signal.name, "ratio": float(ratio)})
         value = max(value, ratio)

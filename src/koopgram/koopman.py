@@ -104,10 +104,12 @@ def build_dictionary(
     or an explicit exponent list.
     """
     if kind == "identity":
-        exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        d = _monomial_dictionary(n, exps)
+        # the coordinate monomials in closed form: phi(x) = x, D_phi = I, exactly
+        eye = np.eye(n)
+        exps = tuple(tuple(int(v) for v in row) for row in eye)
         return Dictionary(
-            n=n, q=n, kind="identity", evaluate=d.evaluate, jacobian=d.jacobian, exponents=d.exponents
+            n=n, q=n, kind="identity", evaluate=lambda x: np.array(x, dtype=float),
+            jacobian=lambda x: eye.copy(), exponents=exps,
         )
     if kind == "monomials":
         if exponents is None:

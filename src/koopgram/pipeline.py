@@ -41,8 +41,10 @@ from .certify import (
     output_embedding_gap,
 )
 from .expr import system_from_spec
-from .gsvd import decompose, estimate_gains
-from .harness import ControlSystem, estimate_gap, full_responses, get_builtin, input_ensemble, judge_bound
+from .gsvd import MIN_SAMPLE_BUDGET, decompose, estimate_gains
+from .harness import (
+    ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound, simulate_ensemble,
+)
 from .koopman import (
     Dictionary,
     KoopmanModel,
@@ -153,6 +155,8 @@ class PipelineConfig:
                 raise ValueError(f"unknown data key {key!r}; known: {sorted(_DATA_DEFAULTS)}")
             kind = numbers.Integral if isinstance(_DATA_DEFAULTS[key], int) else _REAL
             _check_type(f"data {key}", value, kind)
+            if kind is numbers.Integral and value < 1:
+                raise ValueError(f"data {key} must be at least 1, got {value!r}")
         degree = (self.dictionary or {}).get("degree")
         if degree is not None:
             _check_type("dictionary degree", degree, numbers.Integral)
@@ -163,6 +167,12 @@ class PipelineConfig:
             raise ValueError("reduction orders must be positive")
         if self.slack is not None and self.slack < 1.0:
             raise ValueError("slack must be at least 1")
+        if self.ensemble_count < 1:
+            raise ValueError(f"ensemble_count must be at least 1, got {self.ensemble_count!r}")
+        if self.sample_budget < MIN_SAMPLE_BUDGET:
+            raise ValueError(
+                f"sample_budget must be at least {MIN_SAMPLE_BUDGET}, got {self.sample_budget!r}"
+            )
         positive = {"gain_box": self.gain_box, "horizon": self.horizon,
                     "ode_tol": self.ode_tol, "dictionary degree": degree}
         for name, value in positive.items():
@@ -416,11 +426,10 @@ def stage_simulate(config: PipelineConfig) -> dict:
     ensemble = input_ensemble(
         system.l, horizon, count=config.ensemble_count, seed=[config.seed, _SEED_ENSEMBLE]
     )
-    responses = full_responses(system, ensemble, config.ode_tol)
-    rows = []
-    for red in reduced:
-        est = estimate_gap(responses, bn, red, ensemble, config.ode_tol)
-        rows.append({"order": red.order, "estimate": est})
+    trajectories = simulate_ensemble(system, bn, config.reduction_orders, ensemble, config.ode_tol)
+    rows = [
+        {"order": red.order, "estimate": estimate_gap(trajectories, red, ensemble)} for red in reduced
+    ]
     payload = {
         "system": system.name,
         "horizon": float(horizon),

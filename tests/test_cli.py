@@ -203,8 +203,8 @@ class TestStages:
 
         monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
         stage_simulate(cfg)
-        # one full-system integration per signal, one reduced per (signal, order)
-        assert calls == {"integrate_ode": 2 + 2 * len(orders)}
+        # one stacked integration per signal: the full system and every order
+        assert calls == {"integrate_ode": 2}
 
     def test_artifact_schema(self, tmp_path):
         # artifacts serialise dataclass fields automatically, so a new field
@@ -312,12 +312,16 @@ class TestCliEntry:
             ' "dictionary": {"kind": "monomials", "degree": "2"}}',
             '{"system": "tanh_first_order", "reduction_orders": [1],'
             ' "dictionary": {"kind": "monomials", "degree": 2.5}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "ensemble_count": 0}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "sample_budget": 99}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectories": 0}}',
         ],
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
              "dictionary-string", "slack-string", "orders-nested", "seed-list",
              "output-dir-number", "seed-bool", "slack-nan", "gain-box-negative",
              "horizon-negative", "ode-tol-zero", "ode-tol-nan", "data-value-list",
-             "data-key-misspelt", "degree-string", "degree-fractional"],
+             "data-key-misspelt", "degree-string", "degree-fractional",
+             "ensemble-count-zero", "sample-budget-small", "data-trajectories-zero"],
     )
     def test_malformed_config_exits_one(self, tmp_path, monkeypatch, capsys, text):
         # no --out: it would override a malformed output_dir; run inside
@@ -358,6 +362,15 @@ class TestCliEntry:
         assert main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error [{command}]: ")
+        assert "Traceback" not in err
+
+    def test_variable_out_of_range_exits_one(self, tmp_path, capsys):
+        spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [{"var": "x1"}],
+                "f": [{"op": "add", "args": [{"var": "x2"}, {"var": "u1"}]}]}
+        path, _ = write_config(tmp_path, system=spec)
+        assert main(["fit-koopman", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [fit-koopman]: variable 'x2' is out of range: use x1..x1")
         assert "Traceback" not in err
 
     def test_output_outside_dictionary_span_exits_one(self, tmp_path, capsys):

@@ -10,21 +10,23 @@ from koopgram.gsvd import decompose, estimate_gains
 from koopgram.harness import (
     ControlSystem,
     Signal,
+    _integrate,
+    _N_GRID,
     builtin_systems,
     estimate_gap,
-    full_responses,
     get_builtin,
     input_ensemble,
     judge_bound,
     signal_l2_norm,
+    simulate_ensemble,
 )
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
 from koopgram.linalg import LtiSystem
 
 
 def _gap(system, bn, red, ensemble, tol):
-    responses = full_responses(system, ensemble, tol)
-    return estimate_gap(responses, bn, red, ensemble, tol)
+    trajectories = simulate_ensemble(system, bn, [red.order], ensemble, tol)
+    return estimate_gap(trajectories, red, ensemble)
 
 
 def _reduced_pair(name, r, seed=0):
@@ -125,10 +127,13 @@ class TestInputEnsemble:
 
 class TestEstimateGap:
     def test_full_order_reduction_is_noise_level(self):
+        # at r = q the reduced system is the full one in balanced coordinates;
+        # on their shared step sequence the integrator makes the same error
         sysd, bn, red = _reduced_pair("tanh_first_order", r=1)
+        assert red.order == bn.bal.q
         ens = input_ensemble(1, 12.0, count=3, seed=2)
         est = _gap(sysd, bn, red, ens, tol=1e-9)
-        assert est.value <= 1e-6
+        assert est.value < 1e-12
         assert not est.excluded
 
     def test_monotone_in_ensemble_size(self):
@@ -171,14 +176,53 @@ class TestEstimateGap:
                 raise ValueError("synthetic integration failure")
             return base.f(x, u)
 
-        responses = full_responses(dataclasses.replace(base, f=exploding2), ens, 1e-8)
-        assert all(isinstance(y, str) and "synthetic" in y for y in responses)
-        expected = [{"signal": s.name, "error": y} for s, y in zip(ens, responses)]
+        _, bn_s, _ = _reduced_pair("slow_manifold", r=1)
+        trajectories = simulate_ensemble(dataclasses.replace(base, f=exploding2), bn_s, [1, 2], ens, 1e-8)
+        assert all(isinstance(t.full, str) and "synthetic" in t.full for t in trajectories)
+        expected = [{"signal": s.name, "error": t.full} for s, t in zip(ens, trajectories)]
         for r in (1, 2):
             _, bn_r, red_r = _reduced_pair("slow_manifold", r=r)
-            est_r = estimate_gap(responses, bn_r, red_r, ens, 1e-8)
+            est_r = estimate_gap(trajectories, red_r, ens)
             assert est_r.excluded == expected
             assert not est_r.per_signal
+
+    def test_failed_reduced_order_is_excluded_at_that_order_only(self):
+        sysd, bn, red1 = _reduced_pair("slow_manifold", r=1)
+        _, _, red2 = _reduced_pair("slow_manifold", r=2)
+        f_reduced = bn.f_reduced
+
+        def exploding(z, u):
+            if len(z) == 2 and np.linalg.norm(z) > 1e-3:
+                raise ValueError("synthetic order-2 failure")
+            return f_reduced(z, u)
+
+        ens = input_ensemble(1, 8.0, count=2, seed=6)
+        broken = dataclasses.replace(bn, f_reduced=exploding)
+        trajectories = simulate_ensemble(sysd, broken, [1, 2], ens, 1e-8)
+        est1 = estimate_gap(trajectories, red1, ens)
+        est2 = estimate_gap(trajectories, red2, ens)
+        assert not est1.excluded
+        assert len(est1.per_signal) == 2
+        assert [e["signal"] for e in est2.excluded] == [s.name for s in ens]
+        assert all("synthetic order-2" in e["error"] for e in est2.excluded)
+        assert not est2.per_signal
+        # the healthy order, solved alone after the stacked solve failed,
+        # matches its stacked solve with the full system to integration accuracy
+        stacked = estimate_gap(simulate_ensemble(sysd, bn, [1], ens, 1e-8), red1, ens)
+        assert abs(est1.value - stacked.value) <= 1e-6
+
+    def test_stacked_solve_matches_block_by_block(self):
+        sysd, bn, _ = _reduced_pair("lti6", r=2)
+        orders = [2, 4]
+        ens = input_ensemble(2, 15.0, count=2, seed=3)
+        for signal, traj in zip(ens, simulate_ensemble(sysd, bn, orders, ens, 1e-7)):
+            grid = np.linspace(0.0, signal.horizon, _N_GRID)
+            (xs,) = _integrate([(sysd.f, sysd.n)], signal, grid, 1e-7)
+            ys = np.stack([sysd.h(x) for x in xs])
+            assert np.max(np.abs(traj.full - ys)) <= 1e-6
+            for r in orders:
+                (zs,) = _integrate([(bn.f_reduced, r)], signal, grid, 1e-7)
+                assert np.max(np.abs(traj.reduced[r] - zs)) <= 1e-6
 
     def test_linear_first_order_truncation_brackets(self):
         # classical behavior: the measured gap sits between a healthy
