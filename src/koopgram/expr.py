@@ -1,22 +1,16 @@
-"""Expression-tree compiler for user-defined dynamics.
+"""Tiny expression-tree interpreter for user-defined dynamics.
 
 Systems are declared in JSON as one expression tree per state derivative
 and per output coordinate, over the state variables ``x1..xn`` and inputs
 ``u1..ul``.  Supported operators: add, sub, mul, div, neg, sin, cos, tanh,
-pow (with a constant exponent).  Each system's trees compile once into one
-generated Python function with one statement per node, so a right-hand-side
-call runs no interpreter and no closure per node.  The generated source
-comes only from the validated tree: operators from the whitelist below,
-variable indices checked against the system's dimensions, and constants
-bound by name, never printed into the source.  Every node's value passes
-through ``float()``, so the trees evaluate in plain Python floats and the
+pow (with a constant exponent).  Trees evaluate to plain floats, so the
 same declaration drives simulation, gain sampling, and Lie-derivative
-targets.
+targets without compiling user code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,93 +18,72 @@ from .harness import ControlSystem
 
 __all__ = ["compile_expression", "system_from_spec"]
 
-# operator -> expression template over the operands' variable names
 _UNARY = {
-    "neg": "-{}",
-    "sin": "_sin({})",
-    "cos": "_cos({})",
-    "tanh": "_tanh({})",
+    "neg": lambda a: -a,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tanh": np.tanh,
 }
 
 _BINARY = {
-    "add": "{} + {}",
-    "sub": "{} - {}",
-    "mul": "{} * {}",
-    "div": "{} / {}",
-    "pow": "{} ** {}",
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "pow": lambda a, b: a**b,
 }
 
-_GLOBALS = {"_float": float, "_sin": np.sin, "_cos": np.cos, "_tanh": np.tanh, "_array": np.array}
 
-
-def _emit(tree, lines: list, consts: dict, n: int | None, l: int | None) -> str:
-    """Append the statements evaluating ``tree`` and return the name holding its value."""
+def compile_expression(tree) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Compile a JSON expression tree into ``(x, u) -> float``."""
     if isinstance(tree, (int, float)):
-        name = f"c{len(consts)}"
-        consts[name] = float(tree)
-        return name
+        value = float(tree)
+        return lambda x, u: value
     if not isinstance(tree, dict):
         raise ValueError(f"bad expression node: {tree!r}")
     if "const" in tree:
-        name = f"c{len(consts)}"
-        consts[name] = float(tree["const"])
-        return name
+        value = float(tree["const"])
+        return lambda x, u: value
     if "var" in tree:
-        var = tree["var"]
-        kind, idx = var[0], var[1:]
+        name = tree["var"]
+        kind, idx = name[0], name[1:]
         if kind not in ("x", "u") or not idx.isdigit() or int(idx) < 1:
-            raise ValueError(f"bad variable {var!r}: use x1..xn or u1..ul")
+            raise ValueError(f"bad variable {name!r}: use x1..xn or u1..ul")
         k = int(idx) - 1
-        if (n is not None and kind == "x" and k >= n) or (l is not None and kind == "u" and k >= l):
-            raise ValueError(f"variable {var!r} is out of range: use x1..x{n} or u1..u{l}")
-        operands = (f"{kind}[{k:d}]",)
-        template = "{}"
-    elif "op" in tree:
+        if kind == "x":
+            return lambda x, u: float(x[k])
+        return lambda x, u: float(u[k])
+    if "op" in tree:
         op = tree["op"]
         args = tree.get("args", [])
         if op in _UNARY:
             if len(args) != 1:
                 raise ValueError(f"{op} takes one argument")
-            template = _UNARY[op]
-        elif op in _BINARY:
+            inner = compile_expression(args[0])
+            fn = _UNARY[op]
+            return lambda x, u: float(fn(inner(x, u)))
+        if op in _BINARY:
             if len(args) != 2:
                 raise ValueError(f"{op} takes two arguments")
             if op == "pow" and not (
                 isinstance(args[1], (int, float)) or "const" in args[1]
             ):
                 raise ValueError("pow exponent must be a constant")
-            template = _BINARY[op]
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-        operands = tuple(_emit(arg, lines, consts, n, l) for arg in args)
-    else:
-        raise ValueError(f"bad expression node: {tree!r}")
-    name = f"t{len(lines)}"
-    lines.append(f"{name} = _float({template.format(*operands)})")
-    return name
+            left = compile_expression(args[0])
+            right = compile_expression(args[1])
+            fn = _BINARY[op]
+            return lambda x, u: float(fn(left(x, u), right(x, u)))
+        raise ValueError(f"unknown operator {op!r}")
+    raise ValueError(f"bad expression node: {tree!r}")
 
 
-def _compile(trees: Sequence, n: int | None, l: int | None, scalar: bool = False) -> Callable:
-    """One generated function ``(x, u)`` returning the array of the trees' values,
-    or the one tree's float when ``scalar``."""
-    lines, consts = [], {}
-    names = [_emit(tree, lines, consts, n, l) for tree in trees]
-    result = names[0] if scalar else f"_array([{', '.join(names)}])"
-    body = "".join(f"    {line}\n" for line in lines)
-    namespace = {**_GLOBALS, **consts}
-    exec(compile(f"def generated(x, u):\n{body}    return {result}\n", "<expression>", "exec"), namespace)
-    return namespace["generated"]
-
-
-def compile_expression(
-    tree, n: int | None = None, l: int | None = None
-) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Compile a JSON expression tree into ``(x, u) -> float``.
-
-    With ``n`` and ``l`` given, a variable beyond ``x1..xn`` or ``u1..ul``
-    raises ``ValueError`` here rather than ``IndexError`` at evaluation.
-    """
-    return _compile([tree], n, l, scalar=True)
+def _variables(tree):
+    """The variable names a tree reads."""
+    if isinstance(tree, dict):
+        if "var" in tree:
+            yield tree["var"]
+        for arg in tree.get("args", []):
+            yield from _variables(arg)
 
 
 def _sampled_lipschitz_u(f, n: int, l: int, seed: int = 0, samples: int = 400) -> float:
@@ -143,12 +116,21 @@ def system_from_spec(spec: dict) -> ControlSystem:
         raise ValueError(f"need {n} state derivative expressions, got {len(f_trees)}")
     if len(h_trees) != p:
         raise ValueError(f"need {p} output expressions, got {len(h_trees)}")
-    f = _compile(f_trees, n, l)
-    h_of = _compile(h_trees, n, l)
-    zero = np.zeros(l)
+    f_fns = [compile_expression(t) for t in f_trees]
+    h_fns = [compile_expression(t) for t in h_trees]
+    # compiling checked each variable's form; its index is checked here,
+    # where the dimensions are known, not as an IndexError at evaluation
+    for tree in [*f_trees, *h_trees]:
+        for var in _variables(tree):
+            if int(var[1:]) > (n if var[0] == "x" else l):
+                raise ValueError(f"variable {var!r} is out of range: use x1..x{n} or u1..u{l}")
+
+    def f(x, u):
+        return np.array([fn(x, u) for fn in f_fns])
 
     def h(x):
-        return h_of(x, zero)
+        zero = np.zeros(l)
+        return np.array([fn(x, zero) for fn in h_fns])
 
     lipschitz = spec.get("lipschitz_u")
     if lipschitz is None:

@@ -11,7 +11,10 @@ certificate must always dominate it.
 per probe signal, on the stacked state ``[x; z_r1; ...; z_rk]`` of the full
 system and every reduced order: the input is evaluated once per step, and
 all systems share one step sequence, so the full-vs-reduced difference
-carries no integrator noise from different step grids.  When that solve
+carries no integrator noise from different step grids.  The stacked solve
+tightens ``tol`` so that each block keeps the error control it would have
+alone; one order's estimate still moves, at integration-error level, with
+the other orders requested, as they change the shared steps.  When that solve
 fails, the blocks are solved one by one: a failure of the full system
 excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
@@ -338,8 +341,16 @@ class Trajectories:
 def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
     """States of every ``(rhs, dim)`` block, solved together as one stacked ODE
     ``s' = [rhs_1(s_1, u); rhs_2(s_2, u); ...]`` with ``u = signal(t)`` evaluated
-    once per step, so all blocks share one step sequence."""
-    edges = np.cumsum([0] + [dim for _, dim in blocks])
+    once per step, so all blocks share one step sequence.
+
+    The integrator bounds the RMS of the scaled local error over all
+    components, so a block of dimension ``d`` out of ``N`` could carry
+    ``sqrt(N / d)`` times its share.  Shrinking ``tol`` by
+    ``sqrt(min d / N)`` makes every accepted step one that each block,
+    solved alone at ``tol``, would accept too.
+    """
+    dims = [dim for _, dim in blocks]
+    edges = np.cumsum([0] + dims)
     parts = [(rhs, slice(lo, hi)) for (rhs, _), lo, hi in zip(blocks, edges, edges[1:])]
 
     def field(t, s):
@@ -349,7 +360,8 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
             ds[part] = rhs(s[part], u)
         return ds
 
-    _, states = integrate_ode(field, np.zeros(edges[-1]), (0.0, signal.horizon), tol=tol, t_eval=grid)
+    block_tol = tol * np.sqrt(min(dims) / edges[-1])
+    _, states = integrate_ode(field, np.zeros(edges[-1]), (0.0, signal.horizon), tol=block_tol, t_eval=grid)
     return [states[:, part] for _, part in parts]
 
 

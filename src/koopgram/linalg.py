@@ -221,7 +221,8 @@ def integrate_ode(
 
     Returns ``(t, x)`` with ``x`` of shape (len(t), dim), sampled at
     ``t_eval`` when given (dense output), otherwise at the solver's own
-    accepted steps.  Local error per step is controlled to ``tol``.
+    accepted steps.  A step is accepted when the RMS over the components
+    of its local error, each scaled by ``tol * (1e-3 + |x_i|)``, is below 1.
     """
     x0 = as_vector(x0, "x0")
     t0, tf = float(t_span[0]), float(t_span[1])

@@ -4,9 +4,8 @@ These deliberately avoid the code paths they verify: the Lyapunov oracle
 integrates the Gramian quadrature directly, the H-infinity oracle is a dense
 frequency sweep (evaluated in batched chunks of frequencies, with no
 Hamiltonian or bisection step), the coarse-sweep oracle walks the library's
-sweep grid one frequency at a time, the ODE oracle is a fixed-step
-classical Runge-Kutta scheme, and the expression oracle interprets a tree
-through one closure per node.  Nothing here imports from ``koopgram``.
+sweep grid one frequency at a time, and the ODE oracle is a fixed-step
+classical Runge-Kutta scheme.  Nothing here imports from ``koopgram``.
 """
 
 from __future__ import annotations
@@ -141,63 +140,3 @@ def random_stable_system(rng, n: int, l: int, p: int, ratio_cap: float = 6.0):
     b = rng.normal(size=(n, l))
     c = rng.normal(size=(p, n))
     return a, b, c
-
-
-_UNARY = {
-    "neg": lambda a: -a,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: a**b,
-}
-
-
-def interpret_expression(tree):
-    """``(x, u) -> float`` of a JSON expression tree, one closure per node,
-    every node's value through ``float()``."""
-    if isinstance(tree, (int, float)):
-        value = float(tree)
-        return lambda x, u: value
-    if not isinstance(tree, dict):
-        raise ValueError(f"bad expression node: {tree!r}")
-    if "const" in tree:
-        value = float(tree["const"])
-        return lambda x, u: value
-    if "var" in tree:
-        name = tree["var"]
-        kind, idx = name[0], name[1:]
-        if kind not in ("x", "u") or not idx.isdigit() or int(idx) < 1:
-            raise ValueError(f"bad variable {name!r}: use x1..xn or u1..ul")
-        k = int(idx) - 1
-        if kind == "x":
-            return lambda x, u: float(x[k])
-        return lambda x, u: float(u[k])
-    if "op" in tree:
-        op = tree["op"]
-        args = tree.get("args", [])
-        if op in _UNARY:
-            if len(args) != 1:
-                raise ValueError(f"{op} takes one argument")
-            inner = interpret_expression(args[0])
-            fn = _UNARY[op]
-            return lambda x, u: float(fn(inner(x, u)))
-        if op in _BINARY:
-            if len(args) != 2:
-                raise ValueError(f"{op} takes two arguments")
-            if op == "pow" and not (
-                isinstance(args[1], (int, float)) or "const" in args[1]
-            ):
-                raise ValueError("pow exponent must be a constant")
-            left = interpret_expression(args[0])
-            right = interpret_expression(args[1])
-            fn = _BINARY[op]
-            return lambda x, u: float(fn(left(x, u), right(x, u)))
-        raise ValueError(f"unknown operator {op!r}")
-    raise ValueError(f"bad expression node: {tree!r}")

@@ -224,6 +224,17 @@ class TestEstimateGap:
                 (zs,) = _integrate([(bn.f_reduced, r)], signal, grid, 1e-7)
                 assert np.max(np.abs(traj.reduced[r] - zs)) <= 1e-6
 
+    def test_order_estimate_stable_under_other_orders(self):
+        # the other requested orders change the shared step sequence, but
+        # every block keeps its own error control, so one order's estimate
+        # moves only at integration-error level, far inside the 1e-6 cushion
+        for name, r, others in (("lti6", 2, [4, 6]), ("slow_manifold", 1, [2])):
+            sysd, bn, red = _reduced_pair(name, r=r)
+            ens = input_ensemble(sysd.l, 10.0, count=3, seed=5)
+            alone = _gap(sysd, bn, red, ens, tol=1e-8)
+            together = estimate_gap(simulate_ensemble(sysd, bn, [r] + others, ens, 1e-8), red, ens)
+            assert abs(alone.value - together.value) <= 1e-7
+
     def test_linear_first_order_truncation_brackets(self):
         # classical behavior: the measured gap sits between a healthy
         # fraction of the next Hankel value and twice the tail sum
