@@ -3,13 +3,15 @@
 Systems are declared in JSON as one expression tree per state derivative
 and per output coordinate, over the state variables ``x1..xn`` and inputs
 ``u1..ul``.  Supported operators: add, sub, mul, div, neg, sin, cos, tanh,
-pow (with a constant exponent).  Trees evaluate to plain floats, so the
-same declaration drives simulation, gain sampling, and Lie-derivative
-targets without compiling user code.
+pow (with a constant exponent; a power with no real value, such as a
+negative base to a fractional exponent, raises ``ValueError``).  Trees
+evaluate to plain floats, so the same declaration drives simulation, gain
+sampling, and Lie-derivative targets without compiling user code.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -17,6 +19,16 @@ import numpy as np
 from .harness import ControlSystem
 
 __all__ = ["compile_expression", "system_from_spec"]
+
+
+def _pow(a: float, b: float) -> float:
+    # math.pow equals ** on real results; where ** turns complex (negative
+    # base, fractional exponent) or divides by zero, math.pow raises
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
+
 
 _UNARY = {
     "neg": lambda a: -a,
@@ -30,7 +42,7 @@ _BINARY = {
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
-    "pow": lambda a, b: a**b,
+    "pow": _pow,
 }
 
 

@@ -7,6 +7,7 @@ immutable by convention: no function mutates its arguments.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# LSODA's step budget between two consecutive output times; x' = x^2 from
+# x(0) = 1 spends it near the pole at t = 1 before any state overflows
+_MXSTEP = 5000
+# odeint's messages for a clean return; it reports failures as other messages
+_ODEINT_DONE = ("Integration successful.", "Nothing was done; the integration time was 0.")
 
 
 class SpectrumError(ValueError):
@@ -36,7 +42,7 @@ class SpectrumError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive integrator underflowed its step size."""
+    """The ODE integrator failed or met a non-finite field value or state."""
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -215,14 +221,20 @@ def integrate_ode(
     x0,
     t_span: tuple[float, float],
     tol: float = 1e-8,
-    t_eval=None,
+    *,
+    t_eval,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``dx/dt = field(t, x)`` with an embedded 4(5) adaptive pair.
+    """Integrate ``dx/dt = field(t, x)`` with ODEPACK's LSODA.
 
-    Returns ``(t, x)`` with ``x`` of shape (len(t), dim), sampled at
-    ``t_eval`` when given (dense output), otherwise at the solver's own
-    accepted steps.  A step is accepted when the RMS over the components
-    of its local error, each scaled by ``tol * (1e-3 + |x_i|)``, is below 1.
+    Returns ``(t_eval, x)`` with ``x`` of shape (len(t_eval), dim); ``t_eval``
+    must increase strictly within ``t_span``.  LSODA switches between Adams
+    (nonstiff) and BDF (stiff) formulas as the problem demands.  A step is
+    accepted when the weighted max norm of its local error is below 1, each
+    component's error scaled by ``tol * (1e-3 + |x_i|)``: the test holds
+    component by component, so appending components to a system does not
+    loosen the control of the others.  A solver failure (step budget spent,
+    repeated error-test or convergence failures), a non-finite field value
+    and a non-finite state all raise ``StiffnessError``.
     """
     x0 = as_vector(x0, "x0")
     t0, tf = float(t_span[0]), float(t_span[1])
@@ -230,19 +242,30 @@ def integrate_ode(
         raise ValueError(f"bad integration window [{t0}, {tf}]")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    result = scipy.integrate.solve_ivp(
-        field,
-        (t0, tf),
-        x0,
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-3,
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
-        dense_output=False,
-    )
-    if not result.success:
-        raise StiffnessError(f"integration failed: {result.message}")
-    y = result.y.T
+    t_eval = np.asarray(t_eval, dtype=float).reshape(-1)
+    if t_eval.size == 0 or not (t0 <= t_eval[0] and t_eval[-1] <= tf and np.all(np.diff(t_eval) > 0)):
+        raise ValueError(f"t_eval must increase strictly within [{t0}, {tf}]")
+
+    def checked(t, x):
+        dx = field(t, x)
+        if not np.isfinite(dx).all():
+            raise StiffnessError(f"integration failed: non-finite field value at t = {t:g}")
+        return dx
+
+    # odeint starts from its first time, so t0 leads when t_eval starts later
+    prepend = t_eval[0] > t0
+    times = np.concatenate(([t0], t_eval)) if prepend else t_eval
+    with warnings.catch_warnings():
+        # a failure comes back in info["message"] too; raise it, do not print
+        # it (the filters are process-wide; koopgram integrates on one thread)
+        warnings.simplefilter("ignore", scipy.integrate.ODEintWarning)
+        y, info = scipy.integrate.odeint(
+            checked, x0, times, rtol=tol, atol=tol * 1e-3,
+            mxstep=_MXSTEP, full_output=True, tfirst=True,
+        )
+    if info["message"] not in _ODEINT_DONE:
+        raise StiffnessError(f"integration failed: {info['message']}")
+    y = y[1:] if prepend else y
     if not np.all(np.isfinite(y)):
         raise StiffnessError("integration produced non-finite states")
-    return result.t, y
+    return t_eval, y

@@ -345,12 +345,19 @@ class TestCliEntry:
             ("fit-koopman", {"op": "add", "args": [
                 {"op": "div", "args": [{"var": "x1"}, {"var": "x1"}]},
                 {"op": "tanh", "args": [{"var": "u1"}]}]}),
+            # x' = 0.01 x^1.5 - x + tanh(u): x^1.5 has no real value at the
+            # negative initial states of the drift trajectories
+            ("fit-koopman", {"op": "add", "args": [
+                {"op": "sub", "args": [
+                    {"op": "mul", "args": [0.01, {"op": "pow", "args": [{"var": "x1"}, 1.5]}]},
+                    {"var": "x1"}]},
+                {"op": "tanh", "args": [{"var": "u1"}]}]}),
             # a pole 1e-12 left of the imaginary axis: hinf_norm cannot
             # bracket the peak gain
             ("certify", {"op": "add", "args": [
                 {"op": "mul", "args": [-1e-12, {"var": "x1"}]}, {"var": "u1"}]}),
         ],
-        ids=["finite-time-blowup", "division-by-zero", "unbracketed-hinf"],
+        ids=["finite-time-blowup", "division-by-zero", "fractional-power-of-negative", "unbracketed-hinf"],
     )
     def test_library_failure_exits_one(self, tmp_path, capsys, command, drift):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "f": [drift],

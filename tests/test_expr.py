@@ -46,6 +46,20 @@ class TestCompileExpression:
         fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 3]})
         assert fn(np.array([2.0]), np.zeros(1)) == 8.0
 
+    def test_power_equals_python_power_on_real_cases(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            base = float(rng.uniform(0.0, 10.0))
+            exponent = float(rng.uniform(-4.0, 4.0))
+            for a, b in ((base, exponent), (-base, float(rng.integers(-5, 6)))):
+                fn = compile_expression({"op": "pow", "args": [{"const": a}, b]})
+                assert fn(np.zeros(1), np.zeros(1)) == a**b
+
+    def test_power_without_real_value_rejected(self):
+        fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 1.5]})
+        with pytest.raises(ValueError, match=r"pow\(-2\.0, 1\.5\) has no real value"):
+            fn(np.array([-2.0]), np.zeros(1))
+
     def test_power_with_variable_exponent_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             compile_expression({"op": "pow", "args": [{"var": "x1"}, {"var": "x2"}]})

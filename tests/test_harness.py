@@ -191,25 +191,33 @@ class TestEstimateGap:
         _, _, red2 = _reduced_pair("slow_manifold", r=2)
         f_reduced = bn.f_reduced
 
-        def exploding(z, u):
+        def raising(z, u):
             if len(z) == 2 and np.linalg.norm(z) > 1e-3:
                 raise ValueError("synthetic order-2 failure")
             return f_reduced(z, u)
 
+        def blowing_up(z, u):
+            # z' = 1 + z^2 per component: z = tan(t) has a pole at t = pi / 2
+            return 1.0 + z * z if len(z) == 2 else f_reduced(z, u)
+
         ens = input_ensemble(1, 8.0, count=2, seed=6)
-        broken = dataclasses.replace(bn, f_reduced=exploding)
-        trajectories = simulate_ensemble(sysd, broken, [1, 2], ens, 1e-8)
-        est1 = estimate_gap(trajectories, red1, ens)
-        est2 = estimate_gap(trajectories, red2, ens)
-        assert not est1.excluded
-        assert len(est1.per_signal) == 2
-        assert [e["signal"] for e in est2.excluded] == [s.name for s in ens]
-        assert all("synthetic order-2" in e["error"] for e in est2.excluded)
-        assert not est2.per_signal
         # the healthy order, solved alone after the stacked solve failed,
         # matches its stacked solve with the full system to integration accuracy
         stacked = estimate_gap(simulate_ensemble(sysd, bn, [1], ens, 1e-8), red1, ens)
-        assert abs(est1.value - stacked.value) <= 1e-6
+        for f_broken, error in ((raising, "synthetic order-2"), (blowing_up, "integration failed")):
+            broken = dataclasses.replace(bn, f_reduced=f_broken)
+            trajectories = simulate_ensemble(sysd, broken, [1, 2], ens, 1e-8)
+            est1 = estimate_gap(trajectories, red1, ens)
+            est2 = estimate_gap(trajectories, red2, ens)
+            assert not est1.excluded
+            assert len(est1.per_signal) == 2
+            assert [e["signal"] for e in est2.excluded] == [s.name for s in ens]
+            assert all(error in e["error"] for e in est2.excluded)
+            assert not est2.per_signal
+            assert abs(est1.value - stacked.value) <= 1e-6
+            for got, alone in zip(est1.per_signal, stacked.per_signal, strict=True):
+                assert got["signal"] == alone["signal"]
+                assert abs(got["ratio"] - alone["ratio"]) <= 1e-6
 
     def test_stacked_solve_matches_block_by_block(self):
         sysd, bn, _ = _reduced_pair("lti6", r=2)

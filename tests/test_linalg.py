@@ -1,4 +1,7 @@
 import math
+import resource
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from koopgram.linalg import (
     LtiSystem,
     SpectrumError,
+    StiffnessError,
     _sweep_lower_bound,
     hinf_norm,
     integrate_ode,
@@ -169,10 +173,62 @@ class TestIntegrateOde:
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, x: -x, [1.0], (1.0, 0.0))
+            integrate_ode(lambda t, x: -x, [1.0], (1.0, 0.0), t_eval=[0.5])
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_rejects_bad_tol(self, tol):
-        # scipy's solve_ivp never returns with rtol = NaN
+        # odeint reports success with rtol = NaN, on a wrong state
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=tol)
+            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=tol, t_eval=[1.0])
+
+    @pytest.mark.parametrize(
+        "t_eval", [[], [0.5, 0.5], [0.5, 0.2], [-0.1, 0.5], [0.5, 1.5], [0.0, float("nan"), 1.0]]
+    )
+    def test_rejects_bad_t_eval(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval must increase strictly"):
+            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), t_eval=t_eval)
+
+    def test_error_control_is_per_component(self):
+        # the step test bounds each component's scaled error, so inert zero
+        # components appended to a system leave its trajectory bit-identical
+        def driven(t, x):
+            return np.array([-x[0] + np.sin(3.0 * t) + 0.3 * np.tanh(x[0]) ** 3])
+
+        def padded(t, s):
+            ds = np.zeros(s.shape)
+            ds[:1] = driven(t, s[:1])
+            return ds
+
+        grid = np.linspace(0.0, 10.0, 2001)
+        _, alone = integrate_ode(driven, [0.0], (0.0, 10.0), tol=1e-8, t_eval=grid)
+        for extra in (1, 4, 16):
+            _, x = integrate_ode(padded, np.zeros(1 + extra), (0.0, 10.0), tol=1e-8, t_eval=grid)
+            assert np.array_equal(x[:, :1], alone)
+            assert not np.any(x[:, 1:])
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            lambda t, x: x * x,  # x(t) = 1 / (1 - t) has a pole at t = 1
+            lambda t, x: -x if t < 0.5 else np.full_like(x, np.nan),
+        ],
+        ids=["finite-time-blowup", "nan-field"],
+    )
+    def test_failure_raises_stiffness_error_without_warnings(self, field):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffnessError, match="integration failed"):
+                integrate_ode(field, [1.0], (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 2001))
+        assert time.perf_counter() - start < 2.0
+
+    def test_repeated_solves_do_not_grow_memory(self):
+        def solve():
+            integrate_ode(lambda t, x: -x, [1.0, 2.0], (0.0, 1.0), t_eval=np.linspace(0.0, 1.0, 11))
+
+        for _ in range(2000):  # let the heap settle first
+            solve()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        for _ in range(2000):
+            solve()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 1024
