@@ -60,9 +60,7 @@ from .koopman import (
     TrajectoryDataset,
     build_dictionary,
     collect_trajectories,
-    fit_generator,
     fit_koopman,
-    fit_output_matrix,
     lifted_control_term,
 )
 from .linalg import (
@@ -114,9 +112,7 @@ __all__ = [
     "factor_error",
     "feedback_decomposition",
     "feedback_removal_gap",
-    "fit_generator",
     "fit_koopman",
-    "fit_output_matrix",
     "get_builtin",
     "gramians",
     "hinf_norm",

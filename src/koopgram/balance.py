@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gsvd
 from .koopman import KoopmanModel
-from .linalg import LtiSystem, SpectrumError, as_vector, is_hurwitz, pinv, solve_lyapunov
+from .linalg import LtiSystem, SpectrumError, is_hurwitz, pinv, solve_lyapunov
 
 __all__ = [
     "MinimalityError",
@@ -124,7 +124,6 @@ class ReducedRealization:
     a_r: np.ndarray
     b_r: np.ndarray
     c_r: np.ndarray
-    r_r: np.ndarray
     hsv_tail: np.ndarray
 
     @property
@@ -148,7 +147,6 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
         a_r=a_r,
         b_r=bal.b_bal[:r, :],
         c_r=bal.c_bal[:, :r],
-        r_r=bal.t_inv[: bal.state_dim, :r],
         hsv_tail=bal.hsv[r:],
     )
 
@@ -157,25 +155,25 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    One instance serves every reduction order: the reduced evaluators take
-    the order ``r`` from the length of ``z_r``.  ``f_u`` maps the control
-    term at the recovered state ``R z`` back through the recovery
-    pseudoinverse; it is what the control-affinity detection samples.
-    ``error_map`` and ``error_map_reduced`` push the representation error
-    ``D_phi(x) f(x, 0) - A phi(x)`` at the recovered state through the
-    balancing transform and feed the error factorizations;
-    ``error_map_reduced(z_r)`` is the leading ``r`` rows at ``x = R_r z_r``.
+    One instance serves every reduction order: ``f_reduced`` and
+    ``error_map`` take the order ``r`` from the length of their ``z``, and
+    ``len(z) = q`` is the full balanced realization.  Both evaluate the
+    lifted field ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state
+    ``x = R_r z``, push it through the balancing transform and keep its
+    leading ``r`` rows.  ``error_map(z)`` is that field at ``u = 0``, the
+    representation error, which feeds the error factorizations.
     ``f_reduced`` simulates the truncated lifted realization, which is the
-    object the certificates actually bound; its drift is the truncated
-    balanced matrix plus the truncated lifted terms evaluated at the
-    recovered state, so an exactly represented linear plant reduces to
-    classical balanced truncation.
+    object the certificates actually bound: the truncated balanced drift
+    matrix plus the field at the current input, so an exactly represented
+    linear plant reduces to classical balanced truncation.  ``f_u`` maps
+    the control term at the recovered state ``R z`` back through the
+    recovery pseudoinverse; it is what the control-affinity detection
+    samples.
     """
 
     f_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f_reduced: Callable[[np.ndarray, np.ndarray], np.ndarray]
     error_map: Callable[[np.ndarray], np.ndarray]
-    error_map_reduced: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
     input_dim: int
     model: KoopmanModel
@@ -193,46 +191,30 @@ def balanced_nonlinear(
     r_mat = bal.r
     r_pinv = pinv(r_mat)
     t = bal.t
+    a_bal = bal.a_bal
     dict_eval = model.dictionary.evaluate
     jac = model.dictionary.jacobian
 
-    def f0_state(x: np.ndarray) -> np.ndarray:
-        return np.asarray(f(x, zero_u), float)
-
-    def residual(x):
-        phi = as_vector(dict_eval(x), "lifted state")
-        return np.asarray(jac(x), float) @ f0_state(x) - model.a @ phi
-
-    def f_u(z, u):
-        x = r_mat @ z
-        return r_pinv @ (np.asarray(f(x, u), float) - f0_state(x))
-
-    def error_map(z):
-        return t @ residual(r_mat @ z)
-
-    def error_map_reduced(z_r):
-        order = len(z_r)
-        return (t @ residual(r_mat[:, :order] @ z_r))[:order]
-
-    def f_reduced(z_r, u):
-        # truncated lifted realization: balanced drift block plus the
-        # truncated lifted control and error terms at the recovered state
-        order = len(z_r)
-        x = r_mat[:, :order] @ z_r
-        lifted = t @ (
+    def lifted(x, u):
+        return (
             np.asarray(jac(x), float) @ np.asarray(f(x, u), float)
             - model.a @ np.asarray(dict_eval(x), float)
         )
-        return bal.a_bal[:order, :order] @ z_r + lifted[:order]
+
+    def f_u(z, u):
+        x = r_mat @ z
+        return r_pinv @ (np.asarray(f(x, u), float) - np.asarray(f(x, zero_u), float))
+
+    def error_map(z):
+        order = len(z)
+        return (t @ lifted(r_mat[:, :order] @ z, zero_u))[:order]
+
+    def f_reduced(z_r, u):
+        order = len(z_r)
+        return a_bal[:order, :order] @ z_r + (t @ lifted(r_mat[:, :order] @ z_r, u))[:order]
 
     return BalancedNonlinear(
-        f_u=f_u,
-        f_reduced=f_reduced,
-        error_map=error_map,
-        error_map_reduced=error_map_reduced,
-        bal=bal,
-        input_dim=l,
-        model=model,
+        f_u=f_u, f_reduced=f_reduced, error_map=error_map, bal=bal, input_dim=l, model=model,
     )
 
 
@@ -246,11 +228,13 @@ def factor_error(
 ) -> gsvd.GsvdFactor:
     """Factor the balanced representation error, or its truncation to ``reduced``.
 
-    Exactness is decided by the model's held-out residual gain: at or below
-    ``EXACT_RESIDUAL_TOL`` the residual is regression rounding, not
-    structure, and the error block is identically zero.  Otherwise
-    per-coordinate gains are sampled over the balanced (or reduced)
-    coordinates.
+    ``reduced`` only picks the dimension: ``bn.error_map`` is factored on
+    all ``q`` balanced coordinates for ``None``, on the leading
+    ``reduced.order`` ones otherwise.  Exactness is decided by the model's
+    held-out residual gain: at or below ``EXACT_RESIDUAL_TOL`` the residual
+    is regression rounding, not structure, and the error block is
+    identically zero.  Otherwise per-coordinate gains are sampled over
+    those coordinates.
     """
     dim = bn.bal.q if reduced is None else reduced.order
 
@@ -259,6 +243,5 @@ def factor_error(
         gains = gsvd.GainProfile(np.zeros(dim), source="sampled_estimate", sample_count=0)
         return gsvd.decompose(zero, dim, gains, slack=slack)
 
-    err = bn.error_map if reduced is None else bn.error_map_reduced
-    gains = gsvd.estimate_gains(err, dim, sample_budget=sample_budget, seed=seed, box=box)
-    return gsvd.decompose(err, dim, gains, slack=slack)
+    gains = gsvd.estimate_gains(bn.error_map, dim, sample_budget=sample_budget, seed=seed, box=box)
+    return gsvd.decompose(bn.error_map, dim, gains, slack=slack)

@@ -65,11 +65,12 @@ class ControlSystem:
     suggested_slack: float = 1.05
 
     def __post_init__(self):
+        # written as not-below so that a NaN value is rejected too
         zero = np.asarray(self.f(np.zeros(self.n), np.zeros(self.l)), float)
-        if np.linalg.norm(zero) > 1e-12:
+        if not np.linalg.norm(zero) <= 1e-12:
             raise ValueError(f"{self.name}: f(0, 0) must vanish, got norm {np.linalg.norm(zero):.3e}")
         hzero = np.atleast_1d(np.asarray(self.h(np.zeros(self.n)), float))
-        if np.linalg.norm(hzero) > 1e-12:
+        if not np.linalg.norm(hzero) <= 1e-12:
             raise ValueError(f"{self.name}: h(0) must vanish")
 
     def drift(self, x: np.ndarray) -> np.ndarray:
@@ -165,23 +166,26 @@ def _mild_cubic() -> ControlSystem:
     )
 
 
+# name -> factory of each bundled example system, in builtin_systems() order
+_BUILTINS = {
+    "lti6": _lti6,
+    "slow_manifold": lambda: _slow_manifold(True),
+    "slow_manifold_identity": lambda: _slow_manifold(False),
+    "tanh_first_order": _tanh_first_order,
+    "mild_cubic": _mild_cubic,
+}
+
+
 def builtin_systems() -> list[ControlSystem]:
     """The bundled example systems, from linear to non-affine control."""
-    return [
-        _lti6(),
-        _slow_manifold(True),
-        _slow_manifold(False),
-        _tanh_first_order(),
-        _mild_cubic(),
-    ]
+    return [build() for build in _BUILTINS.values()]
 
 
 def get_builtin(name: str) -> ControlSystem:
-    for sys_ in builtin_systems():
-        if sys_.name == name:
-            return sys_
-    known = ", ".join(s.name for s in builtin_systems())
-    raise KeyError(f"unknown builtin system {name!r}; known: {known}")
+    """The bundled example system ``name``, built alone."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(_BUILTINS)}")
+    return _BUILTINS[name]()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Finite state-inclusive Koopman generators for autonomous drifts.
 
 The drift ``f(x, 0)`` is lifted through a dictionary of observables whose
-first ``n`` entries are the state coordinates themselves.  The generator is
-fit by least squares against analytically evaluated Lie derivatives
-``D_phi(x) @ f(x, 0)``, which keeps integrator noise out of the regression.
-Whatever the finite dictionary cannot represent, the representation error
+first ``n`` entries are the state coordinates themselves.  ``fit_koopman``
+is the one fit: at each sampled state it evaluates ``phi(x)``, the Lie
+derivative ``D_phi(x) @ f(x, 0)`` and the output ``h(x)`` once, then fits
+the generator ``A`` by ridge least squares against the analytic Lie
+derivatives (which keeps integrator noise out of the regression) and the
+output matrix ``C`` by minimum-norm least squares.  Whatever the finite
+dictionary cannot represent, the representation error
 ``D_phi(x) f(x, 0) - A phi(x)``, is evaluated by
 ``balance.balanced_nonlinear`` and priced by the norm-preserving
 factorization machinery.
@@ -26,8 +29,6 @@ __all__ = [
     "KoopmanModel",
     "build_dictionary",
     "collect_trajectories",
-    "fit_generator",
-    "fit_output_matrix",
     "fit_koopman",
     "lifted_control_term",
 ]
@@ -132,20 +133,15 @@ class TrajectoryDataset:
     """Sampled states used to fit the generator, with their provenance."""
 
     states: np.ndarray  # (N, n)
-    times: np.ndarray  # (N,)
     provenance: dict
 
     def __post_init__(self):
         states = np.asarray(self.states, float)
-        times = np.asarray(self.times, float).reshape(-1)
         if states.ndim != 2 or states.shape[0] == 0:
             raise ValueError("dataset must hold at least one state")
-        if states.shape[0] != times.size:
-            raise ValueError("states and times disagree in length")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(times))):
+        if not np.all(np.isfinite(states)):
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "times", times)
 
     @property
     def size(self) -> int:
@@ -166,11 +162,9 @@ def collect_trajectories(
     rng = np.random.default_rng(seed)
     t_eval = np.linspace(0.0, horizon, samples_per_trajectory)
     states = []
-    times = []
     for x0 in rng.uniform(-box, box, size=(count, n)):
         _, xs = integrate_ode(lambda t, x: f0(x), x0, (0.0, horizon), tol=tol, t_eval=t_eval)
         states.append(xs)
-        times.append(t_eval)
     provenance = {
         "seed": [int(v) for v in seed] if np.iterable(seed) else int(seed),
         "count": int(count),
@@ -179,36 +173,23 @@ def collect_trajectories(
         "box": float(box),
         "integrator_tol": float(tol),
     }
-    return TrajectoryDataset(np.vstack(states), np.concatenate(times), provenance)
+    return TrajectoryDataset(np.vstack(states), provenance)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KoopmanModel:
-    """Fitted lifted realization: generator, output matrix, residual data.
-
-    Treated as immutable once ``fit_koopman`` has attached the output matrix.
-    """
+    """Fitted lifted realization: generator, output matrix, residual data."""
 
     dictionary: Dictionary
     a: np.ndarray
-    c: np.ndarray | None
+    c: np.ndarray
     residual_gain: float
-    output_residual: float = 0.0
-    hurwitz: bool = False
+    output_residual: float
+    hurwitz: bool
 
     @property
     def q(self) -> int:
         return self.dictionary.q
-
-
-def _design_matrices(
-    f0: Callable, dictionary: Dictionary, states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    phis = np.stack([np.asarray(dictionary.evaluate(x), float) for x in states])
-    targets = np.stack(
-        [np.asarray(dictionary.jacobian(x), float) @ np.asarray(f0(x), float) for x in states]
-    )
-    return phis, targets
 
 
 def _ridge_least_squares(phis: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -231,78 +212,56 @@ def _split_indices(n_samples: int, seed: int):
     return perm[n_hold:], perm[:n_hold]
 
 
-def fit_generator(
+def fit_koopman(
     f0: Callable[[np.ndarray], np.ndarray],
+    h: Callable[[np.ndarray], np.ndarray],
     dictionary: Dictionary,
     data: TrajectoryDataset,
     seed: int = 0,
 ) -> KoopmanModel:
-    """Least-squares fit of the lifted generator against Lie derivatives.
+    """Fit the generator and the output matrix into one model.
 
-    The residual gain is the largest held-out ratio
+    ``phi(x)``, ``D_phi(x) @ f0(x)`` and ``h(x)`` are evaluated once per data
+    state.  The generator is a ridge least-squares fit on a random four
+    fifths of the states; its residual gain is the largest held-out ratio
     ``||D_phi(x) f0(x) - A phi(x)|| / ||phi(x)||``, an out-of-sample estimate
-    of the induced norm of the representation error.
+    of the induced norm of the representation error.  The output matrix is
+    the minimum-norm least-squares ``C`` on every state, so rank deficiency
+    is not an error; its worst fit error ``||h(x) - C phi(x)||`` is the
+    output residual, about zero whenever ``h`` lies in the span of the
+    observables.
     """
     if data.size < 2 * dictionary.q:
         raise ValueError(
             f"need at least {2 * dictionary.q} snapshots, got {data.size}"
         )
-    train_idx, hold_idx = _split_indices(data.size, seed)
-    phis, targets = _design_matrices(f0, dictionary, data.states)
-    a = _ridge_least_squares(phis[train_idx], targets[train_idx])
+    phis, targets, ys = [], [], []
+    for x in data.states:
+        phis.append(np.asarray(dictionary.evaluate(x), float))
+        targets.append(np.asarray(dictionary.jacobian(x), float) @ np.asarray(f0(x), float))
+        ys.append(np.atleast_1d(np.asarray(h(x), float)))
+    phis, targets, ys = np.stack(phis), np.stack(targets), np.stack(ys)
 
+    train_idx, hold_idx = _split_indices(data.size, seed)
+    a = _ridge_least_squares(phis[train_idx], targets[train_idx])
     residual_gain = 0.0
     for k in hold_idx:
         denom = np.linalg.norm(phis[k])
-        if denom == 0.0:
-            continue
-        residual_gain = max(
-            residual_gain, float(np.linalg.norm(targets[k] - a @ phis[k]) / denom)
-        )
-    hurwitz = is_hurwitz(a, margin=1e-10)
+        if denom > 0.0:
+            ratio = float(np.linalg.norm(targets[k] - a @ phis[k]) / denom)
+            residual_gain = max(residual_gain, ratio)
+
+    sol, *_ = np.linalg.lstsq(phis, ys, rcond=None)
+    c = sol.T
+    output_residual = max(float(np.linalg.norm(y - c @ phi)) for y, phi in zip(ys, phis))
     return KoopmanModel(
         dictionary=dictionary,
         a=a,
-        c=None,
+        c=c,
         residual_gain=residual_gain,
-        hurwitz=hurwitz,
+        output_residual=output_residual,
+        hurwitz=is_hurwitz(a, margin=1e-10),
     )
-
-
-def fit_output_matrix(
-    h: Callable[[np.ndarray], np.ndarray],
-    dictionary: Dictionary,
-    data: TrajectoryDataset,
-) -> tuple[np.ndarray, float]:
-    """Least-squares output matrix C with its worst-case fit residual.
-
-    Uses the minimum-norm solution, so rank deficiency is not an error.
-    Exact (residual ~ 0) whenever the output map lies in the span of the
-    observables.
-    """
-    phis = np.stack([np.asarray(dictionary.evaluate(x), float) for x in data.states])
-    ys = np.stack([np.atleast_1d(np.asarray(h(x), float)) for x in data.states])
-    sol, *_ = np.linalg.lstsq(phis, ys, rcond=None)
-    c = sol.T
-    residual = 0.0
-    for k in range(data.size):
-        residual = max(residual, float(np.linalg.norm(ys[k] - c @ phis[k])))
-    return c, residual
-
-
-def fit_koopman(
-    f0: Callable,
-    h: Callable,
-    dictionary: Dictionary,
-    data: TrajectoryDataset,
-    seed: int = 0,
-) -> KoopmanModel:
-    """Fit generator and output matrix into one model."""
-    model = fit_generator(f0, dictionary, data, seed=seed)
-    c, output_residual = fit_output_matrix(h, dictionary, data)
-    model.c = c
-    model.output_residual = output_residual
-    return model
 
 
 def lifted_control_term(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import numbers
 import os
 import time
@@ -40,7 +39,7 @@ from .certify import (
     lift_sensitivity_norms,
     output_embedding_gap,
 )
-from .expr import system_from_spec
+from .expr import check_dictionary, check_type, system_from_spec
 from .gsvd import MIN_SAMPLE_BUDGET, decompose, estimate_gains
 from .harness import (
     ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound, simulate_ensemble,
@@ -110,14 +109,6 @@ _DATA_DEFAULTS = {
 }
 
 
-def _check_type(name: str, value, types) -> None:
-    """Reject a value not of ``types``; a bool is not a number, a real must be finite."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name} has the wrong type: {value!r}")
-    if isinstance(value, _REAL) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 class MissingArtifactError(FileNotFoundError):
     """A stage was invoked before its prerequisite stage."""
 
@@ -147,19 +138,17 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, types in _CONFIG_TYPES.items():
-            _check_type(name, getattr(self, name), types)
+            check_type(name, getattr(self, name), types)
         for r in self.reduction_orders:
-            _check_type("reduction order", r, numbers.Integral)
+            check_type("reduction order", r, numbers.Integral)
         for key, value in self.data.items():
             if key not in _DATA_DEFAULTS:
                 raise ValueError(f"unknown data key {key!r}; known: {sorted(_DATA_DEFAULTS)}")
             kind = numbers.Integral if isinstance(_DATA_DEFAULTS[key], int) else _REAL
-            _check_type(f"data {key}", value, kind)
+            check_type(f"data {key}", value, kind)
             if kind is numbers.Integral and value < 1:
                 raise ValueError(f"data {key} must be at least 1, got {value!r}")
-        degree = (self.dictionary or {}).get("degree")
-        if degree is not None:
-            _check_type("dictionary degree", degree, numbers.Integral)
+        check_dictionary("dictionary", self.dictionary or {})
         self.reduction_orders = [int(r) for r in self.reduction_orders]
         if not self.reduction_orders:
             raise ValueError("reduction_orders must be nonempty")
@@ -173,8 +162,7 @@ class PipelineConfig:
             raise ValueError(
                 f"sample_budget must be at least {MIN_SAMPLE_BUDGET}, got {self.sample_budget!r}"
             )
-        positive = {"gain_box": self.gain_box, "horizon": self.horizon,
-                    "ode_tol": self.ode_tol, "dictionary degree": degree}
+        positive = {"gain_box": self.gain_box, "horizon": self.horizon, "ode_tol": self.ode_tol}
         for name, value in positive.items():
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
@@ -368,23 +356,22 @@ def stage_certify(config: PipelineConfig) -> dict:
         bal, np.asarray(dec["u"], float), np.asarray(dec["sigma"], float)
     )
 
+    def leg(red, seed):
+        # error factor -> feedback decomposition -> output gap, of the full
+        # balanced realization (red=None) or of one truncation
+        a, b, c = (bal.a_bal, bal.b_bal, bal.c_bal) if red is None else (red.a_r, red.b_r, red.c_r)
+        err = factor_error(bn, reduced=red, slack=slack, sample_budget=config.sample_budget,
+                           seed=seed, box=box)
+        fb = feedback_decomposition(a, b, err)
+        return fb, output_embedding_gap(c, fb.gp_norm)
+
     affine = is_control_affine(bn, seed=config.seed)
     gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
-    err_full = factor_error(
-        bn, reduced=None, slack=slack, sample_budget=config.sample_budget,
-        seed=[config.seed, _SEED_ERROR_FULL], box=box,
-    )
-    fb_full = feedback_decomposition(bal.a_bal, bal.b_bal, err_full)
-    gap_full = output_embedding_gap(bal.c_bal, fb_full.gp_norm)
+    fb_full, gap_full = leg(None, [config.seed, _SEED_ERROR_FULL])
 
     certs = []
     for red in reduced:
-        err_red = factor_error(
-            bn, reduced=red, slack=slack, sample_budget=config.sample_budget,
-            seed=[config.seed, _SEED_ERROR_REDUCED, red.order], box=box,
-        )
-        fb_red = feedback_decomposition(red.a_r, red.b_r, err_red)
-        gap_red = output_embedding_gap(red.c_r, fb_red.gp_norm)
+        fb_red, gap_red = leg(red, [config.seed, _SEED_ERROR_REDUCED, red.order])
         cert = build_certificate(
             order=red.order,
             full=fb_full,

@@ -189,7 +189,7 @@ class TestBalancedNonlinear:
         for _ in range(200):
             z = rng.uniform(-3, 3, size=3)
             assert np.linalg.norm(bn.error_map(z)) <= 1e-8
-            assert np.linalg.norm(bn.error_map_reduced(z[:2])) <= 1e-8
+            assert np.linalg.norm(bn.error_map(z[:2])) <= 1e-8
 
     def test_one_instance_serves_every_order(self):
         # identity dictionary: the slow-manifold drift leaves a nonzero error
@@ -202,7 +202,7 @@ class TestBalancedNonlinear:
             for _ in range(50):
                 z_r = rng.uniform(-2, 2, size=r)
                 full = bn.error_map(np.concatenate([z_r, np.zeros(bal.q - r)]))[:r]
-                got = bn.error_map_reduced(z_r)
+                got = bn.error_map(z_r)
                 assert np.linalg.norm(full) > 0.0
                 assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
 

@@ -315,13 +315,16 @@ class TestCliEntry:
             '{"system": "tanh_first_order", "reduction_orders": [1], "ensemble_count": 0}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "sample_budget": 99}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectories": 0}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1],'
+            ' "dictionary": {"kind": "identity", "degre": 2}}',
         ],
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
              "dictionary-string", "slack-string", "orders-nested", "seed-list",
              "output-dir-number", "seed-bool", "slack-nan", "gain-box-negative",
              "horizon-negative", "ode-tol-zero", "ode-tol-nan", "data-value-list",
              "data-key-misspelt", "degree-string", "degree-fractional",
-             "ensemble-count-zero", "sample-budget-small", "data-trajectories-zero"],
+             "ensemble-count-zero", "sample-budget-small", "data-trajectories-zero",
+             "dictionary-key-misspelt"],
     )
     def test_malformed_config_exits_one(self, tmp_path, monkeypatch, capsys, text):
         # no --out: it would override a malformed output_dir; run inside
@@ -370,6 +373,48 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error [{command}]: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"f": 5}, "system f has the wrong type: 5"),
+            ({"dictionary": 5}, "system dictionary has the wrong type: 5"),
+            ({"f": [{"op": "neg", "args": 5}]}, "neg arguments has the wrong type: 5"),
+            ({"f": [{"var": 1}]}, "bad variable 1"),
+            ({"f": [{"var": ""}]}, "bad variable ''"),
+            ({"n": 1.5}, "system n has the wrong type: 1.5"),
+            ({"lipschitz_u": None, "lipschitz": 1.0}, "unknown keys ['lipschitz']"),
+            ({"name": [1]}, "system name has the wrong type: [1]"),
+            ({"lipschitz_u": float("nan")}, "system lipschitz_u must be finite"),
+            ({"gain_box": -1}, "system gain_box must be positive, got -1"),
+            ({"f": [{"op": ["neg"], "args": [{"var": "x1"}]}]},
+             "expression operator has the wrong type"),
+            ({"f": [{"op": "pow", "args": [{"var": "x1"}, None]}]},
+             "pow exponent must be a constant"),
+            ({"f": [{"op": "mul", "args": [{"const": [1]}, {"var": "x1"}]}]},
+             "expression constant has the wrong type: [1]"),
+            ({"dictionary": {"kind": "monomials", "exponents": 5}},
+             "system dictionary exponents has the wrong type: 5"),
+            ({"dictionary": {"kind": "monomials", "degree": "2"}},
+             "system dictionary degree has the wrong type: '2'"),
+        ],
+        ids=["f-number", "dictionary-number", "args-number", "var-number", "var-empty",
+             "n-fractional", "lipschitz-key-misspelt", "name-list", "lipschitz-nan",
+             "gain-box-negative", "op-list", "pow-exponent-null", "const-list",
+             "exponents-number", "degree-string"],
+    )
+    def test_malformed_system_spec_exits_one(self, tmp_path, capsys, change, message):
+        lag = {"op": "add", "args": [
+            {"op": "neg", "args": [{"var": "x1"}]}, {"op": "tanh", "args": [{"var": "u1"}]}]}
+        spec = {"name": "lag", "n": 1, "l": 1, "p": 1, "f": [lag], "h": [{"var": "x1"}],
+                "lipschitz_u": 1.0}
+        spec = {k: v for k, v in {**spec, **change}.items() if v is not None}
+        path, _ = write_config(tmp_path, system=spec)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [run]: ")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_variable_out_of_range_exits_one(self, tmp_path, capsys):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [{"var": "x1"}],

@@ -91,6 +91,14 @@ class TestSystemFromSpec:
         with pytest.raises(ValueError, match="vanish"):
             system_from_spec(bad)
 
+    def test_nan_at_origin_rejected(self):
+        # inf - inf: f(0, 0) is NaN, which a "norm > tol" test lets through
+        inf = {"op": "mul", "args": [1e308, 10]}
+        bad = dict(TANH_FIRST_ORDER_SPEC)
+        bad["f"] = [{"op": "add", "args": [{"op": "sub", "args": [inf, inf]}, {"var": "x1"}]}]
+        with pytest.raises(ValueError, match="vanish"):
+            system_from_spec(bad)
+
     def test_sampled_lipschitz_fallback(self):
         spec = {k: v for k, v in TANH_FIRST_ORDER_SPEC.items() if k != "lipschitz_u"}
         sysd = system_from_spec(spec)

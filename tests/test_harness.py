@@ -58,6 +58,27 @@ class TestBuiltinSystems:
         names = {s.name for s in builtin_systems()}
         assert {"lti6", "slow_manifold", "slow_manifold_identity", "tanh_first_order"} <= names
 
+    def test_get_builtin_builds_only_the_named_system(self, monkeypatch):
+        built = []
+        check = ControlSystem.__post_init__
+
+        def counted(self):
+            built.append(self.name)
+            check(self)
+
+        monkeypatch.setattr(ControlSystem, "__post_init__", counted)
+        for name in ("lti6", "mild_cubic"):
+            built.clear()
+            assert get_builtin(name).name == name
+            assert built == [name]
+        with pytest.raises(KeyError, match="unknown builtin system 'nope'"):
+            get_builtin("nope")
+        assert built == [name]
+        built.clear()
+        assert [s.name for s in builtin_systems()] == built == [
+            "lti6", "slow_manifold", "slow_manifold_identity", "tanh_first_order", "mild_cubic",
+        ]
+
     def test_lti6_drift_is_hurwitz(self):
         sysd = get_builtin("lti6")
         basis = np.eye(6)

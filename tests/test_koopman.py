@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from koopgram.koopman import (
     TrajectoryDataset,
     build_dictionary,
     collect_trajectories,
-    fit_generator,
-    fit_output_matrix,
+    fit_koopman,
 )
 
 
@@ -67,21 +68,25 @@ class TestBuildDictionary:
 class TestTrajectoryDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            TrajectoryDataset(np.zeros((0, 2)), np.zeros(0), {})
+            TrajectoryDataset(np.zeros((0, 2)), {})
+
+
+def state_output(x):
+    return x.copy()
 
 
 class TestFitGenerator:
     def test_scalar_linear_is_exact(self):
         d = build_dictionary("identity", 1)
         data = collect_trajectories(lambda x: -x, 1, count=10, seed=1)
-        model = fit_generator(lambda x: -x, d, data)
+        model = fit_koopman(lambda x: -x, state_output, d, data)
         assert np.allclose(model.a, [[-1.0]], atol=1e-12)
         assert model.residual_gain <= 1e-10
         assert model.hurwitz
 
     def test_slow_manifold_generator(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        model = fit_generator(slow_manifold_drift, d, slow_manifold_data)
+        model = fit_koopman(slow_manifold_drift, state_output, d, slow_manifold_data)
         assert np.allclose(model.a, SLOW_MANIFOLD_GENERATOR, atol=1e-8)
         assert model.residual_gain <= 1e-8
         assert model.hurwitz
@@ -92,39 +97,74 @@ class TestFitGenerator:
 
         d = build_dictionary("identity", 2)
         data = collect_trajectories(vdp, 2, count=20, horizon=2.0, box=2.0, seed=2)
-        model = fit_generator(vdp, d, data)
+        model = fit_koopman(vdp, state_output, d, data)
         assert model.residual_gain > 0.1
 
     def test_requires_enough_snapshots(self):
         d = build_dictionary("monomials", 2, degree=3)
-        tiny = TrajectoryDataset(np.ones((3, 2)), np.zeros(3), {})
+        tiny = TrajectoryDataset(np.ones((3, 2)), {})
         with pytest.raises(ValueError, match="snapshots"):
-            fit_generator(slow_manifold_drift, d, tiny)
+            fit_koopman(slow_manifold_drift, state_output, d, tiny)
 
     def test_hurwitz_flag_matches_spectrum(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        model = fit_generator(slow_manifold_drift, d, slow_manifold_data)
+        model = fit_koopman(slow_manifold_drift, state_output, d, slow_manifold_data)
         assert model.hurwitz == (np.max(np.linalg.eigvals(model.a).real) < -1e-10)
+
+
+def fit_output(h, d, data):
+    model = fit_koopman(slow_manifold_drift, h, d, data)
+    return model.c, model.output_residual
 
 
 class TestFitOutputMatrix:
     def test_coordinate_output(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        c, residual = fit_output_matrix(lambda x: np.array([x[0]]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: np.array([x[0]]), d, slow_manifold_data)
         assert np.allclose(c, [[1.0, 0.0, 0.0]], atol=1e-10)
         assert residual <= 1e-10
 
     def test_monomial_output_in_span(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        c, residual = fit_output_matrix(lambda x: np.array([x[0] ** 2]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: np.array([x[0] ** 2]), d, slow_manifold_data)
         assert np.allclose(c, [[0.0, 0.0, 1.0]], atol=1e-10)
         assert residual <= 1e-10
 
     def test_out_of_span_output_reports_residual(self, slow_manifold_data):
         d = build_dictionary("identity", 2)
-        c, residual = fit_output_matrix(lambda x: np.array([np.sin(x[0])]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: np.array([np.sin(x[0])]), d, slow_manifold_data)
         phis = slow_manifold_data.states
         ys = np.sin(phis[:, :1])
         ref, *_ = np.linalg.lstsq(phis, ys, rcond=None)
         assert np.allclose(c, ref.T, atol=1e-10)
         assert residual > 1e-3
+
+
+class TestFitKoopman:
+    def test_evaluates_each_callable_once_per_state(self, slow_manifold_data):
+        d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
+        calls = {"evaluate": 0, "jacobian": 0, "f0": 0, "h": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapper
+
+        counted_d = dataclasses.replace(
+            d, evaluate=counted("evaluate", d.evaluate), jacobian=counted("jacobian", d.jacobian)
+        )
+        fit_koopman(
+            counted("f0", slow_manifold_drift), counted("h", state_output), counted_d,
+            slow_manifold_data,
+        )
+        size = slow_manifold_data.size
+        assert calls == {"evaluate": size, "jacobian": size, "f0": size, "h": size}
+
+    def test_model_is_frozen_and_complete(self, slow_manifold_data):
+        d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
+        model = fit_koopman(slow_manifold_drift, state_output, d, slow_manifold_data)
+        assert model.c.shape == (2, d.q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.c = None
