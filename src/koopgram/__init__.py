@@ -40,7 +40,6 @@ from .gsvd import (
     GsvdFactor,
     SlackViolationError,
     decompose,
-    decompose_linear_plus,
     estimate_gains,
 )
 from .harness import (
@@ -106,7 +105,6 @@ __all__ = [
     "compile_expression",
     "control_truncation_gain",
     "decompose",
-    "decompose_linear_plus",
     "estimate_gains",
     "estimate_gap",
     "factor_error",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gsvd
 from .koopman import KoopmanModel
-from .linalg import LtiSystem, SpectrumError, is_hurwitz, pinv, solve_lyapunov
+from .linalg import LtiSystem, SpectrumError, is_hurwitz, solve_lyapunov
 
 __all__ = [
     "MinimalityError",
@@ -164,18 +164,12 @@ class BalancedNonlinear:
     representation error, which feeds the error factorizations.
     ``f_reduced`` simulates the truncated lifted realization, which is the
     object the certificates actually bound: the truncated balanced drift
-    matrix plus the field at the current input, so an exactly represented
-    linear plant reduces to classical balanced truncation.  ``f_u`` maps
-    the control term at the recovered state ``R z`` back through the
-    recovery pseudoinverse; it is what the control-affinity detection
-    samples.
+    matrix plus the field at the current input.
     """
 
-    f_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f_reduced: Callable[[np.ndarray, np.ndarray], np.ndarray]
     error_map: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
-    input_dim: int
     model: KoopmanModel
 
 
@@ -186,10 +180,8 @@ def balanced_nonlinear(
     bal: BalancedRealization,
 ) -> BalancedNonlinear:
     """Construct the nonlinear evaluators in balanced and reduced coordinates."""
-    l = int(input_dim)
-    zero_u = np.zeros(l)
+    zero_u = np.zeros(int(input_dim))
     r_mat = bal.r
-    r_pinv = pinv(r_mat)
     t = bal.t
     a_bal = bal.a_bal
     dict_eval = model.dictionary.evaluate
@@ -201,10 +193,6 @@ def balanced_nonlinear(
             - model.a @ np.asarray(dict_eval(x), float)
         )
 
-    def f_u(z, u):
-        x = r_mat @ z
-        return r_pinv @ (np.asarray(f(x, u), float) - np.asarray(f(x, zero_u), float))
-
     def error_map(z):
         order = len(z)
         return (t @ lifted(r_mat[:, :order] @ z, zero_u))[:order]
@@ -213,9 +201,7 @@ def balanced_nonlinear(
         order = len(z_r)
         return a_bal[:order, :order] @ z_r + (t @ lifted(r_mat[:, :order] @ z_r, u))[:order]
 
-    return BalancedNonlinear(
-        f_u=f_u, f_reduced=f_reduced, error_map=error_map, bal=bal, input_dim=l, model=model,
-    )
+    return BalancedNonlinear(f_reduced=f_reduced, error_map=error_map, bal=bal, model=model)
 
 
 def factor_error(
@@ -225,23 +211,20 @@ def factor_error(
     sample_budget: int = 1000,
     seed: int = 0,
     box: float = 5.0,
-) -> gsvd.GsvdFactor:
+) -> gsvd.GsvdFactor | None:
     """Factor the balanced representation error, or its truncation to ``reduced``.
 
     ``reduced`` only picks the dimension: ``bn.error_map`` is factored on
     all ``q`` balanced coordinates for ``None``, on the leading
     ``reduced.order`` ones otherwise.  Exactness is decided by the model's
     held-out residual gain: at or below ``EXACT_RESIDUAL_TOL`` the residual
-    is regression rounding, not structure, and the error block is
-    identically zero.  Otherwise per-coordinate gains are sampled over
-    those coordinates.
+    is regression rounding, not structure, and there is no error block, so
+    the result is ``None`` (``certify.feedback_decomposition`` reads it as
+    error gain 0).  Otherwise per-coordinate gains are sampled over those
+    coordinates.
     """
-    dim = bn.bal.q if reduced is None else reduced.order
-
     if bn.model.residual_gain <= EXACT_RESIDUAL_TOL:
-        zero = lambda z: np.zeros(dim)
-        gains = gsvd.GainProfile(np.zeros(dim), source="sampled_estimate", sample_count=0)
-        return gsvd.decompose(zero, dim, gains, slack=slack)
-
+        return None
+    dim = bn.bal.q if reduced is None else reduced.order
     gains = gsvd.estimate_gains(bn.error_map, dim, sample_budget=sample_budget, seed=seed, box=box)
     return gsvd.decompose(bn.error_map, dim, gains, slack=slack)

@@ -13,10 +13,11 @@ distinguish "violated" from "large".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .balance import BalancedNonlinear, BalancedRealization
+from .balance import BalancedRealization
 from .gsvd import GsvdFactor, sigma_pinv
 from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, spectral_norm
 
@@ -34,8 +35,6 @@ __all__ = [
     "build_certificate",
 ]
 
-# error gains at or below this level certify an exactly represented drift
-EXACT_GAIN_TOL = 1e-9
 # control-affinity probe: states sampled per input, their box half-width, and
 # the relative deviation of the balanced control term that counts as state
 # dependence
@@ -141,16 +140,22 @@ def feedback_decomposition(a, b, error_factor: GsvdFactor | None) -> FeedbackDec
     )
 
 
-def is_control_affine(bn: BalancedNonlinear, seed: int = 0) -> bool:
-    """Detect a state-independent balanced control term by sampling."""
+def is_control_affine(f: Callable, l: int, bal: BalancedRealization, seed: int = 0) -> bool:
+    """Detect a state-independent balanced control term by sampling the probe
+    ``pinv(R) @ (f(R z, u) - f(R z, 0))`` over balanced states ``z``."""
     rng = np.random.default_rng(seed)
-    q = bn.bal.q
-    l = bn.input_dim
+    r_pinv = pinv(bal.r)
+    zero_u = np.zeros(l)
+
+    def probe(z, u):
+        x = bal.r @ z
+        return r_pinv @ (np.asarray(f(x, u), float) - np.asarray(f(x, zero_u), float))
+
     for u in (np.ones(l), rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=l)):
-        base = bn.f_u(np.zeros(q), u)
+        base = probe(np.zeros(bal.q), u)
         scale = 1.0 + float(np.linalg.norm(base))
-        for z in rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, q)):
-            fz = bn.f_u(z, u)
+        for z in rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, bal.q)):
+            fz = probe(z, u)
             dev = float(np.linalg.norm(fz - base))
             scale = max(scale, 1.0 + float(np.linalg.norm(fz)))
             if dev > AFFINE_TOL * scale:
@@ -216,11 +221,11 @@ def build_certificate(
 ) -> ErrorCertificate:
     """Assemble the five-term certificate (or its exact-path collapse).
 
-    When both error gains sit at the exact-representation tolerance there is
-    no feedback to remove and the direct truncation bound applies; otherwise
-    the total is the sum of the two output gaps, the two removal gaps, and
-    the truncation core, provided both loops satisfy the small-gain
-    condition.
+    When both error gains are exactly zero (no error block, see
+    ``balance.factor_error``) there is no feedback to remove and the direct
+    truncation bound applies; otherwise the total is the sum of the two
+    output gaps, the two removal gaps, and the truncation core, provided
+    both loops satisfy the small-gain condition.
     """
     tail = np.asarray(hsv_tail, float).reshape(-1)
     hankel_tail = float(tail.sum())
@@ -230,7 +235,7 @@ def build_certificate(
     removal_full = feedback_removal_gap(full.gp_norm, full.ge_gain)
     removal_reduced = feedback_removal_gap(reduced.gp_norm, reduced.ge_gain)
 
-    exact = full.ge_gain <= EXACT_GAIN_TOL and reduced.ge_gain <= EXACT_GAIN_TOL
+    exact = full.ge_gain == 0.0 and reduced.ge_gain == 0.0
     failing = None
     if exact:
         total = trunc_bound

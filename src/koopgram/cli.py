@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .balance import MinimalityError
-from .gsvd import SlackViolationError
 from .pipeline import _STAGES, MissingArtifactError, PipelineConfig, run_pipeline, stage_report
 
 _STAGE_COMMANDS = dict(_STAGES)
@@ -79,7 +77,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
-        MinimalityError, SlackViolationError, ValueError, KeyError,
+        ValueError, KeyError,
+        # MinimalityError and SlackViolationError are ValueErrors;
         # StiffnessError and hinf_norm's bracket failure are RuntimeErrors;
         # expression systems evaluate in Python floats and raise
         # ZeroDivisionError or OverflowError; an unwritable output directory

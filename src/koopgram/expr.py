@@ -91,8 +91,9 @@ def _is_constant(tree) -> bool:
     return isinstance(tree, (int, float)) or (isinstance(tree, dict) and "const" in tree)
 
 
-def compile_expression(tree) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Compile a JSON expression tree into ``(x, u) -> float``."""
+def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Compile a JSON expression tree over ``x1..xn`` and ``u1..ul`` into
+    ``(x, u) -> float``."""
     if _is_constant(tree):
         value = tree["const"] if isinstance(tree, dict) else tree
         check_type("expression constant", value, numbers.Real)
@@ -105,6 +106,10 @@ def compile_expression(tree) -> Callable[[np.ndarray, np.ndarray], float]:
         if not (isinstance(name, str) and name[:1] in ("x", "u") and name[1:].isdigit()
                 and int(name[1:]) >= 1):
             raise ValueError(f"bad variable {name!r}: use x1..xn or u1..ul")
+        # checked here, where the dimensions are known, not as an IndexError
+        # at evaluation
+        if int(name[1:]) > (n if name[0] == "x" else l):
+            raise ValueError(f"variable {name!r} is out of range: use x1..x{n} or u1..u{l}")
         k = int(name[1:]) - 1
         if name[0] == "x":
             return lambda x, u: float(x[k])
@@ -117,7 +122,7 @@ def compile_expression(tree) -> Callable[[np.ndarray, np.ndarray], float]:
         if op in _UNARY:
             if len(args) != 1:
                 raise ValueError(f"{op} takes one argument")
-            inner = compile_expression(args[0])
+            inner = compile_expression(args[0], n, l)
             fn = _UNARY[op]
             return lambda x, u: float(fn(inner(x, u)))
         if op in _BINARY:
@@ -125,21 +130,12 @@ def compile_expression(tree) -> Callable[[np.ndarray, np.ndarray], float]:
                 raise ValueError(f"{op} takes two arguments")
             if op == "pow" and not _is_constant(args[1]):
                 raise ValueError("pow exponent must be a constant")
-            left = compile_expression(args[0])
-            right = compile_expression(args[1])
+            left = compile_expression(args[0], n, l)
+            right = compile_expression(args[1], n, l)
             fn = _BINARY[op]
             return lambda x, u: float(fn(left(x, u), right(x, u)))
         raise ValueError(f"unknown operator {op!r}")
     raise ValueError(f"bad expression node: {tree!r}")
-
-
-def _variables(tree):
-    """The variable names a tree reads."""
-    if isinstance(tree, dict):
-        if "var" in tree:
-            yield tree["var"]
-        for arg in tree.get("args", []):
-            yield from _variables(arg)
 
 
 def _sampled_lipschitz_u(f, n: int, l: int, seed: int = 0, samples: int = 400) -> float:
@@ -194,14 +190,8 @@ def system_from_spec(spec: dict) -> ControlSystem:
         raise ValueError(f"need {n} state derivative expressions, got {len(f_trees)}")
     if len(h_trees) != p:
         raise ValueError(f"need {p} output expressions, got {len(h_trees)}")
-    f_fns = [compile_expression(t) for t in f_trees]
-    h_fns = [compile_expression(t) for t in h_trees]
-    # compiling checked each variable's form; its index is checked here,
-    # where the dimensions are known, not as an IndexError at evaluation
-    for tree in [*f_trees, *h_trees]:
-        for var in _variables(tree):
-            if int(var[1:]) > (n if var[0] == "x" else l):
-                raise ValueError(f"variable {var!r} is out of range: use x1..x{n} or u1..u{l}")
+    f_fns = [compile_expression(t, n, l) for t in f_trees]
+    h_fns = [compile_expression(t, n, l) for t in h_trees]
 
     def f(x, u):
         return np.array([fn(x, u) for fn in f_fns])

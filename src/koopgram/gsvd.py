@@ -18,7 +18,7 @@ carrying the witness point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "estimate_gains",
     "sigma_pinv",
     "decompose",
-    "decompose_linear_plus",
 ]
 
 # normalized radicand values in [-RADICAND_CLAMP, 0) count as touching zero
@@ -92,7 +91,6 @@ class GsvdFactor:
     kernel_dim: int
     map: Callable[..., np.ndarray]
     gains: GainProfile | None = None
-    violation_hint: str = "per-coordinate gain bounds were underestimated"
     _sigma_pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -137,7 +135,7 @@ class GsvdFactor:
         if ratio < -RADICAND_CLAMP:
             raise SlackViolationError(
                 f"kernel radicand {ratio:.3e} is negative: "
-                f"{self.violation_hint} at the reported witness",
+                "per-coordinate gain bounds were underestimated at the reported witness",
                 witness=args,
                 radicand=ratio,
             )
@@ -281,34 +279,3 @@ def decompose(
         u=u, sigma=sigma, slack=slack, kernel_dim=dims[-1], map=f, gains=gains
     )
 
-
-def decompose_linear_plus(
-    f: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    sigma_sup: Sequence[float],
-) -> GsvdFactor:
-    """Factor a map whose pointwise singular profile the caller supplies.
-
-    ``sigma_sup`` must hold the per-coordinate suprema of the pointwise
-    singular values, sorted nonincreasing; under that assertion the kernel
-    radicand is nonnegative without any inflation and the factor is tight.
-    A negative radicand at evaluation time reports the witness: the supplied
-    suprema (hence the structural assumption) were violated.
-    """
-    sup = np.asarray(sigma_sup, float).reshape(-1)
-    if np.any(sup < 0) or not np.all(np.isfinite(sup)):
-        raise ValueError("sigma_sup must be finite and nonnegative")
-    if np.any(np.diff(sup) > 0):
-        raise ValueError("sigma_sup must be sorted nonincreasing")
-    p = sup.size
-    sigma = np.zeros((p, p + n))
-    np.fill_diagonal(sigma, sup)
-    return GsvdFactor(
-        u=np.eye(p),
-        sigma=sigma,
-        slack=1.0,
-        kernel_dim=n,
-        map=f,
-        gains=GainProfile(sup, source="user_supplied"),
-        violation_hint="the supplied singular-value suprema (structural membership) were violated",
-    )

@@ -207,9 +207,16 @@ class Signal:
         return self.fn(np.atleast_1d(np.asarray(t, float)))[0]
 
 
-def signal_l2_norm(fn: Callable, horizon: float, n_points: int = 40_001) -> float:
+# Simpson nodes of ``signal_l2_norm``, the band (rad/s) ``input_ensemble``
+# sweeps, and the slack ``judge_bound`` leaves for integration and quadrature
+L2_QUADRATURE_POINTS = 40_001
+FREQ_BAND = (0.05, 12.0)
+VERDICT_CUSHION = 1e-6
+
+
+def signal_l2_norm(fn: Callable, horizon: float) -> float:
     """Fine-quadrature L2 norm of a vector-valued signal."""
-    ts = np.linspace(0.0, horizon, n_points)
+    ts = np.linspace(0.0, horizon, L2_QUADRATURE_POINTS)
     vals = fn(ts)
     sq = np.sum(vals * vals, axis=1)
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
@@ -244,16 +251,10 @@ def _chirp(amp, decay, omega0, rate, phases):
     return fn
 
 
-def input_ensemble(
-    l: int,
-    horizon: float,
-    count: int,
-    seed: int = 0,
-    freq_band: tuple[float, float] = (0.05, 12.0),
-) -> list[Signal]:
+def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Signal]:
     """Deterministic probing family: decayed tones, noise bursts, chirps.
 
-    Tones sweep the frequency band on a log grid with slow decay, so their
+    Tones sweep ``FREQ_BAND`` on a log grid with slow decay, so their
     energy concentrates near one frequency; bursts and chirps cover the band
     broadly.  Every signal carries its fine-quadrature L2 norm.
     """
@@ -262,7 +263,7 @@ def input_ensemble(
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
-    lo, hi = freq_band
+    lo, hi = FREQ_BAND
     n_chirps = count // 5
     n_bursts = count // 5
     n_tones = count - n_chirps - n_bursts
@@ -362,7 +363,7 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
             ds[part] = rhs(s[part], u)
         return ds
 
-    _, states = integrate_ode(field, np.zeros(edges[-1]), (0.0, signal.horizon), tol=tol, t_eval=grid)
+    states = integrate_ode(field, np.zeros(edges[-1]), grid, tol)
     return [states[:, part] for _, part in parts]
 
 
@@ -432,16 +433,14 @@ def estimate_gap(
     return GainEstimate(value=float(value), per_signal=per_signal, ensemble=description, excluded=excluded)
 
 
-def judge_bound(
-    bound: float | None, empirical: float, excluded: int, cushion: float = 1e-6
-) -> tuple[str, float | None]:
+def judge_bound(bound: float | None, empirical: float, excluded: int) -> tuple[str, float | None]:
     """The verdict rule: PASS needs the bound honored and zero exclusions.
 
-    The cushion absorbs integration and quadrature error; an unbounded
-    certificate is skipped rather than judged.
+    ``VERDICT_CUSHION`` absorbs integration and quadrature error; an
+    unbounded certificate is skipped rather than judged.
     """
     if bound is None:
         return "SKIPPED-SMALL-GAIN", None
-    ok = empirical <= bound + cushion and excluded == 0
+    ok = empirical <= bound + VERDICT_CUSHION and excluded == 0
     tightness = empirical / bound if bound > 0 else None
     return ("PASS" if ok else "FAIL"), tightness

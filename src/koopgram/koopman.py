@@ -163,8 +163,7 @@ def collect_trajectories(
     t_eval = np.linspace(0.0, horizon, samples_per_trajectory)
     states = []
     for x0 in rng.uniform(-box, box, size=(count, n)):
-        _, xs = integrate_ode(lambda t, x: f0(x), x0, (0.0, horizon), tol=tol, t_eval=t_eval)
-        states.append(xs)
+        states.append(integrate_ode(lambda t, x: f0(x), x0, t_eval, tol))
     provenance = {
         "seed": [int(v) for v in seed] if np.iterable(seed) else int(seed),
         "count": int(count),
@@ -185,6 +184,7 @@ class KoopmanModel:
     c: np.ndarray
     residual_gain: float
     output_residual: float
+    output_scale: float
     hurwitz: bool
 
     @property
@@ -229,7 +229,7 @@ def fit_koopman(
     the minimum-norm least-squares ``C`` on every state, so rank deficiency
     is not an error; its worst fit error ``||h(x) - C phi(x)||`` is the
     output residual, about zero whenever ``h`` lies in the span of the
-    observables.
+    observables; the output scale is the largest ``||h(x)||``.
     """
     if data.size < 2 * dictionary.q:
         raise ValueError(
@@ -260,6 +260,7 @@ def fit_koopman(
         c=c,
         residual_gain=residual_gain,
         output_residual=output_residual,
+        output_scale=max(float(np.linalg.norm(y)) for y in ys),
         hurwitz=is_hurwitz(a, margin=1e-10),
     )
 

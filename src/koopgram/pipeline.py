@@ -53,7 +53,7 @@ from .koopman import (
     fit_koopman,
     lifted_control_term,
 )
-from .linalg import LtiSystem, hinf_norm
+from .linalg import MIN_ODE_TOL, LtiSystem, hinf_norm
 
 __all__ = [
     "PipelineConfig",
@@ -162,10 +162,16 @@ class PipelineConfig:
             raise ValueError(
                 f"sample_budget must be at least {MIN_SAMPLE_BUDGET}, got {self.sample_budget!r}"
             )
-        positive = {"gain_box": self.gain_box, "horizon": self.horizon, "ode_tol": self.ode_tol}
+        positive = {
+            "gain_box": self.gain_box, "horizon": self.horizon, "data horizon": self.data.get("horizon"),
+        }
         for name, value in positive.items():
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        tols = {"ode_tol": self.ode_tol, "data tol": self.data.get("tol", _DATA_DEFAULTS["tol"])}
+        for name, value in tols.items():
+            if value < MIN_ODE_TOL:
+                raise ValueError(f"{name} must be at least {MIN_ODE_TOL:.3g}, got {value!r}")
         self.seed = int(self.seed)
 
     @classmethod
@@ -276,11 +282,11 @@ def stage_fit_koopman(config: PipelineConfig) -> dict:
     model = fit_koopman(
         system.drift, system.h, dictionary, data, seed=config.seed
     )
-    scale = max(float(np.linalg.norm(np.atleast_1d(system.h(x)))) for x in data.states)
-    if model.output_residual > OUTPUT_RESIDUAL_TOL * scale:
+    if model.output_residual > OUTPUT_RESIDUAL_TOL * model.output_scale:
         raise ValueError(
             f"output residual {model.output_residual:.3g} exceeds {OUTPUT_RESIDUAL_TOL:g} "
-            f"times the output scale {scale:.3g}: the dictionary must span the output map h"
+            f"times the output scale {model.output_scale:.3g}: the dictionary must span the "
+            "output map h"
         )
     payload = {
         **vars(model),
@@ -365,7 +371,7 @@ def stage_certify(config: PipelineConfig) -> dict:
         fb = feedback_decomposition(a, b, err)
         return fb, output_embedding_gap(c, fb.gp_norm)
 
-    affine = is_control_affine(bn, seed=config.seed)
+    affine = is_control_affine(system.f, system.l, bal, seed=config.seed)
     gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
     fb_full, gap_full = leg(None, [config.seed, _SEED_ERROR_FULL])
 

@@ -20,7 +20,6 @@ from koopgram.certify import (
 from koopgram.gsvd import (
     GainProfile,
     decompose,
-    decompose_linear_plus,
     estimate_gains,
 )
 from koopgram.harness import get_builtin, judge_bound
@@ -60,16 +59,16 @@ def test_criterion_1_norm_preservation_and_reconstruction():
     f4 = lambda x: np.array([np.sin(x[0] + x[2]), np.tanh(x[1]), 0.5 * x[2]])
     factors.append((decompose(f4, 3, estimate_gains(f4, 3, 2000, seed=1)), 3, None))
     factors.append((decompose(lambda x: np.zeros(2), 2, GainProfile([0.0, 0.0])), 2, None))
-    # caller-supplied singular profiles
+    # caller-supplied gain profiles, asserted exact (slack 1)
     a_lin = np.diag([2.0, 1.0]) @ _rotation(0.37)
-    factors.append((decompose_linear_plus(lambda x: a_lin @ x, 2, [2.0, 1.0]), 2, None))
+    factors.append((decompose(lambda x: a_lin @ x, 2, GainProfile([2.0, 1.0]), slack=1.0), 2, None))
 
     def radial(x):
         r = np.linalg.norm(x)
         return x * (np.tanh(r) / r) if r > 0 else np.zeros_like(x)
 
-    factors.append((decompose_linear_plus(radial, 3, [1.0, 1.0, 1.0]), 3, None))
-    factors.append((decompose_linear_plus(lambda x: np.zeros(2), 2, [0.0, 0.0]), 2, None))
+    factors.append((decompose(radial, 3, GainProfile([1.0, 1.0, 1.0]), slack=1.0), 3, None))
+    factors.append((decompose(lambda x: np.zeros(2), 2, GainProfile([0.0, 0.0]), slack=1.0), 2, None))
     # control-argument maps, norm carried by the second argument
     fu1 = lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])])
     factors.append((decompose(fu1, (1, 1), GainProfile([1.0])), 1, 1))
@@ -79,7 +78,7 @@ def test_criterion_1_norm_preservation_and_reconstruction():
     fu3 = lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])])
     factors.append((decompose(fu3, (2, 1), GainProfile([0.3, 1.0])), 2, 1))
 
-    assert len(factors) >= 10
+    assert len(factors) == 11
     ok = True
     for factor, n, l in factors:
         for _ in range(1000):

@@ -3,6 +3,7 @@ import pytest
 
 from koopgram import pipeline
 from koopgram.balance import (
+    EXACT_RESIDUAL_TOL,
     BalancedRealization,
     MinimalityError,
     balance,
@@ -11,6 +12,7 @@ from koopgram.balance import (
     gramians,
     truncate,
 )
+from koopgram.certify import feedback_decomposition
 from koopgram.gsvd import decompose, estimate_gains
 from koopgram.koopman import (
     build_dictionary,
@@ -176,8 +178,11 @@ class TestBalancedNonlinear:
         bn = balanced_nonlinear(f, 1, model, bal)
         rng = np.random.default_rng(25)
         for _ in range(200):
+            # at u = 0 the field is the drift matrix plus the representation
+            # error, with no control contribution
             z = rng.normal(size=3)
-            assert np.allclose(bn.f_u(z, np.zeros(1)), 0.0, atol=1e-12)
+            drift = bal.a_bal @ z + bn.error_map(z)
+            assert np.allclose(bn.f_reduced(z, np.zeros(1)), drift, atol=1e-12)
         assert np.allclose(bn.f_reduced(np.zeros(3), np.zeros(1)), 0.0, atol=1e-12)
 
     def test_error_map_vanishes_for_exact_dictionary(self):
@@ -212,9 +217,7 @@ class TestBalancedNonlinear:
         model, factor, bal = fit_pipeline(f, h, d)
         x0 = np.array([0.8, -0.5])
         t_eval = np.linspace(0.0, 3.0, 31)
-        _, xs = integrate_ode(
-            lambda t, x: f(x, np.zeros(1)), x0, (0.0, 3.0), tol=1e-10, t_eval=t_eval
-        )
+        xs = integrate_ode(lambda t, x: f(x, np.zeros(1)), x0, t_eval, 1e-10)
         for x in xs:
             z = bal.t @ d.evaluate(x)
             assert np.linalg.norm(bal.r @ z - x) <= 1e-8
@@ -226,8 +229,12 @@ class TestFactorError:
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
         model, factor, bal = fit_pipeline(f, h, d)
         bn = balanced_nonlinear(f, 1, model, bal)
-        err_factor = factor_error(bn, sample_budget=400, seed=1, box=3.0)
-        assert np.all(np.diag(err_factor.sigma) == 0.0)
+        assert model.residual_gain <= EXACT_RESIDUAL_TOL
+        # no error block: None, which the feedback decomposition reads as gain 0
+        assert factor_error(bn, sample_budget=400, seed=1, box=3.0) is None
+        red = truncate(bal, 2)
+        assert factor_error(bn, reduced=red, sample_budget=400, seed=1, box=3.0) is None
+        assert feedback_decomposition(bal.a_bal, bal.b_bal, None).ge_gain == 0.0
 
     def test_identity_dictionary_detects_residual(self):
         f, h = slow_manifold()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -206,6 +207,31 @@ class TestStages:
         # one stacked integration per signal: the full system and every order
         assert calls == {"integrate_ode": 2}
 
+    def test_fit_evaluates_output_map_once_per_state(self, tmp_path, monkeypatch):
+        from koopgram import pipeline
+
+        calls = []
+
+        def get_builtin(name):
+            system = original(name)
+            h = system.h
+
+            def counted(x):
+                calls.append(1)
+                return h(x)
+
+            return dataclasses.replace(system, h=counted)
+
+        original = pipeline.get_builtin
+        monkeypatch.setattr(pipeline, "get_builtin", get_builtin)
+        _, raw = write_config(tmp_path, system="mild_cubic")
+        koop = stage_fit_koopman(PipelineConfig(**raw))
+        # one h(0) check when the system is built, then one per data state
+        # (30 trajectories of 10 samples); the output scale of the span
+        # check comes from the fit's own evaluations
+        assert len(calls) == 1 + 300
+        assert koop["output_scale"] > 0.0
+
     def test_artifact_schema(self, tmp_path):
         # artifacts serialise dataclass fields automatically, so a new field
         # must show up here as a deliberate schema edit
@@ -220,7 +246,7 @@ class TestStages:
 
         assert set(keys("fit-koopman")) == {
             "a", "c", "data_provenance", "dictionary", "dims", "hurwitz",
-            "output_residual", "residual_gain", "system",
+            "output_residual", "output_scale", "residual_gain", "system",
         }
         decomposed = keys("decompose")
         assert set(decomposed) == {"gains", "lipschitz_u", "sigma", "slack", "u"}
@@ -306,6 +332,8 @@ class TestCliEntry:
             '{"system": "tanh_first_order", "reduction_orders": [1], "horizon": -3}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "ode_tol": 0}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "ode_tol": NaN}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"tol": 1e-14}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"horizon": 0}}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectories": [1]}}',
             '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectoris": 3}}',
             '{"system": "tanh_first_order", "reduction_orders": [1],'
@@ -321,7 +349,8 @@ class TestCliEntry:
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
              "dictionary-string", "slack-string", "orders-nested", "seed-list",
              "output-dir-number", "seed-bool", "slack-nan", "gain-box-negative",
-             "horizon-negative", "ode-tol-zero", "ode-tol-nan", "data-value-list",
+             "horizon-negative", "ode-tol-zero", "ode-tol-nan", "data-tol-below-floor",
+             "data-horizon-zero", "data-value-list",
              "data-key-misspelt", "degree-string", "degree-fractional",
              "ensemble-count-zero", "sample-budget-small", "data-trajectories-zero",
              "dictionary-key-misspelt"],
@@ -415,6 +444,16 @@ class TestCliEntry:
         assert err.startswith("error [run]: ")
         assert message in err
         assert err.count("\n") == 1
+
+    def test_ode_tol_below_lsoda_floor_exits_one(self, tmp_path, capsys):
+        # LSODA refuses this tolerance; accepted, every probe signal would be
+        # excluded and the run would report bound=8.16 empirical=0 FAIL
+        path, _ = write_config(tmp_path, system="lti6", reduction_orders=[2], ensemble_count=2,
+                               ode_tol=1e-14)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable config: ode_tol must be at least 2.22e-14")
+        assert "Traceback" not in err
 
     def test_variable_out_of_range_exits_one(self, tmp_path, capsys):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [{"var": "x1"}],

@@ -27,7 +27,7 @@ class TestCompileExpression:
                 {"op": "div", "args": [{"var": "x2"}, {"const": 4.0}]},
             ],
         }
-        fn = compile_expression(tree)
+        fn = compile_expression(tree, 2, 1)
         assert fn(np.array([3.0, 8.0]), np.zeros(1)) == 8.0
 
     def test_inputs_and_transcendentals(self):
@@ -38,12 +38,12 @@ class TestCompileExpression:
                 {"op": "tanh", "args": [{"var": "u2"}]},
             ],
         }
-        fn = compile_expression(tree)
+        fn = compile_expression(tree, 1, 2)
         x, u = np.array([0.5]), np.array([0.0, 1.2])
         assert np.isclose(fn(x, u), np.cos(0.5) * np.tanh(1.2))
 
     def test_power_with_constant_exponent(self):
-        fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 3]})
+        fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 3]}, 1, 1)
         assert fn(np.array([2.0]), np.zeros(1)) == 8.0
 
     def test_power_equals_python_power_on_real_cases(self):
@@ -52,29 +52,35 @@ class TestCompileExpression:
             base = float(rng.uniform(0.0, 10.0))
             exponent = float(rng.uniform(-4.0, 4.0))
             for a, b in ((base, exponent), (-base, float(rng.integers(-5, 6)))):
-                fn = compile_expression({"op": "pow", "args": [{"const": a}, b]})
+                fn = compile_expression({"op": "pow", "args": [{"const": a}, b]}, 1, 1)
                 assert fn(np.zeros(1), np.zeros(1)) == a**b
 
     def test_power_without_real_value_rejected(self):
-        fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 1.5]})
+        fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 1.5]}, 1, 1)
         with pytest.raises(ValueError, match=r"pow\(-2\.0, 1\.5\) has no real value"):
             fn(np.array([-2.0]), np.zeros(1))
 
     def test_power_with_variable_exponent_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            compile_expression({"op": "pow", "args": [{"var": "x1"}, {"var": "x2"}]})
+            compile_expression({"op": "pow", "args": [{"var": "x1"}, {"var": "x2"}]}, 2, 1)
 
     def test_bare_number_is_constant(self):
-        fn = compile_expression(1.5)
+        fn = compile_expression(1.5, 1, 1)
         assert fn(np.zeros(1), np.zeros(1)) == 1.5
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError, match="unknown operator"):
-            compile_expression({"op": "sinh", "args": [{"var": "x1"}]})
+            compile_expression({"op": "sinh", "args": [{"var": "x1"}]}, 1, 1)
 
     def test_bad_variable(self):
         with pytest.raises(ValueError, match="bad variable"):
-            compile_expression({"var": "y1"})
+            compile_expression({"var": "y1"}, 1, 1)
+
+    def test_variable_index_checked_while_compiling(self):
+        with pytest.raises(ValueError, match=r"'x3' is out of range: use x1..x2 or u1..u1"):
+            compile_expression({"op": "neg", "args": [{"var": "x3"}]}, 2, 1)
+        with pytest.raises(ValueError, match=r"'u2' is out of range: use x1..x2 or u1..u1"):
+            compile_expression({"op": "tanh", "args": [{"var": "u2"}]}, 2, 1)
 
 
 class TestSystemFromSpec:

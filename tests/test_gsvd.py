@@ -3,9 +3,9 @@ import pytest
 
 from koopgram.gsvd import (
     GainProfile,
+    GsvdFactor,
     SlackViolationError,
     decompose,
-    decompose_linear_plus,
     estimate_gains,
 )
 
@@ -98,16 +98,21 @@ class TestDecompose:
 
 
 class TestDecomposeLinearPlus:
+    """Maps whose per-coordinate gains the caller knows, sized by ``decompose``."""
+
     def test_full_rank_linear_recovers_classical_svd(self):
-        # rows orthogonal with decreasing norms: left singular basis is I
+        # rows orthogonal with decreasing norms: left singular basis is I;
+        # Sigma is the singular values inflated by sqrt(p), so the support
+        # carries V^T x / sqrt(2) and the kernel tops the norm up with x / sqrt(2)
         vt = rotation(0.4)
         a = np.diag([2.0, 1.0]) @ vt
-        factor = decompose_linear_plus(lambda x: a @ x, 2, [2.0, 1.0])
+        factor = decompose(lambda x: a @ x, 2, GainProfile([2.0, 1.0]), slack=1.0)
+        assert np.allclose(np.diag(factor.sigma[:, :2]), np.sqrt(2.0) * np.array([2.0, 1.0]))
         rng = np.random.default_rng(8)
         for x in rng.normal(size=(200, 2)):
             v = factor.lift(x)
-            assert np.allclose(v[:2], vt @ x, atol=1e-12)
-            assert np.allclose(v[2:], 0.0, atol=1e-7)
+            assert np.allclose(v[:2], vt @ x / np.sqrt(2.0), atol=1e-12)
+            assert np.allclose(v[2:], x / np.sqrt(2.0), atol=1e-7)
             assert np.linalg.norm(factor.reconstruct(x) - a @ x) <= 1e-12 * np.linalg.norm(a @ x)
 
     def test_radial_tanh_map(self):
@@ -115,7 +120,7 @@ class TestDecomposeLinearPlus:
             r = np.linalg.norm(x)
             return x * (np.tanh(r) / r) if r > 0 else np.zeros_like(x)
 
-        factor = decompose_linear_plus(f, 3, [1.0, 1.0, 1.0])
+        factor = decompose(f, 3, GainProfile([1.0, 1.0, 1.0]), slack=1.0)
         rng = np.random.default_rng(9)
         for x in rng.normal(size=(300, 3)):
             v = factor.lift(x)
@@ -125,7 +130,7 @@ class TestDecomposeLinearPlus:
             assert err <= 1e-10 * (1.0 + np.linalg.norm(f(x)))
 
     def test_zero_map_puts_all_weight_in_kernel(self):
-        factor = decompose_linear_plus(lambda x: np.zeros(2), 2, [0.0, 0.0])
+        factor = decompose(lambda x: np.zeros(2), 2, GainProfile([0.0, 0.0]), slack=1.0)
         x = np.array([3.0, -4.0])
         v = factor.lift(x)
         assert np.allclose(v[:2], 0.0)
@@ -133,16 +138,21 @@ class TestDecomposeLinearPlus:
         assert np.allclose(factor.reconstruct(x), 0.0)
 
     def test_violated_membership_reports_witness(self):
-        a = rotation(0.5) @ np.diag([2.0, 1.0])  # left singular basis not I
-        factor = decompose_linear_plus(lambda x: a @ x, 2, [2.0, 1.0])
+        # true row norms are about 1.82 and 1.30: these bounds are undersized
+        a = rotation(0.5) @ np.diag([2.0, 1.0])
+        factor = decompose(lambda x: a @ x, 2, GainProfile([0.5, 0.25]), slack=1.0)
         rng = np.random.default_rng(10)
-        with pytest.raises(SlackViolationError, match="membership"):
+        with pytest.raises(SlackViolationError, match="underestimated") as info:
             for x in rng.normal(size=(100, 2)):
                 factor.lift(x)
+        witness = info.value.witness[0]
+        assert info.value.radicand < 0.0
+        assert np.linalg.norm(factor.support(witness)) > np.linalg.norm(witness)
 
     def test_rejects_unsorted_suprema(self):
+        sigma = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="nonincreasing"):
-            decompose_linear_plus(lambda x: x, 2, [1.0, 2.0])
+            GsvdFactor(u=np.eye(2), sigma=sigma, slack=1.0, kernel_dim=2, map=lambda x: x)
 
 
 class TestDecomposeControl:

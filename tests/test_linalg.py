@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from koopgram.linalg import (
+    MIN_ODE_TOL,
     LtiSystem,
     SpectrumError,
     StiffnessError,
@@ -146,20 +147,18 @@ class TestHinfNorm:
 
 class TestIntegrateOde:
     def test_scalar_exponential(self):
-        t, x = integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=1e-10, t_eval=[0.0, 1.0])
+        x = integrate_ode(lambda t, x: -x, [1.0], [0.0, 1.0], 1e-10)
         assert abs(x[-1, 0] - math.exp(-1.0)) <= 1e-8
 
     def test_zero_field(self):
-        t, x = integrate_ode(
-            lambda t, x: np.zeros_like(x), [2.0, -1.0], (0.0, 3.0), t_eval=np.linspace(0, 3, 7)
-        )
+        x = integrate_ode(lambda t, x: np.zeros_like(x), [2.0, -1.0], np.linspace(0, 3, 7), 1e-8)
         assert np.allclose(x, [2.0, -1.0])
 
     def test_matches_fixed_step_oracle(self):
         def field(t, x):
             return np.array([-x[0], -2.0 * (x[1] - x[0] ** 2)])
 
-        t, x = integrate_ode(field, [1.0, 2.0], (0.0, 2.0), tol=1e-10, t_eval=[2.0])
+        x = integrate_ode(field, [1.0, 2.0], [0.0, 2.0], 1e-10)
         ref = rk4_fixed_step(field, [1.0, 2.0], 0.0, 2.0, 4000)
         assert np.linalg.norm(x[-1] - ref) <= 1e-7
 
@@ -167,26 +166,37 @@ class TestIntegrateOde:
         errs = []
         for k in range(6):
             tol = 1e-4 / 2**k
-            _, x = integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=tol, t_eval=[1.0])
+            x = integrate_ode(lambda t, x: -x, [1.0], [0.0, 1.0], tol)
             errs.append(abs(x[-1, 0] - math.exp(-1.0)))
         assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_rejects_bad_window(self):
+        # the window is t_eval: a reversed one is refused
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, x: -x, [1.0], (1.0, 0.0), t_eval=[0.5])
+            integrate_ode(lambda t, x: -x, [1.0], [1.0, 0.0], 1e-8)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8, 2e-14])
     def test_rejects_bad_tol(self, tol):
-        # odeint reports success with rtol = NaN, on a wrong state
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), tol=tol, t_eval=[1.0])
+        # odeint reports success with rtol = NaN, on a wrong state, and
+        # LSODA refuses tolerances below the floor
+        with pytest.raises(ValueError, match="tol must be finite and at least"):
+            integrate_ode(lambda t, x: -x, [1.0], [0.0, 1.0], tol)
+
+    def test_accepts_the_tolerance_floor(self):
+        x = integrate_ode(lambda t, x: -x, [1.0], [0.0, 1.0], MIN_ODE_TOL)
+        assert abs(x[-1, 0] - math.exp(-1.0)) <= 1e-12
+
+    def test_single_time_returns_the_initial_state(self):
+        assert np.array_equal(integrate_ode(lambda t, x: -x, [1.0, 2.0], [0.5], 1e-8), [[1.0, 2.0]])
 
     @pytest.mark.parametrize(
-        "t_eval", [[], [0.5, 0.5], [0.5, 0.2], [-0.1, 0.5], [0.5, 1.5], [0.0, float("nan"), 1.0]]
+        "t_eval",
+        [[], [0.5, 0.5], [0.5, 0.2], [-float("inf"), 0.5], [0.5, float("inf")],
+         [0.0, float("nan"), 1.0]],
     )
     def test_rejects_bad_t_eval(self, t_eval):
         with pytest.raises(ValueError, match="t_eval must increase strictly"):
-            integrate_ode(lambda t, x: -x, [1.0], (0.0, 1.0), t_eval=t_eval)
+            integrate_ode(lambda t, x: -x, [1.0], t_eval, 1e-8)
 
     def test_error_control_is_per_component(self):
         # the step test bounds each component's scaled error, so inert zero
@@ -200,9 +210,9 @@ class TestIntegrateOde:
             return ds
 
         grid = np.linspace(0.0, 10.0, 2001)
-        _, alone = integrate_ode(driven, [0.0], (0.0, 10.0), tol=1e-8, t_eval=grid)
+        alone = integrate_ode(driven, [0.0], grid, 1e-8)
         for extra in (1, 4, 16):
-            _, x = integrate_ode(padded, np.zeros(1 + extra), (0.0, 10.0), tol=1e-8, t_eval=grid)
+            x = integrate_ode(padded, np.zeros(1 + extra), grid, 1e-8)
             assert np.array_equal(x[:, :1], alone)
             assert not np.any(x[:, 1:])
 
@@ -219,12 +229,12 @@ class TestIntegrateOde:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StiffnessError, match="integration failed"):
-                integrate_ode(field, [1.0], (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 2001))
+                integrate_ode(field, [1.0], np.linspace(0.0, 2.0, 2001), 1e-8)
         assert time.perf_counter() - start < 2.0
 
     def test_repeated_solves_do_not_grow_memory(self):
         def solve():
-            integrate_ode(lambda t, x: -x, [1.0, 2.0], (0.0, 1.0), t_eval=np.linspace(0.0, 1.0, 11))
+            integrate_ode(lambda t, x: -x, [1.0, 2.0], np.linspace(0.0, 1.0, 11), 1e-8)
 
         for _ in range(2000):  # let the heap settle first
             solve()

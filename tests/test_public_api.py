@@ -34,3 +34,31 @@ def test_readme_library_imports_resolve():
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports, "README's Library block has no import statement"
     exec(compile(ast.Module(body=imports, type_ignores=[]), str(README), "exec"), {})
+
+
+def _referenced_names(path: Path) -> set:
+    """Names a module reads, as bare names or attributes; imports, definitions
+    and ``__all__`` strings are not references."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    import koopgram
+
+    package = Path(koopgram.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced_names(path)
+    library = README.read_text().split("## Library", 1)[1]
+    unused = [
+        name for name in koopgram.__all__
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", library)
+    ]
+    assert not unused, f"koopgram.__all__ names nothing uses or documents: {unused}"
