@@ -8,9 +8,9 @@ negative base to a fractional exponent, raises ``ValueError``).  Trees
 evaluate to plain floats, so the same declaration drives simulation, gain
 sampling, and Lie-derivative targets without compiling user code.
 
-``check_type`` is the one type check of user input: ``system_from_spec``
-checks a declaration with it before building anything, and
-``pipeline.PipelineConfig`` checks a config with it.
+``check_fields`` is the one checker of user declarations: it serves one
+table per declaration, the inline system spec and the dictionary here, the
+config and its ``data`` in ``pipeline``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ from .harness import ControlSystem
 
 __all__ = ["compile_expression", "system_from_spec"]
 
-# the accepted type of each system declaration key, and the required keys
-_SPEC_TYPES = {
-    "n": numbers.Integral, "l": numbers.Integral, "p": numbers.Integral, "f": list, "h": list,
-    "name": str, "lipschitz_u": (numbers.Real, type(None)), "gain_box": numbers.Real,
-    "slack": numbers.Real, "dictionary": dict, "seed": numbers.Integral,
+# key -> (accepted types, bound): a bound is None, "positive", or a number L
+# meaning "at least L"; a None value is never bounded
+_SPEC_FIELDS = {
+    "n": (numbers.Integral, 1), "l": (numbers.Integral, 1), "p": (numbers.Integral, 1),
+    "f": (list, None), "h": (list, None), "name": (str, None),
+    "lipschitz_u": ((numbers.Real, type(None)), 0), "gain_box": (numbers.Real, "positive"),
+    "slack": (numbers.Real, 1), "dictionary": (dict, None),
 }
-_SPEC_REQUIRED = ("n", "l", "p", "f", "h")
-_DICTIONARY_KEYS = ("kind", "degree", "exponents")
+_DICTIONARY_FIELDS = {
+    "kind": (str, None), "degree": (numbers.Integral, 1), "exponents": (list, None),
+}
 
 
 def check_type(name: str, value, types) -> None:
@@ -43,23 +46,41 @@ def check_type(name: str, value, types) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def check_dictionary(name: str, spec: dict) -> None:
-    """Reject a dictionary declaration with an unknown key, a degree that is not
-    a positive integer, or exponents that are not lists of integers."""
-    unknown = sorted(set(spec) - set(_DICTIONARY_KEYS))
+def check_fields(where: str, values: dict, fields: dict, required=()) -> None:
+    """Check the declaration ``values`` against its table ``fields``.
+
+    An unknown or missing key, a value of the wrong type, or a value out of
+    its bound raises ``ValueError``.  Values are named ``"<where> <key>"``;
+    a config's own keys are named bare.
+    """
+    check_type(where, values, dict)
+    unknown = sorted(set(values) - set(fields))
     if unknown:
-        raise ValueError(f"unknown {name} keys {unknown}; known: {list(_DICTIONARY_KEYS)}")
-    degree = spec.get("degree")
-    if degree is not None:
-        check_type(f"{name} degree", degree, numbers.Integral)
-        if degree < 1:
-            raise ValueError(f"{name} degree must be positive, got {degree!r}")
-    exponents = spec.get("exponents", [])
-    check_type(f"{name} exponents", exponents, list)
-    for row in exponents:
-        check_type(f"{name} exponent", row, list)
+        raise ValueError(f"unknown {where} keys {unknown}; known: {list(fields)}")
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ValueError(f"missing {where} keys {missing}")
+    for key, value in values.items():
+        name = key if where == "config" else f"{where} {key}"
+        types, bound = fields[key]
+        check_type(name, value, types)
+        if value is None or bound is None or (value > 0 if bound == "positive" else value >= bound):
+            continue
+        rule = "positive" if bound == "positive" else f"at least {bound:.3g}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_dictionary(where: str, spec: dict) -> None:
+    """Check a dictionary declaration: its table, then the ``kind`` rule: kind
+    ``identity`` alone, or kind ``monomials`` with ``degree`` or ``exponents``."""
+    check_fields(where, spec, _DICTIONARY_FIELDS, required=("kind",))
+    if (spec["kind"], len(spec) > 1) not in (("identity", False), ("monomials", True)):
+        raise ValueError(f"{where} must be kind 'identity' alone or kind 'monomials' with "
+                         f"degree or exponents, got {spec!r}")
+    for row in spec.get("exponents", []):
+        check_type(f"{where} exponent", row, list)
         for power in row:
-            check_type(f"{name} exponent", power, numbers.Integral)
+            check_type(f"{where} exponent", power, numbers.Integral)
 
 
 def _pow(a: float, b: float) -> float:
@@ -138,11 +159,11 @@ def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray
     raise ValueError(f"bad expression node: {tree!r}")
 
 
-def _sampled_lipschitz_u(f, n: int, l: int, seed: int = 0, samples: int = 400) -> float:
+def _sampled_lipschitz_u(f, n: int, l: int) -> float:
     """Sampled bound on the sensitivity of f to its input argument."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
-    for _ in range(samples):
+    for _ in range(400):
         x = rng.uniform(-3.0, 3.0, size=n)
         u1 = rng.uniform(-3.0, 3.0, size=l)
         u2 = rng.uniform(-3.0, 3.0, size=l)
@@ -158,34 +179,18 @@ def system_from_spec(spec: dict) -> ControlSystem:
 
     Required keys: ``n``, ``l``, ``p`` (positive integers), ``f`` (a list of
     n trees), ``h`` (a list of p trees).  Optional: ``name`` (a string),
-    ``lipschitz_u`` (non-negative; sampled when absent or null), ``seed`` (an
-    integer, the seed of that sampling, default 0), ``gain_box`` (positive),
-    ``slack`` (at least 1), ``dictionary`` (as in a pipeline config).  The
-    whole declaration is checked before anything is built: an unknown or
-    missing key, a value of the wrong type or out of range, a malformed
-    tree, or a variable outside ``x1..xn`` or ``u1..ul`` raises
-    ``ValueError``.
+    ``lipschitz_u`` (non-negative; sampled when absent or null),
+    ``gain_box`` (positive), ``slack`` (at least 1), ``dictionary`` (as in a
+    pipeline config); ``ControlSystem`` supplies the defaults.  The whole
+    declaration is checked before anything is built: an unknown or missing
+    key, a value of the wrong type or out of range, a malformed tree, or a
+    variable outside ``x1..xn`` or ``u1..ul`` raises ``ValueError``.
     """
-    check_type("system spec", spec, dict)
-    unknown = sorted(set(spec) - set(_SPEC_TYPES))
-    missing = [key for key in _SPEC_REQUIRED if key not in spec]
-    if unknown or missing:
-        raise ValueError(
-            f"system spec has unknown keys {unknown} or lacks keys {missing}; "
-            f"known: {list(_SPEC_TYPES)}"
-        )
-    for key, value in spec.items():
-        check_type(f"system {key}", value, _SPEC_TYPES[key])
-    lower = {"n": 1, "l": 1, "p": 1, "lipschitz_u": 0.0, "slack": 1.0}
-    for key, least in lower.items():
-        if spec.get(key) is not None and spec[key] < least:
-            raise ValueError(f"system {key} must be at least {least}, got {spec[key]!r}")
-    if spec.get("gain_box", 1.0) <= 0:
-        raise ValueError(f"system gain_box must be positive, got {spec['gain_box']!r}")
-    check_dictionary("system dictionary", spec.get("dictionary", {}))
+    check_fields("system", spec, _SPEC_FIELDS, required=("n", "l", "p", "f", "h"))
+    if "dictionary" in spec:
+        check_dictionary("system dictionary", spec["dictionary"])
     n, l, p = int(spec["n"]), int(spec["l"]), int(spec["p"])
-    f_trees = spec["f"]
-    h_trees = spec["h"]
+    f_trees, h_trees = spec["f"], spec["h"]
     if len(f_trees) != n:
         raise ValueError(f"need {n} state derivative expressions, got {len(f_trees)}")
     if len(h_trees) != p:
@@ -202,16 +207,10 @@ def system_from_spec(spec: dict) -> ControlSystem:
 
     lipschitz = spec.get("lipschitz_u")
     if lipschitz is None:
-        lipschitz = _sampled_lipschitz_u(f, n, l, seed=spec.get("seed", 0))
+        lipschitz = _sampled_lipschitz_u(f, n, l)
+    given = {"dictionary_hint": "dictionary", "gain_box": "gain_box", "suggested_slack": "slack"}
     return ControlSystem(
-        name=spec.get("name", "user_system"),
-        n=n,
-        l=l,
-        p=p,
-        f=f,
-        h=h,
+        name=spec.get("name", "user_system"), n=n, l=l, p=p, f=f, h=h,
         lipschitz_u=float(lipschitz),
-        dictionary_hint=spec.get("dictionary", {"kind": "identity"}),
-        gain_box=float(spec.get("gain_box", 5.0)),
-        suggested_slack=float(spec.get("slack", 1.05)),
+        **{field: spec[key] for field, key in given.items() if key in spec},
     )

@@ -93,8 +93,6 @@ def _lti6() -> ControlSystem:
         f=lambda x, u: a @ x + b @ u,
         h=lambda x: c @ x,
         lipschitz_u=float(np.linalg.norm(b, 2)),
-        dictionary_hint={"kind": "identity"},
-        gain_box=5.0,
     )
 
 
@@ -108,11 +106,7 @@ def _slow_manifold_f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _slow_manifold(exact: bool) -> ControlSystem:
-    hint = (
-        {"kind": "monomials", "exponents": [[1, 0], [0, 1], [2, 0]]}
-        if exact
-        else {"kind": "identity"}
-    )
+    hint = {"kind": "monomials", "exponents": [[1, 0], [0, 1], [2, 0]]}
     return ControlSystem(
         name="slow_manifold" if exact else "slow_manifold_identity",
         n=2,
@@ -121,7 +115,7 @@ def _slow_manifold(exact: bool) -> ControlSystem:
         f=_slow_manifold_f,
         h=lambda x: x[:2].copy(),
         lipschitz_u=float(np.sqrt(1.25)),
-        dictionary_hint=hint,
+        **({"dictionary_hint": hint} if exact else {}),
         gain_box=3.0,
         suggested_slack=1.25,
     )
@@ -136,8 +130,6 @@ def _tanh_first_order() -> ControlSystem:
         f=lambda x, u: -x + np.tanh(u),
         h=lambda x: x.copy(),
         lipschitz_u=1.0,
-        dictionary_hint={"kind": "identity"},
-        gain_box=5.0,
     )
 
 
@@ -161,7 +153,6 @@ def _mild_cubic() -> ControlSystem:
         f=_mild_cubic_f,
         h=lambda x: x[:1].copy(),
         lipschitz_u=float(np.sqrt(1.09)),
-        dictionary_hint={"kind": "identity"},
         gain_box=4.0,
     )
 

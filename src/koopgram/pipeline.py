@@ -39,7 +39,7 @@ from .certify import (
     lift_sensitivity_norms,
     output_embedding_gap,
 )
-from .expr import check_dictionary, check_type, system_from_spec
+from .expr import check_dictionary, check_fields, check_type, system_from_spec
 from .gsvd import MIN_SAMPLE_BUDGET, decompose, estimate_gains
 from .harness import (
     ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound, simulate_ensemble,
@@ -95,15 +95,20 @@ _REPORT_CERT_KEYS = (
 OUTPUT_RESIDUAL_TOL = 1e-6
 
 
-# the accepted type of each config value
-_REAL, _NULL = numbers.Real, type(None)
-_CONFIG_TYPES = {
-    "system": (str, dict), "reduction_orders": (list, tuple), "output_dir": (str, os.PathLike),
-    "seed": numbers.Integral, "slack": (_REAL, _NULL),
-    "sample_budget": numbers.Integral, "gain_box": (_REAL, _NULL), "dictionary": (dict, _NULL),
-    "ensemble_count": numbers.Integral, "horizon": (_REAL, _NULL), "ode_tol": _REAL, "data": dict,
+# key -> (accepted types, bound), as in expr.check_fields: the config and
+# its ``data``, the trajectory settings that override ``_DATA_DEFAULTS``
+_REAL, _NULL, _INT = numbers.Real, type(None), numbers.Integral
+_CONFIG_FIELDS = {
+    "system": ((str, dict), None), "reduction_orders": ((list, tuple), None),
+    "output_dir": ((str, os.PathLike), None), "seed": (_INT, 0), "slack": ((_REAL, _NULL), 1),
+    "sample_budget": (_INT, MIN_SAMPLE_BUDGET), "gain_box": ((_REAL, _NULL), "positive"),
+    "dictionary": ((dict, _NULL), None), "ensemble_count": (_INT, 1),
+    "horizon": ((_REAL, _NULL), "positive"), "ode_tol": (_REAL, MIN_ODE_TOL), "data": (dict, None),
 }
-# trajectory data settings; a config's ``data`` overrides some of them
+_DATA_FIELDS = {
+    "trajectories": (_INT, 1), "samples_per_trajectory": (_INT, 1), "horizon": (_REAL, "positive"),
+    "box": (_REAL, "positive"), "tol": (_REAL, MIN_ODE_TOL),
+}
 _DATA_DEFAULTS = {
     "trajectories": 30, "samples_per_trajectory": 10, "horizon": 4.0, "box": 1.5, "tol": 1e-9,
 }
@@ -137,53 +142,25 @@ class PipelineConfig:
     data: dict = field(default_factory=lambda: dict(_DATA_DEFAULTS))
 
     def __post_init__(self):
-        for name, types in _CONFIG_TYPES.items():
-            check_type(name, getattr(self, name), types)
+        check_fields("config", vars(self), _CONFIG_FIELDS)
+        check_fields("data", self.data, _DATA_FIELDS)
+        if self.dictionary is not None:
+            check_dictionary("dictionary", self.dictionary)
         for r in self.reduction_orders:
             check_type("reduction order", r, numbers.Integral)
-        for key, value in self.data.items():
-            if key not in _DATA_DEFAULTS:
-                raise ValueError(f"unknown data key {key!r}; known: {sorted(_DATA_DEFAULTS)}")
-            kind = numbers.Integral if isinstance(_DATA_DEFAULTS[key], int) else _REAL
-            check_type(f"data {key}", value, kind)
-            if kind is numbers.Integral and value < 1:
-                raise ValueError(f"data {key} must be at least 1, got {value!r}")
-        check_dictionary("dictionary", self.dictionary or {})
         self.reduction_orders = [int(r) for r in self.reduction_orders]
         if not self.reduction_orders:
             raise ValueError("reduction_orders must be nonempty")
         if any(r < 1 for r in self.reduction_orders):
             raise ValueError("reduction orders must be positive")
-        if self.slack is not None and self.slack < 1.0:
-            raise ValueError("slack must be at least 1")
-        if self.ensemble_count < 1:
-            raise ValueError(f"ensemble_count must be at least 1, got {self.ensemble_count!r}")
-        if self.sample_budget < MIN_SAMPLE_BUDGET:
-            raise ValueError(
-                f"sample_budget must be at least {MIN_SAMPLE_BUDGET}, got {self.sample_budget!r}"
-            )
-        positive = {
-            "gain_box": self.gain_box, "horizon": self.horizon, "data horizon": self.data.get("horizon"),
-        }
-        for name, value in positive.items():
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        tols = {"ode_tol": self.ode_tol, "data tol": self.data.get("tol", _DATA_DEFAULTS["tol"])}
-        for name, value in tols.items():
-            if value < MIN_ODE_TOL:
-                raise ValueError(f"{name} must be at least {MIN_ODE_TOL:.3g}, got {value!r}")
         self.seed = int(self.seed)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
         raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
+        check_type("config", raw, dict)
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_fields("config", raw, _CONFIG_FIELDS, required=("system", "reduction_orders"))
         return cls(**raw)
 
 
@@ -240,7 +217,7 @@ def _resolve_system(config: PipelineConfig) -> ControlSystem:
 def _resolve_dictionary(config: PipelineConfig, system) -> Dictionary:
     spec = config.dictionary or system.dictionary_hint
     return build_dictionary(
-        spec.get("kind", "identity"),
+        spec["kind"],
         system.n,
         degree=spec.get("degree"),
         exponents=spec.get("exponents"),
@@ -413,13 +390,21 @@ def _default_horizon(a_bal: np.ndarray) -> float:
 
 
 def stage_simulate(config: PipelineConfig) -> dict:
-    """Measure empirical full-vs-reduced gains; artifact: empirical.json."""
+    """Measure empirical full-vs-reduced gains; artifact: empirical.json.
+
+    Raises ``ValueError`` when a full-system solve fails: that says nothing
+    about the certificate, unlike a failed reduced solve, which excludes the
+    signal at its order.
+    """
     system, _, bal, bn, reduced = _reduced_models(config, "simulate")
     horizon = config.horizon or _default_horizon(bal.a_bal)
     ensemble = input_ensemble(
         system.l, horizon, count=config.ensemble_count, seed=[config.seed, _SEED_ENSEMBLE]
     )
     trajectories = simulate_ensemble(system, bn, config.reduction_orders, ensemble, config.ode_tol)
+    for signal, traj in zip(ensemble, trajectories):
+        if isinstance(traj.full, str):
+            raise ValueError(f"full-system solve failed under probe signal {signal.name}: {traj.full}")
     rows = [
         {"order": red.order, "estimate": estimate_gap(trajectories, red, ensemble)} for red in reduced
     ]

@@ -345,6 +345,16 @@ class TestCliEntry:
             '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"trajectories": 0}}',
             '{"system": "tanh_first_order", "reduction_orders": [1],'
             ' "dictionary": {"kind": "identity", "degre": 2}}',
+            '{"reduction_orders": [1]}',
+            '{"system": "lti6"}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "seed": -1}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "data": {"box": 0}}',
+            '{"system": "mild_cubic", "reduction_orders": [1], "dictionary": {"degree": 3}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1],'
+            ' "dictionary": {"kind": "identity", "degree": 2}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1],'
+            ' "dictionary": {"kind": "monomials"}}',
+            '{"system": "tanh_first_order", "reduction_orders": [1], "dictionary": {"kind": "poly"}}',
         ],
         ids=["not-an-object", "orders-scalar", "system-number", "data-list",
              "dictionary-string", "slack-string", "orders-nested", "seed-list",
@@ -353,7 +363,9 @@ class TestCliEntry:
              "data-horizon-zero", "data-value-list",
              "data-key-misspelt", "degree-string", "degree-fractional",
              "ensemble-count-zero", "sample-budget-small", "data-trajectories-zero",
-             "dictionary-key-misspelt"],
+             "dictionary-key-misspelt", "system-missing", "orders-missing", "seed-negative",
+             "data-box-zero", "dictionary-degree-without-kind", "dictionary-identity-with-degree",
+             "dictionary-monomials-bare", "dictionary-kind-unknown"],
     )
     def test_malformed_config_exits_one(self, tmp_path, monkeypatch, capsys, text):
         # no --out: it would override a malformed output_dir; run inside
@@ -412,7 +424,7 @@ class TestCliEntry:
             ({"f": [{"var": 1}]}, "bad variable 1"),
             ({"f": [{"var": ""}]}, "bad variable ''"),
             ({"n": 1.5}, "system n has the wrong type: 1.5"),
-            ({"lipschitz_u": None, "lipschitz": 1.0}, "unknown keys ['lipschitz']"),
+            ({"lipschitz_u": None, "lipschitz": 1.0}, "unknown system keys ['lipschitz']"),
             ({"name": [1]}, "system name has the wrong type: [1]"),
             ({"lipschitz_u": float("nan")}, "system lipschitz_u must be finite"),
             ({"gain_box": -1}, "system gain_box must be positive, got -1"),
@@ -426,11 +438,12 @@ class TestCliEntry:
              "system dictionary exponents has the wrong type: 5"),
             ({"dictionary": {"kind": "monomials", "degree": "2"}},
              "system dictionary degree has the wrong type: '2'"),
+            ({"seed": 3}, "unknown system keys ['seed']"),
         ],
         ids=["f-number", "dictionary-number", "args-number", "var-number", "var-empty",
              "n-fractional", "lipschitz-key-misspelt", "name-list", "lipschitz-nan",
              "gain-box-negative", "op-list", "pow-exponent-null", "const-list",
-             "exponents-number", "degree-string"],
+             "exponents-number", "degree-string", "seed-key"],
     )
     def test_malformed_system_spec_exits_one(self, tmp_path, capsys, change, message):
         lag = {"op": "add", "args": [
@@ -454,6 +467,23 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: unreadable config: ode_tol must be at least 2.22e-14")
         assert "Traceback" not in err
+
+    def test_failed_full_system_solve_exits_one(self, tmp_path, capsys):
+        # x' = -x + 0.3 x^3 + 2u is driven past its unstable equilibrium
+        # x = 1/sqrt(0.3) by tone-1 and escapes in finite time; reported as an
+        # exclusion, the run would read empirical=1.39e-14 FAIL
+        cubic = {"op": "add", "args": [
+            {"op": "neg", "args": [{"var": "x1"}]},
+            {"op": "mul", "args": [0.3, {"op": "pow", "args": [{"var": "x1"}, 3]}]}]}
+        spec = {"name": "escaping_cubic", "n": 1, "l": 1, "p": 1, "h": [{"var": "x1"}],
+                "f": [{"op": "add", "args": [cubic, {"op": "mul", "args": [2, {"var": "u1"}]}]}],
+                "lipschitz_u": 2, "gain_box": 0.4}
+        path, raw = write_config(tmp_path, system=spec, data={"box": 0.5})
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [run]: full-system solve failed under probe signal tone-1: ")
+        assert err.count("\n") == 1
+        assert not (Path(raw["output_dir"]) / ARTIFACT_NAMES["simulate"]).exists()
 
     def test_variable_out_of_range_exits_one(self, tmp_path, capsys):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [{"var": "x1"}],

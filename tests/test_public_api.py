@@ -62,3 +62,18 @@ def test_every_public_name_has_a_user():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", library)
     ]
     assert not unused, f"koopgram.__all__ names nothing uses or documents: {unused}"
+
+
+def test_readme_config_documents_every_declared_key():
+    from koopgram import expr, pipeline
+
+    config = README.read_text().split("### Config", 1)[1].split("\n### ", 1)[0]
+    tables = {
+        "config": pipeline._CONFIG_FIELDS, "data": pipeline._DATA_FIELDS,
+        "system": expr._SPEC_FIELDS, "dictionary": expr._DICTIONARY_FIELDS,
+    }
+    undocumented = [
+        f"{where}.{key}" for where, table in tables.items() for key in table
+        if f"`{key}`" not in config
+    ]
+    assert not undocumented, f"README's Config section does not name: {undocumented}"
