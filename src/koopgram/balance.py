@@ -12,7 +12,7 @@ balanced and truncated coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,19 +155,24 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    One instance serves every reduction order: ``f_reduced`` and
-    ``error_map`` take the order ``r`` from the length of their ``z``, and
-    ``len(z) = q`` is the full balanced realization.  Both evaluate the
-    lifted field ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state
-    ``x = R_r z``, push it through the balancing transform and keep its
-    leading ``r`` rows.  ``error_map(z)`` is that field at ``u = 0``, the
-    representation error, which feeds the error factorizations.
-    ``f_reduced`` simulates the truncated lifted realization, which is the
-    object the certificates actually bound: the truncated balanced drift
-    matrix plus the field at the current input.
+    One instance serves every reduction order.  ``error_map(z)`` takes the
+    order ``r`` from ``len(z)``, and ``len(z) = q`` is the full balanced
+    realization; ``f_reduced(zs, u)`` takes a list of states, one per
+    order, and returns one field per state, so one call per step serves
+    every simulated order.  Both evaluate the lifted field
+    ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state ``x = R_r z``,
+    push it through the balancing transform and keep its leading ``r``
+    rows.  ``error_map(z)`` is that field at ``u = 0``, the representation
+    error, which feeds the error factorizations.  ``f_reduced`` simulates
+    the truncated lifted realization, which is the object the certificates
+    actually bound: the truncated balanced drift matrix plus the field at
+    the current input.  It evaluates a monomial dictionary once on the stack
+    of recovered states; every other product runs per state with the
+    operands of a single call, so ``f_reduced([z1, z2], u)[1]`` equals
+    ``f_reduced([z2], u)[0]`` bit for bit.
     """
 
-    f_reduced: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f_reduced: Callable[[Sequence[np.ndarray], np.ndarray], list[np.ndarray]]
     error_map: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
     model: KoopmanModel
@@ -181,25 +186,32 @@ def balanced_nonlinear(
 ) -> BalancedNonlinear:
     """Construct the nonlinear evaluators in balanced and reduced coordinates."""
     zero_u = np.zeros(int(input_dim))
-    r_mat = bal.r
     t = bal.t
-    a_bal = bal.a_bal
+    a = model.a
     dict_eval = model.dictionary.evaluate
     jac = model.dictionary.jacobian
+    batch = model.dictionary.kind == "monomials"
+    # the views R[:, :r] and A_bal[:r, :r] of each order r, made once
+    views = [None] + [(bal.r[:, :r], bal.a_bal[:r, :r]) for r in range(1, bal.q + 1)]
 
-    def lifted(x, u):
-        return (
-            np.asarray(jac(x), float) @ np.asarray(f(x, u), float)
-            - model.a @ np.asarray(dict_eval(x), float)
-        )
+    def lifted(x, u, phi):
+        return jac(x) @ f(x, u) - a @ phi
 
     def error_map(z):
         order = len(z)
-        return (t @ lifted(r_mat[:, :order] @ z, zero_u))[:order]
+        x = views[order][0] @ z
+        return (t @ lifted(x, zero_u, dict_eval(x)))[:order]
 
-    def f_reduced(z_r, u):
-        order = len(z_r)
-        return a_bal[:order, :order] @ z_r + (t @ lifted(r_mat[:, :order] @ z_r, u))[:order]
+    def f_reduced(zs, u):
+        xs = [views[len(z)][0] @ z for z in zs]
+        # one monomial call for every order (the identity's copy gains
+        # nothing from it); the rest per order, with the operands of a single
+        # order, so that every bit is the same
+        phis = dict_eval(np.array(xs)) if batch and len(xs) > 1 else [dict_eval(x) for x in xs]
+        return [
+            views[len(z)][1] @ z + (t @ lifted(x, u, phi))[:len(z)]
+            for z, x, phi in zip(zs, xs, phis)
+        ]
 
     return BalancedNonlinear(f_reduced=f_reduced, error_map=error_map, bal=bal, model=model)
 

@@ -92,29 +92,23 @@ def _pow(a: float, b: float) -> float:
         raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
 
 
-_UNARY = {
-    "neg": lambda a: -a,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": _pow,
-}
+_TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
+_UNARY = {"neg", *_TRANSCENDENTAL}
+_BINARY = {"add", "sub", "mul", "div", "pow"}
 
 
 def _is_constant(tree) -> bool:
     return isinstance(tree, (int, float)) or (isinstance(tree, dict) and "const" in tree)
 
 
-def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Compile a JSON expression tree over ``x1..xn`` and ``u1..ul`` into
-    ``(x, u) -> float``."""
+def _compile(tree, n: int, l: int) -> Callable[[list, list], float]:
+    """``tree`` as ``(x, u) -> float`` over lists of Python floats.
+
+    Every node returns a Python float, so arithmetic raises
+    ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where numpy
+    would warn; only the transcendental nodes leave float arithmetic, and
+    they convert numpy's result back.
+    """
     if _is_constant(tree):
         value = tree["const"] if isinstance(tree, dict) else tree
         check_type("expression constant", value, numbers.Real)
@@ -133,8 +127,8 @@ def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray
             raise ValueError(f"variable {name!r} is out of range: use x1..x{n} or u1..u{l}")
         k = int(name[1:]) - 1
         if name[0] == "x":
-            return lambda x, u: float(x[k])
-        return lambda x, u: float(u[k])
+            return lambda x, u: x[k]
+        return lambda x, u: u[k]
     if "op" in tree:
         op = tree["op"]
         check_type("expression operator", op, str)
@@ -143,20 +137,41 @@ def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray
         if op in _UNARY:
             if len(args) != 1:
                 raise ValueError(f"{op} takes one argument")
-            inner = compile_expression(args[0], n, l)
-            fn = _UNARY[op]
-            return lambda x, u: float(fn(inner(x, u)))
+            a = _compile(args[0], n, l)
+            if op == "neg":
+                return lambda x, u: -a(x, u)
+            fn = _TRANSCENDENTAL[op]
+            return lambda x, u: float(fn(a(x, u)))
         if op in _BINARY:
             if len(args) != 2:
                 raise ValueError(f"{op} takes two arguments")
             if op == "pow" and not _is_constant(args[1]):
                 raise ValueError("pow exponent must be a constant")
-            left = compile_expression(args[0], n, l)
-            right = compile_expression(args[1], n, l)
-            fn = _BINARY[op]
-            return lambda x, u: float(fn(left(x, u), right(x, u)))
+            a = _compile(args[0], n, l)
+            b = _compile(args[1], n, l)
+            if op == "add":
+                return lambda x, u: a(x, u) + b(x, u)
+            if op == "sub":
+                return lambda x, u: a(x, u) - b(x, u)
+            if op == "mul":
+                return lambda x, u: a(x, u) * b(x, u)
+            if op == "div":
+                return lambda x, u: a(x, u) / b(x, u)
+            exponent = b(None, None)  # a constant: evaluated once, here
+            return lambda x, u: _pow(a(x, u), exponent)
         raise ValueError(f"unknown operator {op!r}")
     raise ValueError(f"bad expression node: {tree!r}")
+
+
+def _floats(v) -> list:
+    return np.asarray(v, float).tolist()
+
+
+def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Compile a JSON expression tree over ``x1..xn`` and ``u1..ul`` into
+    ``(x, u) -> float``; ``x`` and ``u`` are any sequences of reals."""
+    fn = _compile(tree, n, l)
+    return lambda x, u: fn(_floats(x), _floats(u))
 
 
 def _sampled_lipschitz_u(f, n: int, l: int) -> float:
@@ -195,14 +210,16 @@ def system_from_spec(spec: dict) -> ControlSystem:
         raise ValueError(f"need {n} state derivative expressions, got {len(f_trees)}")
     if len(h_trees) != p:
         raise ValueError(f"need {p} output expressions, got {len(h_trees)}")
-    f_fns = [compile_expression(t, n, l) for t in f_trees]
-    h_fns = [compile_expression(t, n, l) for t in h_trees]
+    f_fns = [_compile(t, n, l) for t in f_trees]
+    h_fns = [_compile(t, n, l) for t in h_trees]
+    zero = [0.0] * l
 
     def f(x, u):
+        x, u = _floats(x), _floats(u)
         return np.array([fn(x, u) for fn in f_fns])
 
     def h(x):
-        zero = np.zeros(l)
+        x = _floats(x)
         return np.array([fn(x, zero) for fn in h_fns])
 
     lipschitz = spec.get("lipschitz_u")

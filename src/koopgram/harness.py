@@ -9,13 +9,14 @@ certificate must always dominate it.
 
 ``simulate_ensemble(system, bn, orders, ensemble, tol)`` makes one ODE solve
 per probe signal, on the stacked state ``[x; z_r1; ...; z_rk]`` of the full
-system and every reduced order: the input is evaluated once per step, and
-all systems share one step sequence, so the full-vs-reduced difference
-carries no integrator noise from different step grids.  The integrator
-tests its local error component by component, so the stacked solve runs at
-``tol`` and each block keeps the error control it would have alone; one
-order's estimate still moves, at integration-error level, with the other
-orders requested, as they change the shared steps.  When that solve
+system and every reduced order: the input is evaluated once per step, one
+``bn.f_reduced`` call evaluates the field of every order, and all systems
+share one step sequence, so the full-vs-reduced difference carries no
+integrator noise from different step grids.  The integrator tests its
+local error component by component, so the stacked solve runs at ``tol``
+and each block keeps the error control it would have alone; one order's
+estimate still moves, at integration-error level, with the other orders
+requested, as they change the shared steps.  When that solve
 fails, the blocks are solved one by one: a failure of the full system
 excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
@@ -195,7 +196,7 @@ class Signal:
             raise ValueError("signal horizon must be positive")
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.fn(np.atleast_1d(np.asarray(t, float)))[0]
+        return self.fn(np.asarray(t, float).reshape(1))[0]
 
 
 # Simpson nodes of ``signal_l2_norm``, the band (rad/s) ``input_ensemble``
@@ -213,31 +214,38 @@ def signal_l2_norm(fn: Callable, horizon: float) -> float:
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
 
 
+# each signal shapes its per-channel constants to (1, l) once, not per call
 def _decayed_tone(amp, decay, freqs, phases):
+    freqs, phases = freqs[None, :], phases[None, :]
+
     def fn(ts):
         ts = ts[:, None]
-        return amp * np.exp(-decay * ts) * np.sin(freqs[None, :] * ts + phases[None, :])
+        return amp * np.exp(-decay * ts) * np.sin(freqs * ts + phases)
 
     return fn
 
 
 def _noise_burst(coeffs, freqs, phases, center, width):
+    tones = [(c[None, :], f[None, :], p[None, :]) for c, f, p in zip(coeffs, freqs, phases)]
+
     def fn(ts):
         ts = ts[:, None]
         window = np.exp(-(((ts - center) / width) ** 2))
-        tones = np.zeros((ts.shape[0], coeffs.shape[1]))
-        for k in range(coeffs.shape[0]):
-            tones += coeffs[k][None, :] * np.sin(freqs[k][None, :] * ts + phases[k][None, :])
-        return window * tones
+        total = np.zeros((ts.shape[0], coeffs.shape[1]))
+        for c, f, p in tones:
+            total += c * np.sin(f * ts + p)
+        return window * total
 
     return fn
 
 
 def _chirp(amp, decay, omega0, rate, phases):
+    phases = phases[None, :]
+
     def fn(ts):
         ts = ts[:, None]
         phase = omega0 * ts + 0.5 * rate * ts * ts
-        return amp * np.exp(-decay * ts) * np.sin(phase + phases[None, :])
+        return amp * np.exp(-decay * ts) * np.sin(phase + phases)
 
     return fn
 
@@ -336,30 +344,49 @@ class Trajectories:
 
 
 def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
-    """States of every ``(rhs, dim)`` block, solved together as one stacked ODE
-    ``s' = [rhs_1(s_1, u); rhs_2(s_2, u); ...]`` with ``u = signal(t)`` evaluated
-    once per step, so all blocks share one step sequence.
+    """States of every block, solved together as one stacked ODE with
+    ``u = signal(t)`` evaluated once per step, so all blocks share one step
+    sequence.
 
-    The integrator accepts a step only when every component's scaled local
-    error is below 1, so each block is held to ``tol`` as if solved alone;
-    the others can only shorten its steps, never loosen its control.
+    A block ``(rhs, dim)`` is one state of dimension ``dim`` with field
+    ``rhs(state, u)``; a block ``(rhs, dims)`` with a list ``dims`` is one
+    state per entry, and ``rhs(states, u)`` returns one field per state, as
+    ``BalancedNonlinear.f_reduced`` does for all reduced orders at once.  The
+    result holds one state history per state, in order.  The integrator
+    accepts a step only when every component's scaled local error is below
+    1, so each state is held to ``tol`` as if solved alone; the others can
+    only shorten its steps, never loosen its control.
     """
-    edges = np.cumsum([0] + [dim for _, dim in blocks])
-    parts = [(rhs, slice(lo, hi)) for (rhs, _), lo, hi in zip(blocks, edges, edges[1:])]
+    # per block: its field and its one slice of the stacked state, or the
+    # list of its slices; a one-state block is called without a list, which
+    # would cost it about 1 µs a step
+    plan, parts, lo = [], [], 0
+    for rhs, d in blocks:
+        slices = []
+        for dim in d if isinstance(d, list) else [d]:
+            slices.append(slice(lo, lo + dim))
+            lo += dim
+        parts += slices
+        plan.append((rhs, slices if isinstance(d, list) else slices[0]))
 
     def field(t, s):
         u = signal(t)
         ds = np.empty(s.shape)
-        for rhs, part in parts:
-            ds[part] = rhs(s[part], u)
+        for rhs, part in plan:
+            if isinstance(part, slice):
+                ds[part] = rhs(s[part], u)
+                continue
+            for one, d in zip(part, rhs([s[p] for p in part], u)):
+                ds[one] = d
         return ds
 
-    states = integrate_ode(field, np.zeros(edges[-1]), grid, tol)
-    return [states[:, part] for _, part in parts]
+    states = integrate_ode(field, np.zeros(lo), grid, tol)
+    return [states[:, part] for part in parts]
 
 
 def _solve_alone(block, signal: Signal, grid: np.ndarray, tol: float):
-    """One block's states, or the error text of its failed solve."""
+    """The state history of a one-state block solved alone, or the error text
+    of its failed solve."""
     try:
         return _integrate([block], signal, grid, tol)[0]
     except (StiffnessError, ValueError) as exc:
@@ -377,17 +404,17 @@ def simulate_ensemble(
     is solved alone, and only the orders that fail are excluded.
     """
     orders = list(dict.fromkeys(orders))
-    blocks = [(system.f, system.n)] + [(bn.f_reduced, r) for r in orders]
+    plant = (system.f, system.n)
     out = []
     for signal in ensemble:
         grid = np.linspace(0.0, signal.horizon, _N_GRID)
         try:
-            states = _integrate(blocks, signal, grid, tol)
+            states = _integrate([plant, (bn.f_reduced, orders)], signal, grid, tol)
         except (StiffnessError, ValueError):
             # block by block, so that a failing block cannot exclude the others
-            states = [_solve_alone(blocks[0], signal, grid, tol)]
+            states = [_solve_alone(plant, signal, grid, tol)]
             if not isinstance(states[0], str):
-                states += [_solve_alone(block, signal, grid, tol) for block in blocks[1:]]
+                states += [_solve_alone((bn.f_reduced, [r]), signal, grid, tol) for r in orders]
         xs = states[0]
         full = xs if isinstance(xs, str) else np.stack(
             [np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]

@@ -39,7 +39,9 @@ class Dictionary:
     """State-inclusive observable set with an analytic Jacobian.
 
     ``evaluate(x)`` returns the q lifted coordinates; the first n of them are
-    x itself and every observable vanishes at the origin.
+    x itself and every observable vanishes at the origin.  It also takes a
+    ``(k, n)`` stack of states and returns the ``(k, q)`` stack of their
+    lifts, bit for bit the rows of ``k`` single calls.
     """
 
     n: int
@@ -66,25 +68,28 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
     if exps[:n] != coords:
         raise ValueError("dictionary must be state-inclusive: first n observables are the coordinates")
     emat = np.array(exps, dtype=float)  # (q, n)
+    present = emat > 0
+    # the nonzero entries of D_phi: row i, column j, the power of x_j in
+    # monomial i, and the other factors (k, power) of that monomial in order
+    entries = [
+        (i, j, power, tuple((k, pk) for k, pk in enumerate(e) if k != j and pk > 0))
+        for i, e in enumerate(exps) for j, power in enumerate(e) if power > 0
+    ]
 
     def evaluate(x: np.ndarray) -> np.ndarray:
+        # one state (n,) or a stack (k, n) of states; exponents are
+        # non-negative integers, so no power divides by zero
         x = np.asarray(x, float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.prod(np.where(emat > 0, x[None, :] ** emat, 1.0), axis=1)
-        return vals
+        return np.prod(np.where(present, x[..., None, :] ** emat, 1.0), axis=-1)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        jac = np.zeros((emat.shape[0], n))
-        for i, e in enumerate(exps):
-            for j, power in enumerate(e):
-                if power == 0:
-                    continue
-                term = power * x[j] ** (power - 1) if power > 1 else float(power)
-                for k, pk in enumerate(e):
-                    if k != j and pk > 0:
-                        term = term * x[k] ** pk
-                jac[i, j] = term
+        x = np.asarray(x, float).tolist()
+        jac = np.zeros(emat.shape)
+        for i, j, power, others in entries:
+            term = power * x[j] ** (power - 1) if power > 1 else float(power)
+            for k, pk in others:
+                term = term * x[k] ** pk
+            jac[i, j] = term
         return jac
 
     return Dictionary(

@@ -215,13 +215,23 @@ def _resolve_system(config: PipelineConfig) -> ControlSystem:
 
 
 def _resolve_dictionary(config: PipelineConfig, system) -> Dictionary:
+    """The config's dictionary, or else the system's hint.
+
+    Raises ``ValueError`` when a reduction order exceeds the lifted
+    dimension ``q``, so that every stage that takes the orders rejects them
+    before it computes or writes anything.
+    """
     spec = config.dictionary or system.dictionary_hint
-    return build_dictionary(
+    dictionary = build_dictionary(
         spec["kind"],
         system.n,
         degree=spec.get("degree"),
         exponents=spec.get("exponents"),
     )
+    bad = [r for r in config.reduction_orders if r > dictionary.q]
+    if bad:
+        raise ValueError(f"reduction orders {bad} exceed the lifted dimension {dictionary.q}")
+    return dictionary
 
 
 def _slack(config: PipelineConfig, system) -> float:
@@ -321,9 +331,6 @@ def _reduced_models(config: PipelineConfig, needed_by: str):
     model = _load(KoopmanModel, _read_artifact(config, "fit-koopman", needed_by), dictionary=dictionary)
     dec = _read_artifact(config, "decompose", needed_by)
     bal = _load(BalancedRealization, _read_artifact(config, "balance", needed_by))
-    bad = [r for r in config.reduction_orders if r > bal.q]
-    if bad:
-        raise ValueError(f"reduction orders {bad} exceed the lifted dimension {bal.q}")
     reduced = [truncate(bal, r) for r in config.reduction_orders]
     return system, dec, bal, balanced_nonlinear(system.f, system.l, model, bal), reduced
 

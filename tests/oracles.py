@@ -5,10 +5,14 @@ integrates the Gramian quadrature directly, the H-infinity oracle is a dense
 frequency sweep (evaluated in batched chunks of frequencies, with no
 Hamiltonian or bisection step), the coarse-sweep oracle walks the library's
 sweep grid one frequency at a time, and the ODE oracle is a fixed-step
-classical Runge-Kutta scheme.  Nothing here imports from ``koopgram``.
+classical Runge-Kutta scheme.  The monomial Jacobian oracle is the plain
+triple loop over every entry, and the expression oracle walks a tree
+recursively in Python floats.  Nothing here imports from ``koopgram``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.integrate
@@ -140,3 +144,59 @@ def random_stable_system(rng, n: int, l: int, p: int, ratio_cap: float = 6.0):
     b = rng.normal(size=(n, l))
     c = rng.normal(size=(p, n))
     return a, b, c
+
+
+def monomial_jacobian_by_loop(exponents, x) -> np.ndarray:
+    """Jacobian of the monomials ``prod_k x_k ** e_k``, one ``e`` per row of
+    ``exponents``, entry by entry: ``e_j x_j ** (e_j - 1)`` times the other
+    factors in coordinate order."""
+    x = np.asarray(x, float)
+    n = len(exponents[0])
+    jac = np.zeros((len(exponents), n))
+    for i, e in enumerate(exponents):
+        for j, power in enumerate(e):
+            if power == 0:
+                continue
+            term = power * x[j] ** (power - 1) if power > 1 else float(power)
+            for k, pk in enumerate(e):
+                if k != j and pk > 0:
+                    term = term * x[k] ** pk
+            jac[i, j] = term
+    return jac
+
+
+_TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
+
+
+def evaluate_tree(tree, x, u) -> float:
+    """Value of a JSON expression tree at ``(x, u)``, recursively in Python
+    floats: numpy's sin, cos and tanh, and ``math.pow``, whose ``ValueError``
+    (no real value) is re-raised as ``pow(a, b) has no real value``.  A
+    division by zero raises ``ZeroDivisionError`` and an overflowing power
+    ``OverflowError``; arguments are evaluated left to right."""
+    if isinstance(tree, (int, float)):
+        return float(tree)
+    if "const" in tree:
+        return float(tree["const"])
+    if "var" in tree:
+        name = tree["var"]
+        return float((x if name[0] == "x" else u)[int(name[1:]) - 1])
+    op = tree["op"]
+    args = [evaluate_tree(arg, x, u) for arg in tree["args"]]
+    if op in _TRANSCENDENTAL:
+        return float(_TRANSCENDENTAL[op](args[0]))
+    if op == "neg":
+        return -args[0]
+    a, b = args
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from koopgram.linalg import LtiSystem, integrate_ode
 from oracles import lyapunov_by_quadrature, random_stable_system
 
 
+EXPR_LIFT = Path(__file__).resolve().parents[1] / "perfbench" / "expr_lift_system.json"
 DECOUPLED = LtiSystem(-np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
 
 
@@ -169,7 +173,7 @@ class TestBalancedNonlinear:
             z = rng.normal(size=2)
             u = rng.normal(size=1)
             expect = bal.a_bal @ z + bal.t @ (b @ u)
-            assert np.allclose(bn.f_reduced(z, u), expect, atol=1e-9)
+            assert np.allclose(bn.f_reduced([z], u)[0], expect, atol=1e-9)
 
     def test_control_term_vanishes_at_zero_input(self):
         f, h = slow_manifold()
@@ -182,8 +186,28 @@ class TestBalancedNonlinear:
             # error, with no control contribution
             z = rng.normal(size=3)
             drift = bal.a_bal @ z + bn.error_map(z)
-            assert np.allclose(bn.f_reduced(z, np.zeros(1)), drift, atol=1e-12)
-        assert np.allclose(bn.f_reduced(np.zeros(3), np.zeros(1)), 0.0, atol=1e-12)
+            assert np.allclose(bn.f_reduced([z], np.zeros(1))[0], drift, atol=1e-12)
+        assert np.allclose(bn.f_reduced([np.zeros(3)], np.zeros(1))[0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("system", ["lti6", "slow_manifold", "expr_lift"])
+    def test_multi_order_call_equals_single_order_calls(self, tmp_path, system):
+        # identity, hinted monomial and expression-system dictionaries: one
+        # call for orders 1-3 gives each order's field bit for bit
+        if system == "expr_lift":
+            if not EXPR_LIFT.exists():
+                pytest.skip("perfbench/ is not in this checkout")
+            system = json.loads(EXPR_LIFT.read_text())
+        cfg = pipeline.PipelineConfig(system=system, reduction_orders=[1, 2, 3],
+                                      output_dir=str(tmp_path), sample_budget=400)
+        for stage in (pipeline.stage_fit_koopman, pipeline.stage_decompose, pipeline.stage_balance):
+            stage(cfg)
+        sysd, _, _, bn, _ = pipeline._reduced_models(cfg, "simulate")
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            zs = [rng.uniform(-2, 2, size=r) for r in (1, 2, 3)]
+            u = rng.uniform(-2, 2, size=sysd.l)
+            for z, field in zip(zs, bn.f_reduced(zs, u), strict=True):
+                assert np.array_equal(field, bn.f_reduced([z], u)[0])
 
     def test_error_map_vanishes_for_exact_dictionary(self):
         f, h = slow_manifold()

@@ -121,13 +121,17 @@ class TestStages:
         assert digest() == first
 
     def test_orders_validated_against_lifted_dimension(self, tmp_path):
-        _, raw = write_config(tmp_path, reduction_orders=[1, 5])
+        # q = 1 for tanh_first_order: every stage that takes the orders
+        # rejects order 5, also when the earlier stages ran with valid ones
+        _, raw = write_config(tmp_path, reduction_orders=[1])
         cfg = PipelineConfig(**raw)
         stage_fit_koopman(cfg)
         stage_decompose(cfg)
         stage_balance(cfg)
-        with pytest.raises(ValueError, match="exceed"):
-            stage_certify(cfg)
+        bad = PipelineConfig(**{**raw, "reduction_orders": [1, 5]})
+        for stage in (stage_fit_koopman, stage_decompose, stage_certify, stage_simulate):
+            with pytest.raises(ValueError, match="exceed"):
+                stage(bad)
 
     def test_certify_computes_order_independent_terms_once(self, tmp_path, monkeypatch):
         from koopgram import certify, pipeline
@@ -484,6 +488,18 @@ class TestCliEntry:
         assert err.startswith("error [run]: full-system solve failed under probe signal tone-1: ")
         assert err.count("\n") == 1
         assert not (Path(raw["output_dir"]) / ARTIFACT_NAMES["simulate"]).exists()
+
+    def test_order_above_lifted_dimension_exits_one_before_fitting(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"system": "tanh_first_order", "reduction_orders": [2],
+                                    "output_dir": str(out)}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error [run]: reduction orders [2] exceed the lifted dimension 1\n"
+        # no stage ran: no timing printed, no artifact written
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
 
     def test_variable_out_of_range_exits_one(self, tmp_path, capsys):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [{"var": "x1"}],

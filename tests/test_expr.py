@@ -1,8 +1,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from koopgram.expr import compile_expression, system_from_spec
+
+from oracles import evaluate_tree
+from test_fuzz import op, trees
 
 
 TANH_FIRST_ORDER_SPEC = {
@@ -122,3 +127,46 @@ class TestSystemFromSpec:
         bad = dict(TANH_FIRST_ORDER_SPEC, n=2)
         with pytest.raises(ValueError, match="derivative expressions"):
             system_from_spec(bad)
+
+
+def _outcome(evaluate):
+    """The value of ``evaluate()``, or the type and text of what it raised."""
+    try:
+        return evaluate()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class TestInterpreterOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.integers(1, 2).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(trees(n, 3), min_size=n + 1, max_size=n + 1))))
+    def test_system_equals_recursive_float_evaluation(self, case):
+        # f and h equal the tree walk bit for bit, and raise what it raises
+        n, drawn = case
+        zero = ([0.0] * n, [0.0])
+        at_zero = [_outcome(lambda: evaluate_tree(tree, *zero)) for tree in drawn]
+        assume(all(isinstance(v, float) and np.isfinite(v) for v in at_zero))
+        vanishing = [op("sub", tree, v) for tree, v in zip(drawn, at_zero)]
+        spec = {"n": n, "l": 1, "p": 1, "f": vanishing[:n], "h": vanishing[n:], "lipschitz_u": 1.0}
+        system = system_from_spec(spec)
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-3.0, 3.0, size=(60, n + 1))
+        # the generator's constants and their negatives zero out some
+        # denominators and bases; 1e160 overflows products and powers
+        special = [0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e160, -1e160]
+        points[:40] = rng.choice(special, size=(40, n + 1))
+        with np.errstate(all="ignore"):
+            for point in points:
+                x, u = point[:n], point[n:]
+                for got, want in (
+                    (_outcome(lambda: system.f(x, u)),
+                     _outcome(lambda: np.array([evaluate_tree(t, x, u) for t in spec["f"]]))),
+                    (_outcome(lambda: system.h(x)),
+                     _outcome(lambda: np.array([evaluate_tree(t, x, [0.0]) for t in spec["h"]]))),
+                ):
+                    if isinstance(want, tuple):
+                        assert got == want
+                    else:
+                        assert np.array_equal(got, want, equal_nan=True)

@@ -212,14 +212,14 @@ class TestEstimateGap:
         _, _, red2 = _reduced_pair("slow_manifold", r=2)
         f_reduced = bn.f_reduced
 
-        def raising(z, u):
-            if len(z) == 2 and np.linalg.norm(z) > 1e-3:
+        def raising(zs, u):
+            if any(len(z) == 2 and np.linalg.norm(z) > 1e-3 for z in zs):
                 raise ValueError("synthetic order-2 failure")
-            return f_reduced(z, u)
+            return f_reduced(zs, u)
 
-        def blowing_up(z, u):
+        def blowing_up(zs, u):
             # z' = 1 + z^2 per component: z = tan(t) has a pole at t = pi / 2
-            return 1.0 + z * z if len(z) == 2 else f_reduced(z, u)
+            return [1.0 + z * z if len(z) == 2 else f_reduced([z], u)[0] for z in zs]
 
         ens = input_ensemble(1, 8.0, count=2, seed=6)
         # the healthy order, solved alone after the stacked solve failed,
@@ -250,7 +250,7 @@ class TestEstimateGap:
             ys = np.stack([sysd.h(x) for x in xs])
             assert np.max(np.abs(traj.full - ys)) <= 1e-6
             for r in orders:
-                (zs,) = _integrate([(bn.f_reduced, r)], signal, grid, 1e-7)
+                (zs,) = _integrate([(bn.f_reduced, [r])], signal, grid, 1e-7)
                 assert np.max(np.abs(traj.reduced[r] - zs)) <= 1e-6
 
     def test_order_estimate_stable_under_other_orders(self):

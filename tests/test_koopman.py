@@ -10,6 +10,8 @@ from koopgram.koopman import (
     fit_koopman,
 )
 
+from oracles import monomial_jacobian_by_loop
+
 
 def slow_manifold_drift(x):
     return np.array([-x[0], -2.0 * (x[1] - x[0] ** 2)])
@@ -58,6 +60,26 @@ class TestBuildDictionary:
                 e[j] = step
                 fd = (d.evaluate(x + e) - d.evaluate(x - e)) / (2 * step)
                 assert np.allclose(jac[:, j], fd, atol=1e-5)
+
+    def test_monomial_jacobian_equals_entrywise_loop(self):
+        # only the nonzero entries are visited, each multiplied in the
+        # loop's order, so every bit is the same
+        d = build_dictionary("monomials", 3, degree=3)
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(5000, 3)) * rng.choice([1e-3, 1.0, 30.0], size=(5000, 1))
+        xs[:20] = 0.0
+        xs[20:40, 1] = 0.0
+        for x in xs:
+            assert np.array_equal(d.jacobian(x), monomial_jacobian_by_loop(d.exponents, x))
+
+    @pytest.mark.parametrize("kind", ["identity", "monomials"])
+    def test_stacked_evaluate_equals_single_calls(self, kind):
+        d = build_dictionary(kind, 3, degree=3 if kind == "monomials" else None)
+        xs = np.random.default_rng(4).normal(size=(500, 3)) * 10.0
+        stacked = d.evaluate(xs)
+        assert stacked.shape == (500, d.q)
+        for x, row in zip(xs, stacked):
+            assert np.array_equal(d.evaluate(x), row)
 
     def test_explicit_exponents(self):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
