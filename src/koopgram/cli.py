@@ -8,7 +8,8 @@ that cannot be read, lacks or mistypes a key, or has a value out of range,
 missing prerequisites, an output directory that cannot be written, or a
 failed computation (for example a full-system solve that blows up, an
 expression that divides by zero, an output map the dictionary does not
-span, or an H-infinity norm whose peak gain cannot be bracketed).
+span, an H-infinity norm whose peak gain cannot be bracketed, or a
+probe-signal worker that died).
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def main(argv=None) -> int:
     except (
         ValueError, KeyError,
         # MinimalityError and SlackViolationError are ValueErrors;
-        # StiffnessError and hinf_norm's bracket failure are RuntimeErrors;
+        # StiffnessError, hinf_norm's bracket failure and a dead probe-signal
+        # worker are RuntimeErrors;
         # expression systems evaluate in Python floats and raise
         # ZeroDivisionError or OverflowError; an unwritable output directory
         # raises an OSError, caught only after MissingArtifactError above

@@ -20,13 +20,25 @@ requested, as they change the shared steps.  When that solve
 fails, the blocks are solved one by one: a failure of the full system
 excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
+The signals share no state, so they are solved in forked worker
+processes, one per usable CPU up to the signal count; the parent only
+collects the results in input order, so they are the same, bit for bit,
+as the in-process loop's.  That loop runs instead on one usable CPU, where
+``os.fork`` is missing, and while a second thread is alive (a fork then
+could copy a lock another thread holds).  No setting chooses between them.
 ``estimate_gap(trajectories, red, ensemble)`` integrates nothing; it turns
 the trajectories into one order's empirical gain.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import struct
+import threading
 from dataclasses import dataclass, field
+from signal import SIGKILL
 from typing import Callable, Sequence
 
 import numpy as np
@@ -393,6 +405,33 @@ def _solve_alone(block, signal: Signal, grid: np.ndarray, tol: float):
         return str(exc)
 
 
+def _simulate_signal(
+    system: ControlSystem, bn: BalancedNonlinear, orders: list, signal: Signal, tol: float,
+) -> Trajectories:
+    """One signal's ``Trajectories``: the stacked solve, or block by block if it fails."""
+    plant = (system.f, system.n)
+    grid = np.linspace(0.0, signal.horizon, _N_GRID)
+    try:
+        states = _integrate([plant, (bn.f_reduced, orders)], signal, grid, tol)
+    except (StiffnessError, ValueError):
+        # block by block, so that a failing block cannot exclude the others
+        states = [_solve_alone(plant, signal, grid, tol)]
+        if not isinstance(states[0], str):
+            states += [_solve_alone((bn.f_reduced, [r]), signal, grid, tol) for r in orders]
+    xs = states[0]
+    full = xs if isinstance(xs, str) else np.stack(
+        [np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]
+    )
+    return Trajectories(grid=grid, full=full, reduced=dict(zip(orders, states[1:])))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; tests patch it to force or forbid the fan-out."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_ensemble(
     system: ControlSystem, bn: BalancedNonlinear, orders: Sequence[int],
     ensemble: Sequence[Signal], tol: float,
@@ -401,26 +440,152 @@ def simulate_ensemble(
 
     If that solve fails, the full system is solved alone; if it fails too,
     its error text excludes the signal at every order.  Otherwise each order
-    is solved alone, and only the orders that fail are excluded.
+    is solved alone, and only the orders that fail are excluded.  The
+    signals are solved in forked workers (see the module docstring); an
+    exception a worker raises is raised here, and a worker that dies raises
+    ``RuntimeError``.
     """
     orders = list(dict.fromkeys(orders))
-    plant = (system.f, system.n)
-    out = []
-    for signal in ensemble:
-        grid = np.linspace(0.0, signal.horizon, _N_GRID)
+
+    def solve(signal):
+        return _simulate_signal(system, bn, orders, signal, tol)
+
+    workers = min(_usable_cpus(), len(ensemble))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [solve(signal) for signal in ensemble]
+    return _fan_out(solve, ensemble, workers)
+
+
+# a worker's message: signal index and payload size, then the payload; an
+# empty payload says the worker has taken the signal, a pickled
+# ("ok", result) or ("error", exception) answers it
+_FRAME = struct.Struct("<IQ")
+_TASK = struct.Struct("<I")
+
+
+def _fan_out(solve: Callable, ensemble: Sequence[Signal], workers: int) -> list:
+    """``[solve(s) for s in ensemble]``, solved by ``workers`` forked children.
+
+    The children take signal indices from one shared task pipe and answer
+    each on a pipe of their own; ``solve`` and what it closes over are
+    inherited through the fork, never pickled.  The parent writes the
+    indices, collects the answers and solves nothing itself.  It raises the
+    exception of the first signal, in input order, whose solve raised, as the
+    in-process loop would, and ``RuntimeError`` when a child dies.  Every
+    child is reaped before this returns or raises; on any exception the
+    children still running are killed first.
+    """
+    parent = os.getpid()
+    tasks_r, tasks_w = os.pipe()
+    os.set_blocking(tasks_w, False)
+    unsent = b"".join(_TASK.pack(i) for i in range(len(ensemble)))
+    children = {}  # answer pipe -> pid, until the child is reaped
+    taken, buffers, answers = {}, {}, {}
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    for fd in (r, tasks_w, *children):
+                        os.close(fd)
+                    _work(solve, ensemble, tasks_r, w, parent)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[r], buffers[r] = pid, bytearray()
+        os.close(tasks_r)
+        tasks_r = None
+        poller = select.poll()  # unlike select.select, takes any descriptor number
+        poller.register(tasks_w, select.POLLOUT)
+        for fd in children:
+            poller.register(fd, select.POLLIN)
+        while children:
+            for fd, _ in poller.poll():
+                if fd == tasks_w:
+                    # at most PIPE_BUF bytes, so the write is whole or refused; a
+                    # pipe without readers means every child has died, which
+                    # their own ends of file report
+                    try:
+                        unsent = unsent[os.write(tasks_w, unsent[: select.PIPE_BUF]):]
+                    except (BlockingIOError, BrokenPipeError):
+                        pass
+                    if not unsent:
+                        poller.unregister(tasks_w)
+                        os.close(tasks_w)
+                        tasks_w = None
+                    continue
+                chunk = os.read(fd, 1 << 16)
+                buf = buffers[fd]
+                buf += chunk
+                while len(buf) >= _FRAME.size:
+                    i, size = _FRAME.unpack_from(buf)
+                    end = _FRAME.size + size
+                    if len(buf) < end:
+                        break
+                    if size:
+                        answers[i] = pickle.loads(buf[_FRAME.size:end])
+                        del taken[fd]
+                    else:
+                        taken[fd] = i
+                    del buf[:end]
+                if chunk:
+                    continue
+                # end of file: the child has exited
+                poller.unregister(fd)
+                _, status = os.waitpid(children[fd], 0)
+                del children[fd]
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(status)
+                if code or fd in taken:
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    i = taken.get(fd)
+                    where = "between signals" if i is None else f"under probe signal {ensemble[i].name}"
+                    raise RuntimeError(f"a probe-signal worker {how} {where}")
+            failed = [i for i, (kind, _) in answers.items() if kind == "error"]
+            if failed and all(i in answers for i in range(min(failed))):
+                raise answers[min(failed)][1]
+        return [answers[i][1] for i in range(len(ensemble))]
+    finally:
+        for fd in (tasks_r, tasks_w, *children):
+            if fd is not None:
+                os.close(fd)
+        for pid in children.values():
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(solve: Callable, ensemble: Sequence[Signal], tasks: int, out: int, parent: int):
+    """A forked child's loop: solve the signals it takes until the task pipe
+    is empty and closed, or its parent is gone; never returns."""
+    while os.getppid() == parent:
+        task = os.read(tasks, _TASK.size)
+        if not task:
+            os._exit(0)
+        (i,) = _TASK.unpack(task)
+        _send(out, i, b"")
         try:
-            states = _integrate([plant, (bn.f_reduced, orders)], signal, grid, tol)
-        except (StiffnessError, ValueError):
-            # block by block, so that a failing block cannot exclude the others
-            states = [_solve_alone(plant, signal, grid, tol)]
-            if not isinstance(states[0], str):
-                states += [_solve_alone((bn.f_reduced, [r]), signal, grid, tol) for r in orders]
-        xs = states[0]
-        full = xs if isinstance(xs, str) else np.stack(
-            [np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]
-        )
-        out.append(Trajectories(grid=grid, full=full, reduced=dict(zip(orders, states[1:]))))
-    return out
+            answer = pickle.dumps(("ok", solve(ensemble[i])))
+        except Exception as exc:
+            try:
+                answer = pickle.dumps(("error", exc))
+                pickle.loads(answer)
+            except Exception:
+                # an exception that does not survive pickling keeps its text
+                answer = pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
+        _send(out, i, answer)
+    os._exit(1)
+
+
+def _send(fd: int, i: int, payload: bytes):
+    data = memoryview(_FRAME.pack(i, len(payload)) + payload)
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def estimate_gap(

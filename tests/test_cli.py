@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,8 @@ class TestStages:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
+        # in-process: a forked worker's calls would not reach this counter
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         stage_simulate(cfg)
         # one stacked integration per signal: the full system and every order
         assert calls == {"integrate_ode": 2}
@@ -472,7 +475,10 @@ class TestCliEntry:
         assert err.startswith("error: unreadable config: ode_tol must be at least 2.22e-14")
         assert "Traceback" not in err
 
-    def test_failed_full_system_solve_exits_one(self, tmp_path, capsys):
+    def test_failed_full_system_solve_exits_one(self, tmp_path, capsys, monkeypatch):
+        from koopgram import harness
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         # x' = -x + 0.3 x^3 + 2u is driven past its unstable equilibrium
         # x = 1/sqrt(0.3) by tone-1 and escapes in finite time; reported as an
         # exclusion, the run would read empirical=1.39e-14 FAIL
@@ -488,6 +494,9 @@ class TestCliEntry:
         assert err.startswith("error [run]: full-system solve failed under probe signal tone-1: ")
         assert err.count("\n") == 1
         assert not (Path(raw["output_dir"]) / ARTIFACT_NAMES["simulate"]).exists()
+        # the forked probe-signal workers are all reaped, none left a zombie
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_order_above_lifted_dimension_exits_one_before_fitting(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import signal
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopgram import harness, pipeline
 from koopgram.balance import balance, balanced_nonlinear, truncate
 from koopgram.certify import FeedbackDecomposition, build_certificate
 from koopgram.gsvd import decompose, estimate_gains
@@ -46,6 +52,36 @@ def _reduced_pair(name, r, seed=0):
     red = truncate(bal, r)
     bn = balanced_nonlinear(sysd.f, sysd.l, model, bal)
     return sysd, bn, red
+
+
+def _exploding_full(base):
+    """``base`` whose full-system solve fails under every nonzero input."""
+
+    def exploding(x, u):
+        if abs(float(x[0])) > 1e-3:
+            raise ValueError("synthetic integration failure")
+        return base.f(x, u)
+
+    return dataclasses.replace(base, f=exploding)
+
+
+def _broken_order_2(bn):
+    """Copies of ``bn`` whose order-2 solve fails, each with its error text."""
+    f_reduced = bn.f_reduced
+
+    def raising(zs, u):
+        if any(len(z) == 2 and np.linalg.norm(z) > 1e-3 for z in zs):
+            raise ValueError("synthetic order-2 failure")
+        return f_reduced(zs, u)
+
+    def blowing_up(zs, u):
+        # z' = 1 + z^2 per component: z = tan(t) has a pole at t = pi / 2
+        return [1.0 + z * z if len(z) == 2 else f_reduced([z], u)[0] for z in zs]
+
+    return [
+        (dataclasses.replace(bn, f_reduced=raising), "synthetic order-2"),
+        (dataclasses.replace(bn, f_reduced=blowing_up), "integration failed"),
+    ]
 
 
 class TestBuiltinSystems:
@@ -190,15 +226,9 @@ class TestEstimateGap:
 
         # one failed full integration excludes its signal at every order,
         # with the error text of that integration
-        base = get_builtin("slow_manifold")
-
-        def exploding2(x, u):
-            if abs(float(x[0])) > 1e-3:
-                raise ValueError("synthetic integration failure")
-            return base.f(x, u)
-
         _, bn_s, _ = _reduced_pair("slow_manifold", r=1)
-        trajectories = simulate_ensemble(dataclasses.replace(base, f=exploding2), bn_s, [1, 2], ens, 1e-8)
+        exploding_s = _exploding_full(get_builtin("slow_manifold"))
+        trajectories = simulate_ensemble(exploding_s, bn_s, [1, 2], ens, 1e-8)
         assert all(isinstance(t.full, str) and "synthetic" in t.full for t in trajectories)
         expected = [{"signal": s.name, "error": t.full} for s, t in zip(ens, trajectories)]
         for r in (1, 2):
@@ -210,23 +240,11 @@ class TestEstimateGap:
     def test_failed_reduced_order_is_excluded_at_that_order_only(self):
         sysd, bn, red1 = _reduced_pair("slow_manifold", r=1)
         _, _, red2 = _reduced_pair("slow_manifold", r=2)
-        f_reduced = bn.f_reduced
-
-        def raising(zs, u):
-            if any(len(z) == 2 and np.linalg.norm(z) > 1e-3 for z in zs):
-                raise ValueError("synthetic order-2 failure")
-            return f_reduced(zs, u)
-
-        def blowing_up(zs, u):
-            # z' = 1 + z^2 per component: z = tan(t) has a pole at t = pi / 2
-            return [1.0 + z * z if len(z) == 2 else f_reduced([z], u)[0] for z in zs]
-
         ens = input_ensemble(1, 8.0, count=2, seed=6)
         # the healthy order, solved alone after the stacked solve failed,
         # matches its stacked solve with the full system to integration accuracy
         stacked = estimate_gap(simulate_ensemble(sysd, bn, [1], ens, 1e-8), red1, ens)
-        for f_broken, error in ((raising, "synthetic order-2"), (blowing_up, "integration failed")):
-            broken = dataclasses.replace(bn, f_reduced=f_broken)
+        for broken, error in _broken_order_2(bn):
             trajectories = simulate_ensemble(sysd, broken, [1, 2], ens, 1e-8)
             est1 = estimate_gap(trajectories, red1, ens)
             est2 = estimate_gap(trajectories, red2, ens)
@@ -273,6 +291,146 @@ class TestEstimateGap:
         est = _gap(sysd, bn, red, ens, tol=1e-7)
         assert est.value <= 2.0 * red.hankel_tail + 1e-6
         assert est.value >= 0.3 * hsv_next
+
+
+EXPR_LIFT = Path(__file__).resolve().parents[1] / "perfbench" / "expr_lift_system.json"
+
+
+def _no_child_left():
+    # every forked worker was reaped: no child is running, none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _use_cpus(monkeypatch, cpus):
+    # 1 keeps simulate_ensemble in-process; 2 forks a worker per signal up to 2
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+
+def _parent_solves(monkeypatch, *args):
+    """simulate_ensemble(*args) and the number of ODE solves it made in this
+    process, which a forked worker's solves do not reach."""
+    calls = []
+    original = harness.integrate_ode
+
+    def integrate_ode(*a, **k):
+        calls.append(1)
+        return original(*a, **k)
+
+    monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
+    try:
+        return simulate_ensemble(*args), len(calls)
+    finally:
+        monkeypatch.setattr(harness, "integrate_ode", original)
+
+
+class TestForkedWorkers:
+    def _assert_forked_equals_serial(self, monkeypatch, *args):
+        _use_cpus(monkeypatch, 1)
+        serial, solves = _parent_solves(monkeypatch, *args)
+        assert solves >= len(args[3])
+        _use_cpus(monkeypatch, 2)
+        forked, solves = _parent_solves(monkeypatch, *args)
+        assert solves == 0
+        _no_child_left()
+        assert len(forked) == len(serial)
+        for a, b in zip(serial, forked):
+            assert np.array_equal(a.grid, b.grid)
+            if isinstance(a.full, str):
+                assert a.full == b.full
+            else:
+                assert np.array_equal(a.full, b.full)
+            assert list(a.reduced) == list(b.reduced)
+            for x, y in zip(a.reduced.values(), b.reduced.values()):
+                assert x == y if isinstance(x, str) else np.array_equal(x, y)
+        return serial
+
+    @pytest.mark.parametrize(
+        "name, orders", [("lti6", [2, 4]), ("slow_manifold", [1, 2]), ("expr_lift", [1, 2, 3])]
+    )
+    def test_forked_equals_serial_bit_for_bit(self, name, orders, monkeypatch, tmp_path):
+        if name == "expr_lift":
+            if not EXPR_LIFT.exists():
+                pytest.skip("perfbench/ is not in this checkout")
+            spec = json.loads(EXPR_LIFT.read_text())
+            cfg = pipeline.PipelineConfig(system=spec, reduction_orders=orders,
+                                          output_dir=str(tmp_path), sample_budget=400)
+            for stage in (pipeline.stage_fit_koopman, pipeline.stage_decompose, pipeline.stage_balance):
+                stage(cfg)
+            sysd, _, _, bn, _ = pipeline._reduced_models(cfg, "simulate")
+        else:
+            sysd, bn, _ = _reduced_pair(name, r=orders[0])
+        # 3 tones, a burst and a chirp
+        ens = input_ensemble(sysd.l, 10.0, count=5, seed=3)
+        self._assert_forked_equals_serial(monkeypatch, sysd, bn, orders, ens, 1e-7)
+
+    def test_failed_solves_give_the_same_error_text(self, monkeypatch):
+        ens = input_ensemble(1, 8.0, count=2, seed=6)
+        base, bn, _ = _reduced_pair("slow_manifold", r=1)
+        serial = self._assert_forked_equals_serial(monkeypatch, _exploding_full(base), bn, [1, 2], ens, 1e-8)
+        assert all("synthetic" in t.full for t in serial)
+        for broken, error in _broken_order_2(bn):
+            serial = self._assert_forked_equals_serial(monkeypatch, base, broken, [1, 2], ens, 1e-8)
+            assert all(error in t.reduced[2] for t in serial)
+
+    def test_worker_exception_is_raised_with_its_type_and_text(self, monkeypatch):
+        base, bn, _ = _reduced_pair("slow_manifold", r=1)
+
+        slow = []
+
+        def h(x):
+            # the text differs per signal; the in-process loop raises the
+            # first signal's, which the forked run delays to finish last
+            if np.any(x):
+                text = f"broken output map at {float(np.linalg.norm(x)):.17g}"
+                if text in slow:
+                    time.sleep(0.5)
+                raise KeyError(text)
+            return base.h(x)
+
+        broken = dataclasses.replace(base, h=h)
+        ens = input_ensemble(1, 8.0, count=3, seed=6)
+        texts = []
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            with pytest.raises(KeyError) as info:
+                simulate_ensemble(broken, bn, [1], ens, 1e-8)
+            _no_child_left()
+            texts.append(str(info.value))
+            slow.append(info.value.args[0])
+        assert texts[0] == texts[1]
+        assert "broken output map" in texts[0]
+
+    def test_killed_worker_raises_runtime_error(self, monkeypatch):
+        base, bn, _ = _reduced_pair("tanh_first_order", r=1)
+        parent = os.getpid()
+
+        def dying(x, u):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return base.f(x, u)
+
+        _use_cpus(monkeypatch, 2)
+        ens = input_ensemble(1, 8.0, count=3, seed=6)
+        with pytest.raises(RuntimeError, match=r"worker was killed by signal 9 under probe signal tone-"):
+            simulate_ensemble(dataclasses.replace(base, f=dying), bn, [1], ens, 1e-8)
+        _no_child_left()
+
+    def test_second_thread_keeps_the_solves_in_process(self, monkeypatch):
+        sysd, bn, _ = _reduced_pair("tanh_first_order", r=1)
+        ens = input_ensemble(1, 8.0, count=2, seed=6)
+        _use_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            _, solves = _parent_solves(monkeypatch, sysd, bn, [1], ens, 1e-8)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert solves == len(ens)
+        _no_child_left()
 
 
 class TestValidateCertificate:
