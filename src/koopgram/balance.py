@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gsvd
 from .koopman import KoopmanModel
-from .linalg import LtiSystem, SpectrumError, is_hurwitz, solve_lyapunov
+from .linalg import LtiSystem, SpectrumError, is_hurwitz, row_products, solve_lyapunov
 
 __all__ = [
     "MinimalityError",
@@ -155,21 +155,25 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    One instance serves every reduction order.  ``error_map(z)`` takes the
-    order ``r`` from ``len(z)``, and ``len(z) = q`` is the full balanced
-    realization; ``f_reduced(zs, u)`` takes a list of states, one per
-    order, and returns one field per state, so one call per step serves
-    every simulated order.  Both evaluate the lifted field
-    ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state ``x = R_r z``,
-    push it through the balancing transform and keep its leading ``r``
-    rows.  ``error_map(z)`` is that field at ``u = 0``, the representation
-    error, which feeds the error factorizations.  ``f_reduced`` simulates
-    the truncated lifted realization, which is the object the certificates
-    actually bound: the truncated balanced drift matrix plus the field at
-    the current input.  It evaluates a monomial dictionary once on the stack
-    of recovered states; every other product runs per state with the
-    operands of a single call, so ``f_reduced([z1, z2], u)[1]`` equals
-    ``f_reduced([z2], u)[0]`` bit for bit.
+    One instance serves every reduction order.  Both maps evaluate the
+    lifted field ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state
+    ``x = R_r z``, push it through the balancing transform and keep its
+    leading ``r`` rows.  ``error_map(z)`` is that field at ``u = 0``, the
+    representation error, which feeds the error factorizations; it takes
+    the order ``r`` from ``len(z)``, and ``len(z) = q`` is the full balanced
+    realization.  It also takes a ``(k, r)`` stack of states and returns the
+    ``(k, r)`` stack of values, bit for bit the rows of ``k`` single calls,
+    so that ``gsvd.estimate_gains`` samples it in one call: the field is
+    evaluated per state, and ``R_r z``, ``phi`` and ``T(.)[:r]`` run once
+    per stack.  ``f_reduced(zs, u)`` takes a list of states, one per order,
+    and returns one field per state, so one call per step serves every
+    simulated order; it simulates the truncated lifted realization, which
+    is the object the certificates actually bound: the truncated balanced
+    drift matrix plus the field at the current input.  It evaluates a
+    monomial dictionary once on the stack of recovered states; every other
+    product runs per state with the operands of a single call, so
+    ``f_reduced([z1, z2], u)[1]`` equals ``f_reduced([z2], u)[0]`` bit for
+    bit.
     """
 
     f_reduced: Callable[[Sequence[np.ndarray], np.ndarray], list[np.ndarray]]
@@ -198,9 +202,14 @@ def balanced_nonlinear(
         return jac(x) @ f(x, u) - a @ phi
 
     def error_map(z):
-        order = len(z)
-        x = views[order][0] @ z
-        return (t @ lifted(x, zero_u, dict_eval(x)))[:order]
+        # one state or a stack of them: the field per state, R_r z, phi and
+        # T(.)[:r] once per stack, each row with the bits of a single state
+        zs = np.asarray(z, float)
+        order = zs.shape[-1]
+        xs = row_products(views[order][0], np.atleast_2d(zs))
+        fields = np.array([lifted(x, zero_u, phi) for x, phi in zip(xs, dict_eval(xs))])
+        out = row_products(t, fields)[:, :order]
+        return out if zs.ndim == 2 else out[0]
 
     def f_reduced(zs, u):
         xs = [views[len(z)][0] @ z for z in zs]

@@ -174,14 +174,24 @@ def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray
     return lambda x, u: fn(_floats(x), _floats(u))
 
 
-def _sampled_lipschitz_u(f, n: int, l: int) -> float:
-    """Sampled bound on the sensitivity of f to its input argument."""
+def _sampled_lipschitz_u(f, n: int, l: int, box: float) -> float:
+    """Sampled bound on the sensitivity of f to its input argument: the
+    larger of the secant sweeps over ``[-3, 3]`` and over the gain box
+    ``[-box, box]``.  A sweep over a wide box puts few secant pairs close
+    together, so it can read lower than the narrow one; taking both means
+    that widening the box never lowers the bound."""
+    return max(_secant_sweep(f, n, l, b) for b in {3.0, float(box)})
+
+
+def _secant_sweep(f, n: int, l: int, box: float) -> float:
+    """Largest secant ratio ``|f(x, u1) - f(x, u2)| / |u1 - u2|`` over 400
+    draws of the state and both inputs from ``[-box, box]``."""
     rng = np.random.default_rng(0)
     best = 0.0
     for _ in range(400):
-        x = rng.uniform(-3.0, 3.0, size=n)
-        u1 = rng.uniform(-3.0, 3.0, size=l)
-        u2 = rng.uniform(-3.0, 3.0, size=l)
+        x = rng.uniform(-box, box, size=n)
+        u1 = rng.uniform(-box, box, size=l)
+        u2 = rng.uniform(-box, box, size=l)
         du = np.linalg.norm(u1 - u2)
         if du == 0.0:
             continue
@@ -224,7 +234,8 @@ def system_from_spec(spec: dict) -> ControlSystem:
 
     lipschitz = spec.get("lipschitz_u")
     if lipschitz is None:
-        lipschitz = _sampled_lipschitz_u(f, n, l)
+        box = float(spec.get("gain_box", ControlSystem.gain_box))
+        lipschitz = _sampled_lipschitz_u(f, n, l, box)
     given = {"dictionary_hint": "dictionary", "gain_box": "gain_box", "suggested_slack": "slack"}
     return ControlSystem(
         name=spec.get("name", "user_system"), n=n, l=l, p=p, f=f, h=h,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, row_norms
 
 __all__ = [
     "GainProfile",
@@ -193,27 +193,44 @@ def estimate_gains(
     measured against ``||u||``.  Sampling covers a centered box of half-width
     ``box`` plus radial rays at logarithmic scales, which catches maps whose
     gain peaks far from unit scale.  Deterministic for a fixed seed.
+
+    ``f`` is called once, on the whole stack of samples: ``f(X)`` with ``X``
+    of shape ``(k, n)``, or ``f(X, U)`` with ``U`` of shape ``(k, l)``, and
+    returns one row per sample, ``(k, p)``, or ``(k,)`` when ``p = 1``; any
+    other shape raises ``ValueError``, so a transposed ``(p, k)`` value is
+    refused rather than read as rows (it cannot be told apart when
+    ``p = k``).  Samples whose last argument is zero are left out of the
+    stack.  An exception raised by ``f`` propagates as it is, before any
+    value is checked; otherwise a non-finite value raises ``ValueError``
+    naming the first sample, in sampling order, where it occurs.
     """
     if sample_budget < MIN_SAMPLE_BUDGET:
         raise ValueError(f"sample_budget must be at least {MIN_SAMPLE_BUDGET}")
     rng = np.random.default_rng(seed)
-    # one argument tuple per sample; the gain is measured against the last
+    # one stack per argument, one row per sample; the gain is measured
+    # against the last argument
     dims = dims if isinstance(dims, tuple) else (int(dims),)
-    samples = list(zip(*(_sample_points(rng, d, sample_budget, box) for d in dims)))
-    best = None
-    for args in samples:
-        scale = np.linalg.norm(args[-1])
-        if scale == 0.0:
-            continue
-        fx = np.asarray(f(*args), float).reshape(-1)
-        if not np.all(np.isfinite(fx)):
-            where = ", ".join(f"{name}={v}" for name, v in zip("xu", args))
-            raise ValueError(f"map returned non-finite values at {where}")
-        ratio = np.abs(fx) / scale
-        best = ratio if best is None else np.maximum(best, ratio)
-    if best is None:
+    stacks = [_sample_points(rng, d, sample_budget, box) for d in dims]
+    count = stacks[0].shape[0]
+    scale = row_norms(stacks[-1])
+    used = scale != 0.0
+    if not used.any():
         raise ValueError("no nonzero sample points were generated")
-    return GainProfile(best, source="sampled_estimate", sample_count=len(samples))
+    if not used.all():
+        stacks, scale = [s[used] for s in stacks], scale[used]
+    fx = np.asarray(f(*stacks), float)
+    k = len(scale)
+    if fx.shape == (k,):
+        fx = fx[:, None]
+    if fx.ndim != 2 or fx.shape[0] != k:
+        raise ValueError(f"map must return one row per sample, shape ({k}, p), got {fx.shape}")
+    finite = np.isfinite(fx).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        where = ", ".join(f"{name}={s[first]}" for name, s in zip("xu", stacks))
+        raise ValueError(f"map returned non-finite values at {where}")
+    best = (np.abs(fx) / scale[:, None]).max(axis=0)
+    return GainProfile(best, source="sampled_estimate", sample_count=count)
 
 
 def _sized_sigma(

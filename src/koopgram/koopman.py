@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import integrate_ode, is_hurwitz
+from .linalg import integrate_ode, is_hurwitz, row_norms, row_products
 
 __all__ = [
     "Dictionary",
@@ -50,6 +50,11 @@ class Dictionary:
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     exponents: tuple[tuple[int, ...], ...] | None = None
+
+    def jacobians(self, xs: np.ndarray) -> np.ndarray:
+        """The ``(k, q, n)`` stack of ``jacobian`` at each row of a ``(k, n)``
+        stack of states, one ``jacobian`` call per row."""
+        return np.array([self.jacobian(x) for x in xs], dtype=float)
 
     def spec(self) -> dict:
         """JSON-serializable description sufficient to rebuild the dictionary."""
@@ -227,8 +232,10 @@ def fit_koopman(
     """Fit the generator and the output matrix into one model.
 
     ``phi(x)``, ``D_phi(x) @ f0(x)`` and ``h(x)`` are evaluated once per data
-    state.  The generator is a ridge least-squares fit on a random four
-    fifths of the states; its residual gain is the largest held-out ratio
+    state: ``f0``, ``h`` and the Jacobian are called once per state, and
+    ``phi`` and every product and norm run once on the stack of states, with
+    the bits of per-state calls.  The generator is a ridge least-squares fit
+    on a random four fifths of the states; its residual gain is the largest held-out ratio
     ``||D_phi(x) f0(x) - A phi(x)|| / ||phi(x)||``, an out-of-sample estimate
     of the induced norm of the representation error.  The output matrix is
     the minimum-norm least-squares ``C`` on every state, so rank deficiency
@@ -240,32 +247,29 @@ def fit_koopman(
         raise ValueError(
             f"need at least {2 * dictionary.q} snapshots, got {data.size}"
         )
-    phis, targets, ys = [], [], []
-    for x in data.states:
-        phis.append(np.asarray(dictionary.evaluate(x), float))
-        targets.append(np.asarray(dictionary.jacobian(x), float) @ np.asarray(f0(x), float))
-        ys.append(np.atleast_1d(np.asarray(h(x), float)))
-    phis, targets, ys = np.stack(phis), np.stack(targets), np.stack(ys)
+    states = data.states
+    phis = np.asarray(dictionary.evaluate(states), float)
+    drifts = np.array([np.asarray(f0(x), float) for x in states])
+    targets = row_products(dictionary.jacobians(states), drifts)
+    ys = np.array([np.atleast_1d(np.asarray(h(x), float)) for x in states])
 
     train_idx, hold_idx = _split_indices(data.size, seed)
     a = _ridge_least_squares(phis[train_idx], targets[train_idx])
-    residual_gain = 0.0
-    for k in hold_idx:
-        denom = np.linalg.norm(phis[k])
-        if denom > 0.0:
-            ratio = float(np.linalg.norm(targets[k] - a @ phis[k]) / denom)
-            residual_gain = max(residual_gain, ratio)
+    denom = row_norms(phis[hold_idx])
+    misfit = row_norms(targets[hold_idx] - row_products(a, phis[hold_idx]))
+    nonzero = denom > 0.0
+    residual_gain = float(np.max(misfit[nonzero] / denom[nonzero], initial=0.0))
 
     sol, *_ = np.linalg.lstsq(phis, ys, rcond=None)
     c = sol.T
-    output_residual = max(float(np.linalg.norm(y - c @ phi)) for y, phi in zip(ys, phis))
+    output_residual = float(np.max(row_norms(ys - row_products(c, phis))))
     return KoopmanModel(
         dictionary=dictionary,
         a=a,
         c=c,
         residual_gain=residual_gain,
         output_residual=output_residual,
-        output_scale=max(float(np.linalg.norm(y)) for y in ys),
+        output_scale=float(np.max(row_norms(ys))),
         hurwitz=is_hurwitz(a, margin=1e-10),
     )
 
@@ -278,13 +282,22 @@ def lifted_control_term(
     """Control contribution to the lifted dynamics: D_phi(x) (f(x,u) - f(x,0)).
 
     The returned map ``(x, u) -> R^q`` vanishes at ``u = 0``; factor it with
-    ``gsvd.decompose(fu, (n, l), gains)``.
+    ``gsvd.decompose(fu, (n, l), gains)``.  It also takes a ``(k, n)`` stack
+    of states with a ``(k, l)`` stack of inputs and returns the ``(k, q)``
+    stack of values, bit for bit the rows of ``k`` single calls: ``f`` and
+    the Jacobian are called once per row, the products run once per stack.
     """
+    zero_u = np.zeros(l)
 
     def eval_fu(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        jac = np.asarray(dictionary.jacobian(x), float)
-        return jac @ (np.asarray(f(x, u), float) - np.asarray(f(x, np.zeros(l)), float))
+        # one point or a stack of them: f and the Jacobian per row, the
+        # products once per stack, each row with the bits of a single point
+        xs = np.atleast_2d(np.asarray(x, float))
+        us = np.atleast_2d(np.asarray(u, float))
+        fields = np.array(
+            [np.asarray(f(xi, ui), float) - np.asarray(f(xi, zero_u), float) for xi, ui in zip(xs, us)]
+        )
+        out = row_products(dictionary.jacobians(xs), fields)
+        return out if np.ndim(x) == 2 else out[0]
 
     return eval_fu

@@ -21,6 +21,8 @@ __all__ = [
     "StiffnessError",
     "as_matrix",
     "as_vector",
+    "row_norms",
+    "row_products",
     "pinv",
     "spectral_norm",
     "is_hurwitz",
@@ -65,6 +67,21 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def row_norms(vs: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a stack, each with the bits of
+    ``np.linalg.norm`` of that row alone (``norm(axis=-1)`` sums in another
+    order and changes the last bit of some rows)."""
+    return np.sqrt(np.vecdot(vs, vs))
+
+
+def row_products(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The rows ``m @ v_i`` of a ``(k, n)`` stack ``vs``; ``m`` is one matrix
+    or a ``(k, p, n)`` stack of them.  The stacked matmul runs one
+    matrix-vector product per row, so each row has the bits of the single
+    product (``einsum`` and ``vs @ m.T`` change the last bit of some)."""
+    return (m @ vs[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

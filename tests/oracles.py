@@ -7,7 +7,9 @@ Hamiltonian or bisection step), the coarse-sweep oracle walks the library's
 sweep grid one frequency at a time, and the ODE oracle is a fixed-step
 classical Runge-Kutta scheme.  The monomial Jacobian oracle is the plain
 triple loop over every entry, and the expression oracle walks a tree
-recursively in Python floats.  Nothing here imports from ``koopgram``.
+recursively in Python floats.  The gain and fit oracles call their maps one
+sample (one state) at a time, where the library calls them on the whole
+stack.  Nothing here imports from ``koopgram``.
 """
 
 from __future__ import annotations
@@ -200,3 +202,72 @@ def evaluate_tree(tree, x, u) -> float:
         return math.pow(a, b)
     except ValueError:
         raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
+
+
+def gains_by_sample_loop(f, dims, sample_budget: int, seed, box: float):
+    """Sampled per-coordinate gains with one map call per sample.
+
+    The same samples as ``gsvd.estimate_gains`` (box samples, then six
+    radial rays), but ``f`` takes one point at a time and each ratio is
+    folded into the running maximum.  Returns ``(bounds, sample_count)``.
+    """
+    rng = np.random.default_rng(seed)
+    dims = dims if isinstance(dims, tuple) else (int(dims),)
+    radii = box * np.array([1e-3, 1e-2, 0.1, 0.2, 0.5, 1.0])
+    n_box = max(sample_budget // 2, 1)
+    n_dirs = max((sample_budget - n_box) // radii.size, 1)
+    stacks = []
+    for d in dims:
+        pts = [rng.uniform(-box, box, size=(n_box, d))]
+        dirs = rng.normal(size=(n_dirs, d))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        pts.extend(dirs * r for r in radii)
+        stacks.append(np.vstack(pts))
+    samples = list(zip(*stacks))
+    best = None
+    for args in samples:
+        scale = np.linalg.norm(args[-1])
+        if scale == 0.0:
+            continue
+        fx = np.asarray(f(*args), float).reshape(-1)
+        if not np.all(np.isfinite(fx)):
+            where = ", ".join(f"{name}={v}" for name, v in zip("xu", args))
+            raise ValueError(f"map returned non-finite values at {where}")
+        ratio = np.abs(fx) / scale
+        best = ratio if best is None else np.maximum(best, ratio)
+    return best, len(samples)
+
+
+def koopman_fit_by_state_loop(f0, h, dictionary, states, seed) -> dict:
+    """Generator and output fit with every map called on one state at a time.
+
+    ``phi``, ``D_phi @ f0`` and ``h`` per state; the ridge fit on a random
+    four fifths (the library's split and ridge), the held-out residual gain,
+    the output residual and the output scale each by a loop over states.
+    """
+    phis, targets, ys = [], [], []
+    for x in states:
+        phis.append(np.asarray(dictionary.evaluate(x), float))
+        targets.append(np.asarray(dictionary.jacobian(x), float) @ np.asarray(f0(x), float))
+        ys.append(np.atleast_1d(np.asarray(h(x), float)))
+    phis, targets, ys = np.stack(phis), np.stack(targets), np.stack(ys)
+    perm = np.random.default_rng(seed).permutation(len(states))
+    n_hold = max(int(round(0.2 * len(states))), 1)
+    train, hold = perm[n_hold:], perm[:n_hold]
+    gram = phis[train].T @ phis[train]
+    ridge = 1e-10 * (np.trace(gram) / max(gram.shape[0], 1))
+    a = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), phis[train].T @ targets[train]).T
+    residual_gain = 0.0
+    for k in hold:
+        denom = np.linalg.norm(phis[k])
+        if denom > 0.0:
+            residual_gain = max(residual_gain, float(np.linalg.norm(targets[k] - a @ phis[k]) / denom))
+    sol, *_ = np.linalg.lstsq(phis, ys, rcond=None)
+    c = sol.T
+    return {
+        "a": a,
+        "c": c,
+        "residual_gain": residual_gain,
+        "output_residual": max(float(np.linalg.norm(y - c @ phi)) for y, phi in zip(ys, phis)),
+        "output_scale": max(float(np.linalg.norm(y)) for y in ys),
+    }

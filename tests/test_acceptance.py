@@ -54,9 +54,9 @@ def test_criterion_1_norm_preservation_and_reconstruction():
     # single-argument maps through the gain-sized construction
     factors.append((decompose(lambda x: 2.0 * x, 1, GainProfile([2.0]), slack=1.3), 1, None))
     factors.append((decompose(lambda x: np.tanh(x), 2, GainProfile([1.0, 1.0])), 2, None))
-    f3 = lambda x: np.array([np.sin(x[0]), x[1] / (1.0 + x[0] ** 2)])
+    f3 = lambda x: np.stack([np.sin(x[..., 0]), x[..., 1] / (1.0 + x[..., 0] ** 2)], axis=-1)
     factors.append((decompose(f3, 2, estimate_gains(f3, 2, 2000, seed=0)), 2, None))
-    f4 = lambda x: np.array([np.sin(x[0] + x[2]), np.tanh(x[1]), 0.5 * x[2]])
+    f4 = lambda x: np.stack([np.sin(x[..., 0] + x[..., 2]), np.tanh(x[..., 1]), 0.5 * x[..., 2]], axis=-1)
     factors.append((decompose(f4, 3, estimate_gains(f4, 3, 2000, seed=1)), 3, None))
     factors.append((decompose(lambda x: np.zeros(2), 2, GainProfile([0.0, 0.0])), 2, None))
     # caller-supplied gain profiles, asserted exact (slack 1)

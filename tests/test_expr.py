@@ -115,6 +115,24 @@ class TestSystemFromSpec:
         sysd = system_from_spec(spec)
         assert 0.5 <= sysd.lipschitz_u <= 1.0  # sampled slope of tanh
 
+    def test_sampled_lipschitz_covers_the_gain_box(self):
+        # f = -x1 + 0.01 u1^3: the secant slope 0.01 (u1^2 + u1 u2 + u2^2)
+        # is at most 0.27 on [-3, 3] and reaches 0.75 on the default box 5
+        cubic = {"op": "mul", "args": [0.01, {"op": "pow", "args": [{"var": "u1"}, 3]}]}
+        spec = {"n": 1, "l": 1, "p": 1, "h": [{"var": "x1"}],
+                "f": [{"op": "add", "args": [{"op": "neg", "args": [{"var": "x1"}]}, cubic]}]}
+        assert 0.5 < system_from_spec(spec).lipschitz_u <= 0.75
+        assert 0.2 < system_from_spec({**spec, "gain_box": 3.0}).lipschitz_u <= 0.27
+
+    def test_sampled_lipschitz_does_not_fall_as_the_box_widens(self):
+        # tanh u1 is steepest at the origin, where a sweep of the wide
+        # default box 5 puts fewer secant pairs than one of [-3, 3]
+        spec = {key: value for key, value in TANH_FIRST_ORDER_SPEC.items() if key != "lipschitz_u"}
+        narrow = system_from_spec({**spec, "gain_box": 3.0}).lipschitz_u
+        assert 0.0 < narrow <= 1.0
+        assert system_from_spec(spec).lipschitz_u >= narrow
+        assert system_from_spec({**spec, "gain_box": 8.0}).lipschitz_u >= narrow
+
     def test_variable_out_of_range_rejected(self):
         bad = dict(TANH_FIRST_ORDER_SPEC, f=[{"op": "add", "args": [{"var": "x2"}, {"var": "u1"}]}])
         with pytest.raises(ValueError, match=r"'x2' is out of range: use x1..x1 or u1..u1"):

@@ -26,25 +26,69 @@ class TestEstimateGains:
         assert 0.99 <= prof.coordinate_bounds[0] <= 1.0
 
     def test_zero_map(self):
-        prof = estimate_gains(lambda x: np.zeros(2), 3, sample_budget=150, seed=3)
+        prof = estimate_gains(lambda x: np.zeros((len(x), 2)), 3, sample_budget=150, seed=3)
         assert np.allclose(prof.coordinate_bounds, 0.0)
 
     def test_deterministic_for_fixed_seed(self):
-        f = lambda x: np.array([np.tanh(x[0]), x[1] * x[0]])
+        f = lambda x: np.stack([np.tanh(x[..., 0]), x[..., 1] * x[..., 0]], axis=-1)
         a = estimate_gains(f, 2, sample_budget=500, seed=11)
         b = estimate_gains(f, 2, sample_budget=500, seed=11)
         assert np.array_equal(a.coordinate_bounds, b.coordinate_bounds)
 
     def test_rejects_non_finite_map(self):
         with pytest.raises(ValueError, match="non-finite"):
-            estimate_gains(lambda x: np.full(1, np.nan), 1, sample_budget=100, seed=0)
+            estimate_gains(lambda x: np.full((len(x), 1), np.nan), 1, sample_budget=100, seed=0)
+
+    def test_non_finite_value_names_its_sample(self):
+        # the map goes non-finite at the fifth sample and later ones: the
+        # error names the fifth, in the words of a per-sample loop
+        seen = []
+
+        def f(x, u):
+            seen.append((x.copy(), u.copy()))
+            out = x[:, :1] * u
+            out[4:] = np.inf
+            return out
+
+        with pytest.raises(ValueError) as err:
+            estimate_gains(f, (2, 1), sample_budget=100, seed=7)
+        (xs, us), = seen
+        assert str(err.value) == f"map returned non-finite values at x={xs[4]}, u={us[4]}"
+
+    def test_map_exception_comes_before_the_finiteness_check(self):
+        # one call on the whole stack: an exception raised at a later row
+        # propagates, although an earlier row is already non-finite
+        def row(i, x):
+            if i == 9:
+                raise ZeroDivisionError("row 9")
+            return np.full(1, np.nan) if i == 2 else x
+
+        def f(xs):
+            return np.array([row(i, x) for i, x in enumerate(xs)])
+
+        with pytest.raises(ZeroDivisionError, match="row 9"):
+            estimate_gains(f, 1, sample_budget=100, seed=0)
+
+    def test_rejects_a_transposed_stack(self):
+        # np.array([g(x[..., 0]), h(x[..., 1])]) is (p, k): refused, not
+        # read as k rows with its entries scrambled across samples
+        transposed = lambda x: np.array([np.sin(x[..., 0]), 3.0 * x[..., 1]])
+        with pytest.raises(ValueError, match=r"one row per sample, shape \(\d+, p\), got \(2, \d+\)"):
+            estimate_gains(transposed, 2, sample_budget=100, seed=0)
+        rows = estimate_gains(lambda x: transposed(x).T, 2, sample_budget=100, seed=0)
+        assert rows.coordinate_bounds[1] <= 3.0
+
+    def test_scalar_map_may_return_one_value_per_sample(self):
+        flat = estimate_gains(lambda x: 2.0 * x[:, 0], 1, sample_budget=200, seed=1)
+        rows = estimate_gains(lambda x: 2.0 * x, 1, sample_budget=200, seed=1)
+        assert np.array_equal(flat.coordinate_bounds, rows.coordinate_bounds)
 
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             estimate_gains(lambda x: x, 1, sample_budget=10)
 
     def test_control_gains_measured_against_u(self):
-        fu = lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])])
+        fu = lambda x, u: np.cos(x[..., :1]) * np.tanh(u[..., :1])
         prof = estimate_gains(fu, (1, 1), sample_budget=2000, seed=4)
         assert 0.95 <= prof.coordinate_bounds[0] <= 1.0
 
@@ -58,7 +102,7 @@ class TestDecompose:
         assert np.isclose(np.linalg.norm(factor.lift(x)), abs(x[0]))
 
     def test_nonlinear_two_dim_reconstruction(self):
-        f = lambda x: np.array([np.sin(x[0]), x[1] / (1.0 + x[0] ** 2)])
+        f = lambda x: np.stack([np.sin(x[..., 0]), x[..., 1] / (1.0 + x[..., 0] ** 2)], axis=-1)
         gains = estimate_gains(f, 2, sample_budget=4000, seed=5)
         factor = decompose(f, 2, gains, slack=1.05)
         rng = np.random.default_rng(6)

@@ -166,10 +166,12 @@ class TestFitKoopman:
     def test_evaluates_each_callable_once_per_state(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
         calls = {"evaluate": 0, "jacobian": 0, "f0": 0, "h": 0}
+        rows = []
 
         def counted(name, fn):
             def wrapper(x):
                 calls[name] += 1
+                rows.append((name, np.shape(x)))
                 return fn(x)
 
             return wrapper
@@ -182,7 +184,9 @@ class TestFitKoopman:
             slow_manifold_data,
         )
         size = slow_manifold_data.size
-        assert calls == {"evaluate": size, "jacobian": size, "f0": size, "h": size}
+        # phi once, on the whole stack of states; the others once per state
+        assert calls == {"evaluate": 1, "jacobian": size, "f0": size, "h": size}
+        assert ("evaluate", (size, 2)) in rows
 
     def test_model_is_frozen_and_complete(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
