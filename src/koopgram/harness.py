@@ -21,11 +21,13 @@ fails, the blocks are solved one by one: a failure of the full system
 excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
 The signals share no state, so they are solved in forked worker
-processes, one per usable CPU up to the signal count; the parent only
-collects the results in input order, so they are the same, bit for bit,
-as the in-process loop's.  That loop runs instead on one usable CPU, where
-``os.fork`` is missing, and while a second thread is alive (a fork then
-could copy a lock another thread holds).  No setting chooses between them.
+processes, one per usable CPU up to the signal count.  The parent sends
+each worker one signal index at a time on the worker's own pipe and
+collects the pickled results in input order, so they are the same, bit
+for bit, as the in-process loop's.  That loop runs instead on one usable
+CPU, where ``os.fork`` is missing, and while a second thread is alive (a
+fork then could copy a lock another thread holds).  No setting chooses
+between them.
 ``estimate_gap(trajectories, red, ensemble)`` integrates nothing; it turns
 the trajectories into one order's empirical gain.
 """
@@ -34,10 +36,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import select
-import struct
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe, wait
 from signal import SIGKILL
 from typing import Callable, Sequence
 
@@ -456,119 +458,77 @@ def simulate_ensemble(
     return _fan_out(solve, ensemble, workers)
 
 
-# a worker's message: signal index and payload size, then the payload; an
-# empty payload says the worker has taken the signal, a pickled
-# ("ok", result) or ("error", exception) answers it
-_FRAME = struct.Struct("<IQ")
-_TASK = struct.Struct("<I")
-
-
 def _fan_out(solve: Callable, ensemble: Sequence[Signal], workers: int) -> list:
     """``[solve(s) for s in ensemble]``, solved by ``workers`` forked children.
 
-    The children take signal indices from one shared task pipe and answer
-    each on a pipe of their own; ``solve`` and what it closes over are
-    inherited through the fork, never pickled.  The parent writes the
-    indices, collects the answers and solves nothing itself.  It raises the
-    exception of the first signal, in input order, whose solve raised, as the
-    in-process loop would, and ``RuntimeError`` when a child dies.  Every
-    child is reaped before this returns or raises; on any exception the
-    children still running are killed first.
+    On each child's own pipe the parent sends a signal index, reads the
+    pickled ``("ok", result)`` or ``("error", exception)`` answer and sends
+    the next index, or closes the pipe when none is left, so the child exits
+    while the others work; ``solve`` is inherited, never pickled.  Raises
+    the exception of the first signal, in input order, whose solve raised,
+    as the in-process loop would, and ``RuntimeError`` when a child's pipe
+    ends before it answers.  Every child is reaped before this returns or
+    raises; on any exception the children still running are killed first.
     """
-    parent = os.getpid()
-    tasks_r, tasks_w = os.pipe()
-    os.set_blocking(tasks_w, False)
-    unsent = b"".join(_TASK.pack(i) for i in range(len(ensemble)))
-    children = {}  # answer pipe -> pid, until the child is reaped
-    taken, buffers, answers = {}, {}, {}
+    pids, held, answers = {}, {}, {}  # pipe -> pid until reaped; pipe -> index it holds
+    indices = iter(range(len(ensemble)))
+
+    def hand_out(pipe):
+        i = next(indices, None)
+        if i is None:
+            pipe.close()  # the child's recv ends, and it exits
+        else:
+            held[pipe] = i
+            with suppress(ConnectionError):  # a child that died idle shows at its end of file
+                pipe.send(i)
+
     try:
         for _ in range(workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
+            ours, theirs = Pipe()
+            with theirs:  # closes the parent's copy, also when the fork fails
                 try:
-                    for fd in (r, tasks_w, *children):
-                        os.close(fd)
-                    _work(solve, ensemble, tasks_r, w, parent)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            children[r], buffers[r] = pid, bytearray()
-        os.close(tasks_r)
-        tasks_r = None
-        poller = select.poll()  # unlike select.select, takes any descriptor number
-        poller.register(tasks_w, select.POLLOUT)
-        for fd in children:
-            poller.register(fd, select.POLLIN)
-        while children:
-            for fd, _ in poller.poll():
-                if fd == tasks_w:
-                    # at most PIPE_BUF bytes, so the write is whole or refused; a
-                    # pipe without readers means every child has died, which
-                    # their own ends of file report
+                    pid = os.fork()
+                except OSError:
+                    ours.close()
+                    raise
+                if pid == 0:
                     try:
-                        unsent = unsent[os.write(tasks_w, unsent[: select.PIPE_BUF]):]
-                    except (BlockingIOError, BrokenPipeError):
-                        pass
-                    if not unsent:
-                        poller.unregister(tasks_w)
-                        os.close(tasks_w)
-                        tasks_w = None
-                    continue
-                chunk = os.read(fd, 1 << 16)
-                buf = buffers[fd]
-                buf += chunk
-                while len(buf) >= _FRAME.size:
-                    i, size = _FRAME.unpack_from(buf)
-                    end = _FRAME.size + size
-                    if len(buf) < end:
-                        break
-                    if size:
-                        answers[i] = pickle.loads(buf[_FRAME.size:end])
-                        del taken[fd]
-                    else:
-                        taken[fd] = i
-                    del buf[:end]
-                if chunk:
-                    continue
-                # end of file: the child has exited
-                poller.unregister(fd)
-                _, status = os.waitpid(children[fd], 0)
-                del children[fd]
-                os.close(fd)
-                code = os.waitstatus_to_exitcode(status)
-                if code or fd in taken:
+                        for pipe in (ours, *pids):
+                            pipe.close()
+                        _work(solve, ensemble, theirs)
+                    finally:
+                        os._exit(1)
+            pids[ours] = pid
+            hand_out(ours)
+        while held:
+            for pipe in wait(list(held)):
+                i = held.pop(pipe)
+                try:
+                    answers[i] = pipe.recv()
+                except (EOFError, OSError):
+                    # the child has exited before it answered in full
+                    _, status = os.waitpid(pids.pop(pipe), 0)
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(status)
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                    i = taken.get(fd)
-                    where = "between signals" if i is None else f"under probe signal {ensemble[i].name}"
-                    raise RuntimeError(f"a probe-signal worker {how} {where}")
+                    raise RuntimeError(f"a probe-signal worker {how} under probe signal {ensemble[i].name}")
+                hand_out(pipe)
             failed = [i for i, (kind, _) in answers.items() if kind == "error"]
             if failed and all(i in answers for i in range(min(failed))):
                 raise answers[min(failed)][1]
         return [answers[i][1] for i in range(len(ensemble))]
     finally:
-        for fd in (tasks_r, tasks_w, *children):
-            if fd is not None:
-                os.close(fd)
-        for pid in children.values():
+        for pipe, pid in pids.items():
+            pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _work(solve: Callable, ensemble: Sequence[Signal], tasks: int, out: int, parent: int):
-    """A forked child's loop: solve the signals it takes until the task pipe
-    is empty and closed, or its parent is gone; never returns."""
-    while os.getppid() == parent:
-        task = os.read(tasks, _TASK.size)
-        if not task:
-            os._exit(0)
-        (i,) = _TASK.unpack(task)
-        _send(out, i, b"")
+def _work(solve: Callable, ensemble: Sequence[Signal], pipe: Connection):
+    """A forked child's loop: answer each signal index the parent sends, until
+    ``recv`` raises ``EOFError`` (the parent closed the pipe or is gone)."""
+    while True:
+        i = pipe.recv()
         try:
             answer = pickle.dumps(("ok", solve(ensemble[i])))
         except Exception as exc:
@@ -578,14 +538,7 @@ def _work(solve: Callable, ensemble: Sequence[Signal], tasks: int, out: int, par
             except Exception:
                 # an exception that does not survive pickling keeps its text
                 answer = pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
-        _send(out, i, answer)
-    os._exit(1)
-
-
-def _send(fd: int, i: int, payload: bytes):
-    data = memoryview(_FRAME.pack(i, len(payload)) + payload)
-    while data:
-        data = data[os.write(fd, data):]
+        pipe.send_bytes(answer)
 
 
 def estimate_gap(

@@ -211,7 +211,9 @@ def _read_artifact(config: PipelineConfig, stage: str, needed_by: str) -> dict:
 def _resolve_system(config: PipelineConfig) -> ControlSystem:
     if isinstance(config.system, str):
         return get_builtin(config.system)
-    return system_from_spec(config.system)
+    # the config's box is the inline system's, so a sampled lipschitz_u covers it
+    box = {} if config.gain_box is None else {"gain_box": config.gain_box}
+    return system_from_spec({**config.system, **box})
 
 
 def _resolve_dictionary(config: PipelineConfig, system) -> Dictionary:

@@ -296,10 +296,11 @@ class TestEstimateGap:
 EXPR_LIFT = Path(__file__).resolve().parents[1] / "perfbench" / "expr_lift_system.json"
 
 
-def _no_child_left():
-    # every forked worker was reaped: no child is running, none is a zombie
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class _TwoArgError(Exception):
+    """Pickles as ``cls(text)``, which its two-argument ``__init__`` refuses."""
+
+    def __init__(self, where, what):
+        super().__init__(f"{where}: {what}")
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -332,7 +333,6 @@ class TestForkedWorkers:
         _use_cpus(monkeypatch, 2)
         forked, solves = _parent_solves(monkeypatch, *args)
         assert solves == 0
-        _no_child_left()
         assert len(forked) == len(serial)
         for a, b in zip(serial, forked):
             assert np.array_equal(a.grid, b.grid)
@@ -395,7 +395,6 @@ class TestForkedWorkers:
             _use_cpus(monkeypatch, cpus)
             with pytest.raises(KeyError) as info:
                 simulate_ensemble(broken, bn, [1], ens, 1e-8)
-            _no_child_left()
             texts.append(str(info.value))
             slow.append(info.value.args[0])
         assert texts[0] == texts[1]
@@ -414,7 +413,50 @@ class TestForkedWorkers:
         ens = input_ensemble(1, 8.0, count=3, seed=6)
         with pytest.raises(RuntimeError, match=r"worker was killed by signal 9 under probe signal tone-"):
             simulate_ensemble(dataclasses.replace(base, f=dying), bn, [1], ens, 1e-8)
-        _no_child_left()
+
+    def test_exception_that_does_not_survive_pickling_keeps_its_text(self, monkeypatch):
+        base, bn, _ = _reduced_pair("tanh_first_order", r=1)
+
+        def h(x):
+            if np.any(x):
+                raise _TwoArgError("output map", "broken")
+            return base.h(x)
+
+        broken = dataclasses.replace(base, h=h)
+        ens = input_ensemble(1, 8.0, count=3, seed=6)
+        _use_cpus(monkeypatch, 1)
+        with pytest.raises(_TwoArgError, match="^output map: broken$"):
+            simulate_ensemble(broken, bn, [1], ens, 1e-8)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^_TwoArgError: output map: broken$"):
+            simulate_ensemble(broken, bn, [1], ens, 1e-8)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("path", ["success", "worker exception", "killed worker"])
+    def test_no_file_descriptor_is_left_open(self, path, monkeypatch):
+        base, bn, _ = _reduced_pair("tanh_first_order", r=1)
+        parent = os.getpid()
+
+        def f(x, u):
+            if os.getpid() != parent and path == "killed worker":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return base.f(x, u)
+
+        def h(x):
+            if np.any(x) and path == "worker exception":
+                raise KeyError("broken output map")
+            return base.h(x)
+
+        _use_cpus(monkeypatch, 2)
+        ens = input_ensemble(1, 8.0, count=3, seed=6)
+        before = sorted(os.listdir("/proc/self/fd"))
+        raised = None
+        try:
+            simulate_ensemble(dataclasses.replace(base, f=f, h=h), bn, [1], ens, 1e-8)
+        except (KeyError, RuntimeError) as exc:
+            raised = type(exc)
+        assert raised is {"success": None, "worker exception": KeyError, "killed worker": RuntimeError}[path]
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_second_thread_keeps_the_solves_in_process(self, monkeypatch):
         sysd, bn, _ = _reduced_pair("tanh_first_order", r=1)
@@ -430,7 +472,6 @@ class TestForkedWorkers:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert solves == len(ens)
-        _no_child_left()
 
 
 class TestValidateCertificate:
