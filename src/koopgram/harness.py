@@ -9,10 +9,11 @@ certificate must always dominate it.
 
 ``simulate_ensemble(system, bn, orders, ensemble, tol)`` makes one ODE solve
 per probe signal, on the stacked state ``[x; z_r1; ...; z_rk]`` of the full
-system and every reduced order: the input is evaluated once per step, one
-``bn.f_reduced`` call evaluates the field of every order, and all systems
-share one step sequence, so the full-vs-reduced difference carries no
-integrator noise from different step grids.  The integrator tests its
+system and every reduced order: the input is evaluated once per step time
+(LSODA's second field call at a time reuses it), one ``bn.f_reduced`` call
+evaluates the field of every order, and all systems share one step
+sequence, so the full-vs-reduced difference carries no integrator noise
+from different step grids.  The integrator tests its
 local error component by component, so the stacked solve runs at ``tol``
 and each block keeps the error control it would have alone; one order's
 estimate still moves, at integration-error level, with the other orders
@@ -22,9 +23,10 @@ excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
 The signals share no state, so they are solved in forked worker
 processes, one per usable CPU up to the signal count.  The parent sends
-each worker one signal index at a time on the worker's own pipe and
-collects the pickled results in input order, so they are the same, bit
-for bit, as the in-process loop's.  That loop runs instead on one usable
+each worker one signal index at a time on the worker's own pipe, highest
+``peak_freq`` first (longest processing time first), and collects the
+pickled results in input order, so they are the same, bit for bit, as the
+in-process loop's.  That loop runs instead on one usable
 CPU, where ``os.fork`` is missing, and while a second thread is alive (a
 fork then could copy a lock another thread holds).  No setting chooses
 between them.
@@ -196,18 +198,23 @@ def get_builtin(name: str) -> ControlSystem:
 
 @dataclass(frozen=True)
 class Signal:
-    """Square-integrable input on [0, horizon] with its known L2 norm."""
+    """Square-integrable input on [0, horizon] with its known L2 norm and
+    ``peak_freq``, the highest angular frequency it carries (0 if unknown).
+
+    The simulation hands the system each value ``u`` read-only.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]  # (k,) times -> (k, l) values
     horizon: float
     l2_norm: float
+    peak_freq: float = 0.0
 
     def __post_init__(self):
         if not (self.l2_norm > 0.0 and np.isfinite(self.l2_norm)):
             raise ValueError(f"signal {self.name} must carry positive energy")
-        if self.horizon <= 0.0:
-            raise ValueError("signal horizon must be positive")
+        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
+            raise ValueError("signal horizon must be positive and finite")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.fn(np.asarray(t, float).reshape(1))[0]
@@ -221,14 +228,15 @@ VERDICT_CUSHION = 1e-6
 
 
 def signal_l2_norm(fn: Callable, horizon: float) -> float:
-    """Fine-quadrature L2 norm of a vector-valued signal."""
+    """Fine-quadrature L2 norm of a vector-valued signal, evaluated in ten
+    chunks of the nodes, so that its temporaries stay small."""
     ts = np.linspace(0.0, horizon, L2_QUADRATURE_POINTS)
-    vals = fn(ts)
-    sq = np.sum(vals * vals, axis=1)
+    sq = np.concatenate([np.sum(v * v, axis=1) for v in map(fn, np.array_split(ts, 10))])
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
 
 
-# each signal shapes its per-channel constants to (1, l) once, not per call
+# each signal returns its fn and its peak angular frequency; a tone shapes
+# its per-channel constants to (1, l) once, not per call
 def _decayed_tone(amp, decay, freqs, phases):
     freqs, phases = freqs[None, :], phases[None, :]
 
@@ -236,32 +244,30 @@ def _decayed_tone(amp, decay, freqs, phases):
         ts = ts[:, None]
         return amp * np.exp(-decay * ts) * np.sin(freqs * ts + phases)
 
-    return fn
+    return fn, float(freqs.max())
 
 
 def _noise_burst(coeffs, freqs, phases, center, width):
-    tones = [(c[None, :], f[None, :], p[None, :]) for c, f, p in zip(coeffs, freqs, phases)]
-
+    # the (k, 5, l) tone values summed tone after tone, as a loop would add them
     def fn(ts):
         ts = ts[:, None]
         window = np.exp(-(((ts - center) / width) ** 2))
-        total = np.zeros((ts.shape[0], coeffs.shape[1]))
-        for c, f, p in tones:
-            total += c * np.sin(f * ts + p)
-        return window * total
+        return window * np.sum(coeffs * np.sin(freqs * ts[:, None] + phases), axis=1)
 
-    return fn
+    return fn, float(freqs.max())
 
 
-def _chirp(amp, decay, omega0, rate, phases):
+def _chirp(amp, decay, lo, hi, horizon, phases):
+    # the angular frequency sweeps from lo at t = 0 to hi at the horizon
+    rate = (hi - lo) / max(horizon, 1e-6)
     phases = phases[None, :]
 
     def fn(ts):
         ts = ts[:, None]
-        phase = omega0 * ts + 0.5 * rate * ts * ts
+        phase = lo * ts + 0.5 * rate * ts * ts
         return amp * np.exp(-decay * ts) * np.sin(phase + phases)
 
-    return fn
+    return fn, hi
 
 
 def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Signal]:
@@ -273,8 +279,8 @@ def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Si
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (horizon > 0.0 and np.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     rng = np.random.default_rng(seed)
     lo, hi = FREQ_BAND
     n_chirps = count // 5
@@ -282,51 +288,35 @@ def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Si
     n_tones = count - n_chirps - n_bursts
     tone_freqs = np.geomspace(max(lo, 1e-3), hi, n_tones)
 
-    named = []
+    named = []  # (name, fn, peak_freq), drawing from rng in this order
     for i in range(n_tones):
-        named.append(
-            (
-                f"tone-{i}",
-                _decayed_tone(
-                    amp=rng.uniform(0.5, 1.5),
-                    decay=rng.uniform(0.1, 0.3),
-                    freqs=tone_freqs[i] * rng.uniform(0.95, 1.05, size=l),
-                    phases=rng.uniform(0, 2 * np.pi, size=l),
-                ),
-            )
-        )
+        named.append((f"tone-{i}", *_decayed_tone(
+            amp=rng.uniform(0.5, 1.5),
+            decay=rng.uniform(0.1, 0.3),
+            freqs=tone_freqs[i] * rng.uniform(0.95, 1.05, size=l),
+            phases=rng.uniform(0, 2 * np.pi, size=l),
+        )))
     for i in range(n_bursts):
-        named.append(
-            (
-                f"burst-{i}",
-                _noise_burst(
-                    coeffs=rng.uniform(-1.0, 1.0, size=(5, l)),
-                    freqs=rng.uniform(lo, hi, size=(5, l)),
-                    phases=rng.uniform(0, 2 * np.pi, size=(5, l)),
-                    center=rng.uniform(0.2, 0.5) * horizon,
-                    width=rng.uniform(0.05, 0.15) * horizon,
-                ),
-            )
-        )
+        named.append((f"burst-{i}", *_noise_burst(
+            coeffs=rng.uniform(-1.0, 1.0, size=(5, l)),
+            freqs=rng.uniform(lo, hi, size=(5, l)),
+            phases=rng.uniform(0, 2 * np.pi, size=(5, l)),
+            center=rng.uniform(0.2, 0.5) * horizon,
+            width=rng.uniform(0.05, 0.15) * horizon,
+        )))
     for i in range(n_chirps):
-        named.append(
-            (
-                f"chirp-{i}",
-                _chirp(
-                    amp=rng.uniform(0.5, 1.2),
-                    decay=rng.uniform(0.05, 0.15),
-                    omega0=lo,
-                    rate=(hi - lo) / max(horizon, 1e-6),
-                    phases=rng.uniform(0, 2 * np.pi, size=l),
-                ),
-            )
-        )
+        named.append((f"chirp-{i}", *_chirp(
+            amp=rng.uniform(0.5, 1.2),
+            decay=rng.uniform(0.05, 0.15),
+            lo=lo, hi=hi, horizon=horizon,
+            phases=rng.uniform(0, 2 * np.pi, size=l),
+        )))
     signals = []
-    for name, fn in named:
+    for name, fn, peak in named:
         norm = signal_l2_norm(fn, horizon)
         if norm <= 1e-9:
             raise ValueError(f"signal {name} has no energy on the horizon")
-        signals.append(Signal(name=name, fn=fn, horizon=horizon, l2_norm=norm))
+        signals.append(Signal(name=name, fn=fn, horizon=horizon, l2_norm=norm, peak_freq=peak))
     return signals
 
 
@@ -359,8 +349,10 @@ class Trajectories:
 
 def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
     """States of every block, solved together as one stacked ODE with
-    ``u = signal(t)`` evaluated once per step, so all blocks share one step
-    sequence.
+    ``u = signal(t)`` evaluated once per step time, so all blocks share one
+    step sequence.  LSODA evaluates the field twice at most step times; the
+    second call reuses the last ``u``, which is read-only, so a field that
+    writes into it raises instead of changing that call's input.
 
     A block ``(rhs, dim)`` is one state of dimension ``dim`` with field
     ``rhs(state, u)``; a block ``(rhs, dims)`` with a list ``dims`` is one
@@ -383,8 +375,13 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
         parts += slices
         plan.append((rhs, slices if isinstance(d, list) else slices[0]))
 
+    last = [None, None]  # the last step time and its input
+
     def field(t, s):
-        u = signal(t)
+        if t != last[0]:
+            last[:] = t, signal(t)
+            last[1].flags.writeable = False
+        u = last[1]
         ds = np.empty(s.shape)
         for rhs, part in plan:
             if isinstance(part, slice):
@@ -464,14 +461,17 @@ def _fan_out(solve: Callable, ensemble: Sequence[Signal], workers: int) -> list:
     On each child's own pipe the parent sends a signal index, reads the
     pickled ``("ok", result)`` or ``("error", exception)`` answer and sends
     the next index, or closes the pipe when none is left, so the child exits
-    while the others work; ``solve`` is inherited, never pickled.  Raises
+    while the others work; ``solve`` is inherited, never pickled.  Indices go
+    out in descending ``peak_freq``, ties in input order: a higher frequency
+    takes more steps, and the dearest solves first shorten the slowest
+    child's share.  Raises
     the exception of the first signal, in input order, whose solve raised,
     as the in-process loop would, and ``RuntimeError`` when a child's pipe
     ends before it answers.  Every child is reaped before this returns or
     raises; on any exception the children still running are killed first.
     """
     pids, held, answers = {}, {}, {}  # pipe -> pid until reaped; pipe -> index it holds
-    indices = iter(range(len(ensemble)))
+    indices = iter(sorted(range(len(ensemble)), key=lambda i: -ensemble[i].peak_freq))
 
     def hand_out(pipe):
         i = next(indices, None)

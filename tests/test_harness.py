@@ -1,23 +1,31 @@
 import dataclasses
+import itertools
 import json
 import os
 import signal
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from koopgram import harness, pipeline
 from koopgram.balance import balance, balanced_nonlinear, truncate
 from koopgram.certify import FeedbackDecomposition, build_certificate
 from koopgram.gsvd import decompose, estimate_gains
 from koopgram.harness import (
+    FREQ_BAND,
+    L2_QUADRATURE_POINTS,
     ControlSystem,
     Signal,
+    _fan_out,
     _integrate,
     _N_GRID,
+    _noise_burst,
+    _simulate_signal,
     builtin_systems,
     estimate_gap,
     get_builtin,
@@ -180,6 +188,122 @@ class TestInputEnsemble:
     def test_zero_energy_signal_rejected(self):
         with pytest.raises(ValueError, match="energy"):
             Signal(name="null", fn=lambda ts: np.zeros((ts.size, 1)), horizon=1.0, l2_norm=0.0)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # rejected up front, before any numpy warning or energy check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                Signal(name="s", fn=lambda ts: np.ones((ts.size, 1)), horizon=horizon, l2_norm=1.0)
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                input_ensemble(1, horizon, count=3)
+
+    def test_peak_freq_is_the_highest_angular_frequency(self):
+        lo, hi = FREQ_BAND
+        ens = input_ensemble(2, 15.0, count=10, seed=2)  # 6 tones, 2 bursts, 2 chirps
+        grid = np.geomspace(lo, hi, 6)
+        for tone, centre in zip(ens[:6], grid):
+            assert 0.95 * centre <= tone.peak_freq <= 1.05 * centre
+        assert all(lo <= s.peak_freq < hi for s in ens[6:8])
+        assert [s.peak_freq for s in ens[8:]] == [hi, hi]
+        assert Signal(name="s", fn=lambda ts: np.ones((ts.size, 1)), horizon=1.0, l2_norm=1.0).peak_freq == 0.0
+
+
+def _noise_burst_loop(coeffs, freqs, phases, center, width):
+    """Reference burst: one tone at a time, added into a zeroed total."""
+
+    def fn(ts):
+        ts = ts[:, None]
+        window = np.exp(-(((ts - center) / width) ** 2))
+        total = np.zeros((ts.shape[0], coeffs.shape[1]))
+        for c, f, p in zip(coeffs, freqs, phases):
+            total += c[None, :] * np.sin(f[None, :] * ts + p[None, :])
+        return window * total
+
+    return fn
+
+
+class TestSignalBits:
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_vectorised_burst_equals_tone_loop(self, l):
+        horizon = 15.0
+        grid = np.linspace(0.0, horizon, L2_QUADRATURE_POINTS)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            params = dict(
+                coeffs=rng.uniform(-1.0, 1.0, size=(5, l)),
+                freqs=rng.uniform(*FREQ_BAND, size=(5, l)),
+                phases=rng.uniform(0, 2 * np.pi, size=(5, l)),
+                center=rng.uniform(0.2, 0.5) * horizon,
+                width=rng.uniform(0.05, 0.15) * horizon,
+            )
+            fn, peak = _noise_burst(**params)
+            reference = _noise_burst_loop(**params)
+            assert peak == params["freqs"].max()
+            for t in rng.uniform(0.0, horizon, size=40):
+                assert np.array_equal(fn(np.array([t])), reference(np.array([t])))
+            assert np.array_equal(fn(grid), reference(grid))
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_chunked_l2_norm_equals_one_shot_quadrature(self, l):
+        for seed in range(3):
+            # tones, bursts and chirps
+            for sig in input_ensemble(l, 12.0, count=10, seed=seed):
+                ts = np.linspace(0.0, sig.horizon, L2_QUADRATURE_POINTS)
+                vals = sig.fn(ts)
+                one_shot = float(np.sqrt(scipy.integrate.simpson(np.sum(vals * vals, axis=1), x=ts)))
+                assert sig.l2_norm == signal_l2_norm(sig.fn, sig.horizon) == one_shot
+
+
+def _field_times_and_inputs(monkeypatch, system, bn, orders, sig, tol):
+    """The times of every field call of ``sig``'s ``_simulate_signal``, in
+    order, and the number of calls to the signal's input function."""
+    times, inputs = [], []
+    original = harness.integrate_ode
+
+    def integrate_ode(field, *a, **k):
+        def recorded(t, s):
+            times.append(t)
+            return field(t, s)
+
+        return original(recorded, *a, **k)
+
+    def fn(ts):
+        inputs.append(1)
+        return sig.fn(ts)
+
+    monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
+    _simulate_signal(system, bn, orders, dataclasses.replace(sig, fn=fn), tol)
+    monkeypatch.setattr(harness, "integrate_ode", original)
+    return times, len(inputs)
+
+
+class TestInputCache:
+    @pytest.mark.parametrize("name, orders", [("lti6", [2, 4]), ("slow_manifold", [1, 2])])
+    def test_one_input_evaluation_per_step_time(self, name, orders, monkeypatch):
+        sysd, bn, _ = _reduced_pair(name, r=orders[0])
+        for sig in input_ensemble(sysd.l, 10.0, count=5, seed=3):
+            times, inputs = _field_times_and_inputs(monkeypatch, sysd, bn, orders, sig, 1e-7)
+            # LSODA calls the field twice at most step times; the input is
+            # evaluated again only when the time changes between two calls
+            changes = 1 + sum(a != b for a, b in zip(times, times[1:]))
+            assert inputs == changes
+            assert len(set(times)) <= inputs < 0.6 * len(times)
+
+    def test_field_that_writes_into_u_raises(self):
+        base, bn, _ = _reduced_pair("slow_manifold", r=1)
+
+        def writing(x, u):
+            u[0] = 0.0
+            return base.f(x, u)
+
+        sig = input_ensemble(1, 8.0, count=1, seed=6)[0]
+        grid = np.linspace(0.0, sig.horizon, _N_GRID)
+        with pytest.raises(ValueError, match="read-only"):
+            _integrate([(writing, base.n)], sig, grid, 1e-8)
+        traj = _simulate_signal(dataclasses.replace(base, f=writing), bn, [1], sig, 1e-8)
+        assert "read-only" in traj.full
 
 
 class TestEstimateGap:
@@ -457,6 +581,33 @@ class TestForkedWorkers:
             raised = type(exc)
         assert raised is {"success": None, "worker exception": KeyError, "killed worker": RuntimeError}[path]
         assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_signals_are_handed_out_highest_peak_freq_first(self):
+        ens = input_ensemble(1, 10.0, count=5, seed=3)  # 3 tones, a burst and a chirp
+        flat = Signal(name="flat", fn=lambda ts: np.ones((ts.size, 1)), horizon=10.0, l2_norm=1.0)
+        # ties keep input order: the chirp before its copy, flat-a before flat-b
+        ens += [dataclasses.replace(ens[4], name="chirp-copy"),
+                dataclasses.replace(flat, name="flat-a"), dataclasses.replace(flat, name="flat-b")]
+        served = itertools.count()  # advanced in the child only
+        results = _fan_out(lambda sig: (sig.name, next(served)), ens, 1)
+        assert [name for name, _ in results] == [s.name for s in ens]
+        order = [name for name, _ in sorted(results, key=lambda r: r[1])]
+        assert order == ["chirp-0", "chirp-copy", "tone-2", "burst-0", "tone-1", "tone-0", "flat-a", "flat-b"]
+        peaks = {s.name: s.peak_freq for s in ens}
+        assert [peaks[n] for n in order] == sorted(peaks.values(), reverse=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_error_in_input_order_when_handed_out_last(self, workers):
+        ens = input_ensemble(1, 10.0, count=5, seed=3)
+        assert min(ens, key=lambda s: s.peak_freq) is ens[0]  # tone-0 goes out last
+
+        def solve(sig):
+            if sig.name in ("tone-0", "burst-0"):
+                raise KeyError(sig.name)
+            return sig.name
+
+        with pytest.raises(KeyError, match="tone-0"):
+            _fan_out(solve, ens, workers)
 
     def test_second_thread_keeps_the_solves_in_process(self, monkeypatch):
         sysd, bn, _ = _reduced_pair("tanh_first_order", r=1)
