@@ -34,7 +34,7 @@ from .certify import (
     output_embedding_gap,
     truncation_error_bound,
 )
-from .expr import compile_expression, system_from_spec
+from .expr import builtin_systems, compile_expression, get_builtin, system_from_spec
 from .gsvd import (
     GainProfile,
     GsvdFactor,
@@ -47,9 +47,7 @@ from .harness import (
     GainEstimate,
     Signal,
     Trajectories,
-    builtin_systems,
     estimate_gap,
-    get_builtin,
     input_ensemble,
     simulate_ensemble,
 )

@@ -1,12 +1,18 @@
-"""Tiny expression-tree interpreter for user-defined dynamics.
+"""Control systems from JSON declarations: the one way a system is built.
 
-Systems are declared in JSON as one expression tree per state derivative
-and per output coordinate, over the state variables ``x1..xn`` and inputs
-``u1..ul``.  Supported operators: add, sub, mul, div, neg, sin, cos, tanh,
-pow (with a constant exponent; a power with no real value, such as a
-negative base to a fractional exponent, raises ``ValueError``).  Trees
+A declaration gives one expression tree per state derivative over the state
+variables ``x1..xn`` and inputs ``u1..ul``, and one per output coordinate
+over the states alone.  Supported operators: add, sub, mul, div, neg, sin,
+cos, tanh, pow (with a constant exponent; a power with no real value, such
+as a negative base to a fractional exponent, raises ``ValueError``).  Trees
 evaluate to plain floats, so the same declaration drives simulation, gain
-sampling, and Lie-derivative targets without compiling user code.
+sampling, and Lie-derivative targets without compiling user code.  A linear
+system may give its matrices instead: ``f`` as ``{"a": A, "b": B}`` for
+``A x + B u`` and ``h`` as ``{"c": C}`` for ``C x``.
+
+The bundled example systems are declarations too, in the package file
+``builtins.json``; ``get_builtin`` and ``builtin_systems`` build them with
+``system_from_spec``.
 
 ``check_fields`` is the one checker of user declarations: it serves one
 table per declaration, the inline system spec and the dictionary here, the
@@ -15,24 +21,29 @@ config and its ``data`` in ``pipeline``.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+from importlib.resources import files
 from typing import Callable
 
 import numpy as np
 
 from .harness import ControlSystem
 
-__all__ = ["compile_expression", "system_from_spec"]
+__all__ = ["builtin_systems", "compile_expression", "get_builtin", "system_from_spec"]
 
 # key -> (accepted types, bound): a bound is None, "positive", or a number L
 # meaning "at least L"; a None value is never bounded
 _SPEC_FIELDS = {
     "n": (numbers.Integral, 1), "l": (numbers.Integral, 1), "p": (numbers.Integral, 1),
-    "f": (list, None), "h": (list, None), "name": (str, None),
+    "f": ((list, dict), None), "h": ((list, dict), None), "name": (str, None),
     "lipschitz_u": ((numbers.Real, type(None)), 0), "gain_box": (numbers.Real, "positive"),
     "slack": (numbers.Real, 1), "dictionary": (dict, None),
 }
+# the matrix form of f and of h: matrix key -> its (rows, columns) as
+# dimension names
+_MATRIX_SHAPES = {"f": {"a": "nn", "b": "nl"}, "h": {"c": "pn"}}
 _DICTIONARY_FIELDS = {
     "kind": (str, None), "degree": (numbers.Integral, 1), "exponents": (list, None),
 }
@@ -124,7 +135,8 @@ def _compile(tree, n: int, l: int) -> Callable[[list, list], float]:
         # checked here, where the dimensions are known, not as an IndexError
         # at evaluation
         if int(name[1:]) > (n if name[0] == "x" else l):
-            raise ValueError(f"variable {name!r} is out of range: use x1..x{n} or u1..u{l}")
+            known = f"x1..x{n} or u1..u{l}" if l else f"x1..x{n} (an output reads no input)"
+            raise ValueError(f"variable {name!r} is out of range: use {known}")
         k = int(name[1:]) - 1
         if name[0] == "x":
             return lambda x, u: x[k]
@@ -163,15 +175,11 @@ def _compile(tree, n: int, l: int) -> Callable[[list, list], float]:
     raise ValueError(f"bad expression node: {tree!r}")
 
 
-def _floats(v) -> list:
-    return np.asarray(v, float).tolist()
-
-
 def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
     """Compile a JSON expression tree over ``x1..xn`` and ``u1..ul`` into
     ``(x, u) -> float``; ``x`` and ``u`` are any sequences of reals."""
     fn = _compile(tree, n, l)
-    return lambda x, u: fn(_floats(x), _floats(u))
+    return lambda x, u: fn(np.asarray(x, float).tolist(), np.asarray(u, float).tolist())
 
 
 def _sampled_lipschitz_u(f, n: int, l: int, box: float) -> float:
@@ -199,40 +207,82 @@ def _secant_sweep(f, n: int, l: int, box: float) -> float:
     return best
 
 
+def _matrices(key: str, spec: dict, dims: dict) -> list:
+    """The matrices of the matrix form of ``spec[key]`` as float arrays, each
+    checked for its shape in the dimensions ``dims``."""
+    where = f"system {key}"
+    shapes = _MATRIX_SHAPES[key]
+    check_fields(where, spec[key], dict.fromkeys(shapes, (list, None)), required=tuple(shapes))
+    out = []
+    for name, (rows, cols) in shapes.items():
+        matrix = spec[key][name]
+        for row in matrix:
+            check_type(f"{where} {name} row", row, list)
+            for entry in row:
+                check_type(f"{where} {name} entry", entry, numbers.Real)
+        if [len(row) for row in matrix] != [dims[cols]] * dims[rows]:
+            raise ValueError(f"{where} {name} must be {dims[rows]}x{dims[cols]} ({rows} x {cols}), "
+                             f"got rows of lengths {[len(row) for row in matrix]}")
+        out.append(np.array(matrix, float))
+    return out
+
+
+def _trees(what: str, trees: list, count: int, n: int, l: int) -> list:
+    """``count`` trees, each compiled over ``x1..xn`` and ``u1..ul``."""
+    if len(trees) != count:
+        raise ValueError(f"need {count} {what} expressions, got {len(trees)}")
+    return [_compile(tree, n, l) for tree in trees]
+
+
 def system_from_spec(spec: dict) -> ControlSystem:
     """Build a control system from a JSON declaration.
 
     Required keys: ``n``, ``l``, ``p`` (positive integers), ``f`` (a list of
-    n trees), ``h`` (a list of p trees).  Optional: ``name`` (a string),
-    ``lipschitz_u`` (non-negative; sampled when absent or null),
-    ``gain_box`` (positive), ``slack`` (at least 1), ``dictionary`` (as in a
-    pipeline config); ``ControlSystem`` supplies the defaults.  The whole
-    declaration is checked before anything is built: an unknown or missing
-    key, a value of the wrong type or out of range, a malformed tree, or a
-    variable outside ``x1..xn`` or ``u1..ul`` raises ``ValueError``.
+    n trees over ``x1..xn`` and ``u1..ul``, or the matrices
+    ``{"a": n x n, "b": n x l}`` of ``a x + b u``), ``h`` (a list of p trees
+    over ``x1..xn``, or ``{"c": p x n}`` for ``c x``).  Optional: ``name``
+    (a string), ``lipschitz_u`` (non-negative; when absent or null, ``||b||_2``
+    for matrices and sampled for trees), ``gain_box`` (positive), ``slack``
+    (at least 1), ``dictionary`` (as in a pipeline config); ``ControlSystem``
+    supplies the defaults.  The whole declaration is checked before anything
+    is built: an unknown or missing key, a value of the wrong type or out of
+    range, a malformed tree or matrix, a variable outside ``x1..xn`` or
+    ``u1..ul``, or an input variable in an output raises ``ValueError``.
     """
     check_fields("system", spec, _SPEC_FIELDS, required=("n", "l", "p", "f", "h"))
     if "dictionary" in spec:
         check_dictionary("system dictionary", spec["dictionary"])
     n, l, p = int(spec["n"]), int(spec["l"]), int(spec["p"])
-    f_trees, h_trees = spec["f"], spec["h"]
-    if len(f_trees) != n:
-        raise ValueError(f"need {n} state derivative expressions, got {len(f_trees)}")
-    if len(h_trees) != p:
-        raise ValueError(f"need {p} output expressions, got {len(h_trees)}")
-    f_fns = [_compile(t, n, l) for t in f_trees]
-    h_fns = [_compile(t, n, l) for t in h_trees]
-    zero = [0.0] * l
-
-    def f(x, u):
-        x, u = _floats(x), _floats(u)
-        return np.array([fn(x, u) for fn in f_fns])
-
-    def h(x):
-        x = _floats(x)
-        return np.array([fn(x, zero) for fn in h_fns])
-
+    dims = {"n": n, "l": l, "p": p}
     lipschitz = spec.get("lipschitz_u")
+    if isinstance(spec["f"], dict):
+        a, b = _matrices("f", spec, dims)
+
+        def f(x, u):
+            return a @ x + b @ u
+
+        if lipschitz is None:
+            lipschitz = np.linalg.norm(b, 2)
+    else:
+        f_fns = _trees("state derivative", spec["f"], n, n, l)
+
+        def f(x, u):
+            # lists of Python floats, converted inline: f is the hot call
+            x, u = np.asarray(x, float).tolist(), np.asarray(u, float).tolist()
+            return np.array([fn(x, u) for fn in f_fns])
+
+    if isinstance(spec["h"], dict):
+        (c,) = _matrices("h", spec, dims)
+
+        def h(x):
+            return c @ x
+    else:
+        h_fns = _trees("output", spec["h"], p, n, 0)
+
+        def h(x):
+            x = np.asarray(x, float).tolist()
+            return np.array([fn(x, None) for fn in h_fns])
+
     if lipschitz is None:
         box = float(spec.get("gain_box", ControlSystem.gain_box))
         lipschitz = _sampled_lipschitz_u(f, n, l, box)
@@ -242,3 +292,21 @@ def system_from_spec(spec: dict) -> ControlSystem:
         lipschitz_u=float(lipschitz),
         **{field: spec[key] for field, key in given.items() if key in spec},
     )
+
+
+def _bundle() -> dict:
+    """The bundled example declarations, name -> declaration."""
+    return json.loads(files(__package__).joinpath("builtins.json").read_text())
+
+
+def builtin_systems() -> list[ControlSystem]:
+    """The bundled example systems, from linear to non-affine control."""
+    return [system_from_spec({"name": name, **spec}) for name, spec in _bundle().items()]
+
+
+def get_builtin(name: str) -> ControlSystem:
+    """The bundled example system ``name``, built alone."""
+    bundle = _bundle()
+    if name not in bundle:
+        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(bundle)}")
+    return system_from_spec({"name": name, **bundle[name]})

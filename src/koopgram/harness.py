@@ -1,11 +1,12 @@
-"""Example systems, probing signals, and empirical certificate validation.
+"""The control-system type, probing signals, and empirical certificate validation.
 
-The empirical side of the toolkit: simulate the full nonlinear system and
-its reduced counterpart from rest under a deterministic family of
-square-integrable inputs, measure the worst output-difference to input
-energy ratio, and compare it against the a-priori certificate.  The
-empirical ratio is a lower bound on the true induced norm, so a sound
-certificate must always dominate it.
+``ControlSystem`` is what ``expr.system_from_spec`` builds from a
+declaration, the bundled examples included.  The empirical side of the
+toolkit: simulate the full nonlinear system and its reduced counterpart
+from rest under a deterministic family of square-integrable inputs,
+measure the worst output-difference to input energy ratio, and compare it
+against the a-priori certificate.  The empirical ratio is a lower bound on
+the true induced norm, so a sound certificate must always dominate it.
 
 ``simulate_ensemble(system, bn, orders, ensemble, tol)`` makes one ODE solve
 per probe signal, on the stacked state ``[x; z_r1; ...; z_rk]`` of the full
@@ -55,8 +56,6 @@ __all__ = [
     "ControlSystem",
     "Signal",
     "GainEstimate",
-    "builtin_systems",
-    "get_builtin",
     "input_ensemble",
     "signal_l2_norm",
     "Trajectories",
@@ -92,108 +91,6 @@ class ControlSystem:
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(x, np.zeros(self.l)), float)
-
-
-def _lti6() -> ControlSystem:
-    rng = np.random.default_rng(1234)
-    m = rng.normal(size=(6, 6))
-    shift = np.max(np.linalg.eigvals(m).real) + 0.75
-    a = m - shift * np.eye(6)
-    b = rng.normal(size=(6, 2))
-    c = rng.normal(size=(2, 6))
-
-    return ControlSystem(
-        name="lti6",
-        n=6,
-        l=2,
-        p=2,
-        f=lambda x, u: a @ x + b @ u,
-        h=lambda x: c @ x,
-        lipschitz_u=float(np.linalg.norm(b, 2)),
-    )
-
-
-def _slow_manifold_f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            -x[0] + 0.5 * np.tanh(u[0]),
-            -2.0 * (x[1] - x[0] ** 2) + np.cos(x[0]) * np.tanh(u[0]),
-        ]
-    )
-
-
-def _slow_manifold(exact: bool) -> ControlSystem:
-    hint = {"kind": "monomials", "exponents": [[1, 0], [0, 1], [2, 0]]}
-    return ControlSystem(
-        name="slow_manifold" if exact else "slow_manifold_identity",
-        n=2,
-        l=1,
-        p=2,
-        f=_slow_manifold_f,
-        h=lambda x: x[:2].copy(),
-        lipschitz_u=float(np.sqrt(1.25)),
-        **({"dictionary_hint": hint} if exact else {}),
-        gain_box=3.0,
-        suggested_slack=1.25,
-    )
-
-
-def _tanh_first_order() -> ControlSystem:
-    return ControlSystem(
-        name="tanh_first_order",
-        n=1,
-        l=1,
-        p=1,
-        f=lambda x, u: -x + np.tanh(u),
-        h=lambda x: x.copy(),
-        lipschitz_u=1.0,
-    )
-
-
-def _mild_cubic_f(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # saturating cubic: x^3/(1+x^2) grows linearly, so the residual left
-    # after the best linear fit keeps a small, globally finite gain
-    return np.array(
-        [
-            -x[0] + 0.5 * x[1] + 0.3 * np.tanh(u[0]),
-            -2.0 * x[1] - 0.1 * x[0] ** 3 / (1.0 + x[0] ** 2) + np.tanh(u[0]),
-        ]
-    )
-
-
-def _mild_cubic() -> ControlSystem:
-    return ControlSystem(
-        name="mild_cubic",
-        n=2,
-        l=1,
-        p=1,
-        f=_mild_cubic_f,
-        h=lambda x: x[:1].copy(),
-        lipschitz_u=float(np.sqrt(1.09)),
-        gain_box=4.0,
-    )
-
-
-# name -> factory of each bundled example system, in builtin_systems() order
-_BUILTINS = {
-    "lti6": _lti6,
-    "slow_manifold": lambda: _slow_manifold(True),
-    "slow_manifold_identity": lambda: _slow_manifold(False),
-    "tanh_first_order": _tanh_first_order,
-    "mild_cubic": _mild_cubic,
-}
-
-
-def builtin_systems() -> list[ControlSystem]:
-    """The bundled example systems, from linear to non-affine control."""
-    return [build() for build in _BUILTINS.values()]
-
-
-def get_builtin(name: str) -> ControlSystem:
-    """The bundled example system ``name``, built alone."""
-    if name not in _BUILTINS:
-        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(_BUILTINS)}")
-    return _BUILTINS[name]()
 
 
 @dataclass(frozen=True)

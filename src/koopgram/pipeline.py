@@ -39,11 +39,9 @@ from .certify import (
     lift_sensitivity_norms,
     output_embedding_gap,
 )
-from .expr import check_dictionary, check_fields, check_type, system_from_spec
+from .expr import check_dictionary, check_fields, check_type, get_builtin, system_from_spec
 from .gsvd import MIN_SAMPLE_BUDGET, decompose, estimate_gains
-from .harness import (
-    ControlSystem, estimate_gap, get_builtin, input_ensemble, judge_bound, simulate_ensemble,
-)
+from .harness import ControlSystem, estimate_gap, input_ensemble, judge_bound, simulate_ensemble
 from .koopman import (
     Dictionary,
     KoopmanModel,

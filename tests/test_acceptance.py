@@ -17,12 +17,13 @@ from koopgram.certify import (
     feedback_decomposition,
     feedback_removal_gap,
 )
+from koopgram.expr import get_builtin
 from koopgram.gsvd import (
     GainProfile,
     decompose,
     estimate_gains,
 )
-from koopgram.harness import get_builtin, judge_bound
+from koopgram.harness import judge_bound
 from koopgram.koopman import (
     build_dictionary,
     collect_trajectories,

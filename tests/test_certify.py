@@ -223,7 +223,7 @@ class TestBuildCertificate:
 
 class TestEndToEndFiveTermPath:
     def test_mild_nonlinearity_gives_finite_total_dominating_each_term(self):
-        from koopgram.harness import get_builtin
+        from koopgram.expr import get_builtin
         from koopgram.koopman import collect_trajectories, fit_koopman, lifted_control_term
         from koopgram.gsvd import decompose, estimate_gains
         from koopgram.balance import balance

@@ -462,11 +462,30 @@ class TestCliEntry:
             ({"dictionary": {"kind": "monomials", "degree": "2"}},
              "system dictionary degree has the wrong type: '2'"),
             ({"seed": 3}, "unknown system keys ['seed']"),
+            # an output that read an input would be evaluated at u = 0
+            ({"h": [{"op": "add", "args": [{"var": "x1"}, {"var": "u1"}]}]},
+             "variable 'u1' is out of range: use x1..x1 (an output reads no input)"),
+            ({"f": {"a": [[-1.0], [0.0, -1.0]], "b": [[1.0]]}},
+             "system f a must be 1x1 (n x n), got rows of lengths [1, 2]"),
+            ({"f": {"a": [[-1.0, 0.0]], "b": [[1.0]]}},
+             "system f a must be 1x1 (n x n), got rows of lengths [2]"),
+            ({"f": {"a": [[-1.0]], "b": [[1.0], [1.0]]}},
+             "system f b must be 1x1 (n x l), got rows of lengths [1, 1]"),
+            ({"h": {"c": [[1.0, 0.0]]}}, "system h c must be 1x1 (p x n), got rows of lengths [2]"),
+            ({"f": {"a": [-1.0], "b": [[1.0]]}}, "system f a row has the wrong type: -1.0"),
+            ({"f": {"a": [[float("nan")]], "b": [[1.0]]}}, "system f a entry must be finite, got nan"),
+            ({"h": {"c": [[True]]}}, "system h c entry has the wrong type: True"),
+            ({"f": {"a": [[-1.0]], "b": [[1.0]], "d": [[0.0]]}},
+             "unknown system f keys ['d']; known: ['a', 'b']"),
+            ({"f": {"a": [[-1.0]]}}, "missing system f keys ['b']"),
         ],
         ids=["f-number", "dictionary-number", "args-number", "var-number", "var-empty",
              "n-fractional", "lipschitz-key-misspelt", "name-list", "lipschitz-nan",
              "gain-box-negative", "op-list", "pow-exponent-null", "const-list",
-             "exponents-number", "degree-string", "seed-key"],
+             "exponents-number", "degree-string", "seed-key", "h-reads-input",
+             "matrix-ragged", "matrix-a-shape", "matrix-b-shape", "matrix-c-shape",
+             "matrix-row-number", "matrix-nan", "matrix-bool", "matrix-unknown-key",
+             "matrix-missing-key"],
     )
     def test_malformed_system_spec_exits_one(self, tmp_path, capsys, change, message):
         lag = {"op": "add", "args": [

@@ -141,6 +141,17 @@ class TestSystemFromSpec:
         with pytest.raises(ValueError, match=r"'u2' is out of range"):
             system_from_spec(bad)
 
+    def test_matrix_form_is_a_x_plus_b_u_with_exact_lipschitz(self):
+        a = [[-1.0, 0.5], [0.0, -2.0]]
+        b = [[1.0, 0.0], [0.3, -0.7]]
+        c = [[1.0, 2.0]]
+        sysd = system_from_spec({"n": 2, "l": 2, "p": 1, "f": {"a": a, "b": b}, "h": {"c": c}})
+        x, u = np.array([0.4, -1.1]), np.array([0.7, 0.2])
+        assert np.array_equal(sysd.f(x, u), np.array(a) @ x + np.array(b) @ u)
+        assert np.array_equal(sysd.h(x), np.array(c) @ x)
+        # ||b||_2 computed, not sampled
+        assert sysd.lipschitz_u == float(np.linalg.norm(np.array(b), 2))
+
     def test_wrong_arity_rejected(self):
         bad = dict(TANH_FIRST_ORDER_SPEC, n=2)
         with pytest.raises(ValueError, match="derivative expressions"):
@@ -158,11 +169,13 @@ def _outcome(evaluate):
 class TestInterpreterOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-    @given(st.integers(1, 2).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(trees(n, 3), min_size=n + 1, max_size=n + 1))))
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(trees(n, 3), min_size=n, max_size=n), trees(n, 3, inputs=False))))
     def test_system_equals_recursive_float_evaluation(self, case):
-        # f and h equal the tree walk bit for bit, and raise what it raises
-        n, drawn = case
+        # f and h equal the tree walk bit for bit, and raise what it raises;
+        # the output tree reads the state alone
+        n, f_drawn, h_drawn = case
+        drawn = [*f_drawn, h_drawn]
         zero = ([0.0] * n, [0.0])
         at_zero = [_outcome(lambda: evaluate_tree(tree, *zero)) for tree in drawn]
         assume(all(isinstance(v, float) and np.isfinite(v) for v in at_zero))
@@ -182,7 +195,7 @@ class TestInterpreterOracle:
                     (_outcome(lambda: system.f(x, u)),
                      _outcome(lambda: np.array([evaluate_tree(t, x, u) for t in spec["f"]]))),
                     (_outcome(lambda: system.h(x)),
-                     _outcome(lambda: np.array([evaluate_tree(t, x, [0.0]) for t in spec["h"]]))),
+                     _outcome(lambda: np.array([evaluate_tree(t, x, []) for t in spec["h"]]))),
                 ):
                     if isinstance(want, tuple):
                         assert got == want

@@ -32,15 +32,16 @@ def var(name):
     return {"var": name}
 
 
-def trees(n: int, depth: int):
-    """Expression trees over ``x1..xn`` and ``u1`` of depth at most ``depth``."""
+def trees(n: int, depth: int, inputs: bool = True):
+    """Expression trees over ``x1..xn``, and ``u1`` if ``inputs``, of depth at
+    most ``depth``."""
     leaf = st.one_of(
         st.sampled_from([0.3, -0.5, 1.0, -2.0, 3.0]),
-        st.sampled_from([f"x{i + 1}" for i in range(n)] + ["u1"]).map(var),
+        st.sampled_from([f"x{i + 1}" for i in range(n)] + (["u1"] if inputs else [])).map(var),
     )
     if depth == 0:
         return leaf
-    sub = trees(n, depth - 1)
+    sub = trees(n, depth - 1, inputs)
     return st.one_of(
         leaf,
         st.tuples(st.sampled_from(UNARY), sub).map(lambda a: op(*a)),

@@ -15,6 +15,7 @@ import scipy.integrate
 from koopgram import harness, pipeline
 from koopgram.balance import balance, balanced_nonlinear, truncate
 from koopgram.certify import FeedbackDecomposition, build_certificate
+from koopgram.expr import builtin_systems, get_builtin
 from koopgram.gsvd import decompose, estimate_gains
 from koopgram.harness import (
     FREQ_BAND,
@@ -26,9 +27,7 @@ from koopgram.harness import (
     _N_GRID,
     _noise_burst,
     _simulate_signal,
-    builtin_systems,
     estimate_gap,
-    get_builtin,
     input_ensemble,
     judge_bound,
     signal_l2_norm,

@@ -19,9 +19,8 @@ import pytest
 from koopgram import pipeline
 from koopgram.balance import EXACT_RESIDUAL_TOL, balance, balanced_nonlinear
 from koopgram.certify import AFFINE_SAMPLES
-from koopgram.expr import system_from_spec
+from koopgram.expr import builtin_systems, get_builtin, system_from_spec
 from koopgram.gsvd import _ZERO_INPUT_CHECKS, decompose, estimate_gains
-from koopgram.harness import builtin_systems, get_builtin
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
 from koopgram.linalg import LtiSystem
 from koopgram.pipeline import PipelineConfig, stage_balance, stage_certify, stage_decompose, stage_fit_koopman
