@@ -163,9 +163,10 @@ class BalancedNonlinear:
     the order ``r`` from ``len(z)``, and ``len(z) = q`` is the full balanced
     realization.  It also takes a ``(k, r)`` stack of states and returns the
     ``(k, r)`` stack of values, bit for bit the rows of ``k`` single calls,
-    so that ``gsvd.estimate_gains`` samples it in one call: the field is
-    evaluated per state, and ``R_r z``, ``phi`` and ``T(.)[:r]`` run once
-    per stack.  ``f_reduced(zs, u)`` takes a list of states, one per order,
+    so that ``gsvd.estimate_gains`` samples it in one call: ``f`` takes the
+    stack of recovered states, as ``ControlSystem.f`` does, the Jacobian
+    runs per state, and ``R_r z``, ``phi``, every product and ``T(.)[:r]``
+    run once per stack.  ``f_reduced(zs, u)`` takes a list of states, one per order,
     and returns one field per state, so one call per step serves every
     simulated order; it simulates the truncated lifted realization, which
     is the object the certificates actually bound: the truncated balanced
@@ -189,11 +190,12 @@ def balanced_nonlinear(
     bal: BalancedRealization,
 ) -> BalancedNonlinear:
     """Construct the nonlinear evaluators in balanced and reduced coordinates."""
-    zero_u = np.zeros(int(input_dim))
+    l = int(input_dim)
     t = bal.t
     a = model.a
     dict_eval = model.dictionary.evaluate
     jac = model.dictionary.jacobian
+    jacobians = model.dictionary.jacobians
     batch = model.dictionary.kind == "monomials"
     # the views R[:, :r] and A_bal[:r, :r] of each order r, made once
     views = [None] + [(bal.r[:, :r], bal.a_bal[:r, :r]) for r in range(1, bal.q + 1)]
@@ -202,12 +204,14 @@ def balanced_nonlinear(
         return jac(x) @ f(x, u) - a @ phi
 
     def error_map(z):
-        # one state or a stack of them: the field per state, R_r z, phi and
-        # T(.)[:r] once per stack, each row with the bits of a single state
+        # one state or a stack of them: f on the stack, the Jacobian per
+        # state, the rest once per stack, each row with the bits of a single
+        # state
         zs = np.asarray(z, float)
         order = zs.shape[-1]
         xs = row_products(views[order][0], np.atleast_2d(zs))
-        fields = np.array([lifted(x, zero_u, phi) for x, phi in zip(xs, dict_eval(xs))])
+        drifts = np.asarray(f(xs, np.zeros((len(xs), l))), float)
+        fields = row_products(jacobians(xs), drifts) - row_products(a, dict_eval(xs))
         out = row_products(t, fields)[:, :order]
         return out if zs.ndim == 2 else out[0]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .balance import BalancedRealization
 from .gsvd import GsvdFactor, sigma_pinv
-from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, spectral_norm
+from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, row_norms, row_products, spectral_norm
 
 __all__ = [
     "FeedbackDecomposition",
@@ -142,24 +142,33 @@ def feedback_decomposition(a, b, error_factor: GsvdFactor | None) -> FeedbackDec
 
 def is_control_affine(f: Callable, l: int, bal: BalancedRealization, seed: int = 0) -> bool:
     """Detect a state-independent balanced control term by sampling the probe
-    ``pinv(R) @ (f(R z, u) - f(R z, 0))`` over balanced states ``z``."""
+    ``pinv(R) @ (f(R z, u) - f(R z, 0))`` over balanced states ``z``.
+
+    Per input, the probe runs on the stack of the origin and the first
+    state, where a state-dependent term shows, and then on the stack of the
+    other states; a state deviates when its distance from the origin's
+    probe exceeds ``AFFINE_TOL`` times the running maximum of
+    ``1 + ||probe||``."""
     rng = np.random.default_rng(seed)
     r_pinv = pinv(bal.r)
-    zero_u = np.zeros(l)
 
-    def probe(z, u):
-        x = bal.r @ z
-        return r_pinv @ (np.asarray(f(x, u), float) - np.asarray(f(x, zero_u), float))
+    def probe(zs, u):
+        xs = row_products(bal.r, zs)
+        us = np.broadcast_to(u, (len(zs), l))
+        fields = np.asarray(f(xs, us), float) - np.asarray(f(xs, np.zeros((len(zs), l))), float)
+        return row_products(r_pinv, fields)
 
     for u in (np.ones(l), rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=l)):
-        base = probe(np.zeros(bal.q), u)
-        scale = 1.0 + float(np.linalg.norm(base))
-        for z in rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, bal.q)):
-            fz = probe(z, u)
-            dev = float(np.linalg.norm(fz - base))
-            scale = max(scale, 1.0 + float(np.linalg.norm(fz)))
-            if dev > AFFINE_TOL * scale:
+        zs = rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, bal.q))
+        zs = np.vstack([np.zeros(bal.q), zs])
+        base, scale = None, 1.0
+        for part in (zs[:2], zs[2:]):
+            fz = probe(part, u)
+            base = fz[0] if base is None else base
+            scales = np.maximum.accumulate(np.append(scale, 1.0 + row_norms(fz)))
+            if np.any(row_norms(fz - base) > AFFINE_TOL * scales[1:]):
                 return False
+            scale = scales[-1]
     return True
 
 

@@ -4,11 +4,21 @@ A declaration gives one expression tree per state derivative over the state
 variables ``x1..xn`` and inputs ``u1..ul``, and one per output coordinate
 over the states alone.  Supported operators: add, sub, mul, div, neg, sin,
 cos, tanh, pow (with a constant exponent; a power with no real value, such
-as a negative base to a fractional exponent, raises ``ValueError``).  Trees
-evaluate to plain floats, so the same declaration drives simulation, gain
-sampling, and Lie-derivative targets without compiling user code.  A linear
-system may give its matrices instead: ``f`` as ``{"a": A, "b": B}`` for
-``A x + B u`` and ``h`` as ``{"c": C}`` for ``C x``.
+as a negative base to a fractional exponent, raises ``ValueError``).  A node
+is a number, ``{"const": c}``, ``{"var": name}`` or ``{"op": name, "args":
+[...]}``; any other key set raises ``ValueError``.  Trees evaluate to plain
+floats, so the same declaration drives simulation, gain sampling, and
+Lie-derivative targets without compiling user code.  A linear system may
+give its matrices instead: ``f`` as ``{"a": A, "b": B}`` for ``A x + B u``
+and ``h`` as ``{"c": C}`` for ``C x``.
+
+A built system's ``f(x, u)`` and ``h(x)`` take one point, or a ``(k, n)``
+stack of states with a ``(k, l)`` stack of inputs, and then return the
+``(k, n)`` (or ``(k, p)``) stack of values, bit for bit the rows of ``k``
+single calls.  A stack walks each tree once, on numpy columns, and a stack
+one of whose points raises alone raises the same exception; matrices run
+``linalg.row_products``.  So the gain sampling of the pipeline evaluates a
+whole sample set in one call.
 
 The bundled example systems are declarations too, in the package file
 ``builtins.json``; ``get_builtin`` and ``builtin_systems`` build them with
@@ -30,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .harness import ControlSystem
+from .linalg import row_norms, row_products
 
 __all__ = ["builtin_systems", "compile_expression", "get_builtin", "system_from_spec"]
 
@@ -103,23 +114,39 @@ def _pow(a: float, b: float) -> float:
         raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
 
 
+def _pow_rows(a, b: float) -> np.ndarray:
+    # math.pow per element: np.power differs from it in the last bit of some
+    # values, even for exponent 2
+    return np.array([math.pow(v, b) for v in np.atleast_1d(a).tolist()])
+
+
 _TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
 _UNARY = {"neg", *_TRANSCENDENTAL}
 _BINARY = {"add", "sub", "mul", "div", "pow"}
+# the key set of each kind of node: a constant, a variable, an operator
+_NODE_KEYS = ({"const"}, {"var"}, {"op", "args"})
 
 
 def _is_constant(tree) -> bool:
     return isinstance(tree, (int, float)) or (isinstance(tree, dict) and "const" in tree)
 
 
-def _compile(tree, n: int, l: int) -> Callable[[list, list], float]:
-    """``tree`` as ``(x, u) -> float`` over lists of Python floats.
+def _compile(tree, n: int, l: int, stacked: bool = False) -> Callable[[list, list], float]:
+    """``tree`` as ``(x, u) -> float`` over lists of Python floats, or, when
+    ``stacked``, as ``(x, u) -> (k,) values`` over lists of numpy columns.
 
-    Every node returns a Python float, so arithmetic raises
-    ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where numpy
-    would warn; only the transcendental nodes leave float arithmetic, and
-    they convert numpy's result back.
+    In the float walk every node returns a Python float, so arithmetic
+    raises ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where
+    numpy would warn; only the transcendental nodes leave float arithmetic,
+    and they convert numpy's result back.  The stacked walk differs only at
+    the transcendental and ``pow`` leaves, which keep numpy's values on the
+    whole column and run ``math.pow`` per element, so each row has the bits
+    of the float walk; a constant-only subtree stays one value, which
+    broadcasts.  ``_on_stack`` runs it under the numpy error checks.
     """
+    if isinstance(tree, dict) and set(tree) not in _NODE_KEYS:
+        raise ValueError(f"bad expression node {tree!r}: a node has exactly the keys "
+                         "const, or var, or op and args")
     if _is_constant(tree):
         value = tree["const"] if isinstance(tree, dict) else tree
         check_type("expression constant", value, numbers.Real)
@@ -141,38 +168,79 @@ def _compile(tree, n: int, l: int) -> Callable[[list, list], float]:
         if name[0] == "x":
             return lambda x, u: x[k]
         return lambda x, u: u[k]
-    if "op" in tree:
-        op = tree["op"]
-        check_type("expression operator", op, str)
-        args = tree.get("args", [])
-        check_type(f"{op} arguments", args, list)
-        if op in _UNARY:
-            if len(args) != 1:
-                raise ValueError(f"{op} takes one argument")
-            a = _compile(args[0], n, l)
-            if op == "neg":
-                return lambda x, u: -a(x, u)
-            fn = _TRANSCENDENTAL[op]
-            return lambda x, u: float(fn(a(x, u)))
-        if op in _BINARY:
-            if len(args) != 2:
-                raise ValueError(f"{op} takes two arguments")
-            if op == "pow" and not _is_constant(args[1]):
-                raise ValueError("pow exponent must be a constant")
-            a = _compile(args[0], n, l)
-            b = _compile(args[1], n, l)
+    op, args = tree["op"], tree["args"]
+    check_type("expression operator", op, str)
+    check_type(f"{op} arguments", args, list)
+    if op in _UNARY:
+        if len(args) != 1:
+            raise ValueError(f"{op} takes one argument")
+        a = _compile(args[0], n, l, stacked)
+        if op == "neg":
+            return lambda x, u: -a(x, u)
+        fn = _TRANSCENDENTAL[op]
+        if stacked:
+            return lambda x, u: fn(a(x, u))
+        return lambda x, u: float(fn(a(x, u)))
+    if op in _BINARY:
+        if len(args) != 2:
+            raise ValueError(f"{op} takes two arguments")
+        if op == "pow" and not _is_constant(args[1]):
+            raise ValueError("pow exponent must be a constant")
+        a = _compile(args[0], n, l, stacked)
+        b = _compile(args[1], n, l, stacked)
+        if _is_constant(args[0]) and op != "pow":
+            # a coefficient: read once, here, not called at every point
+            c = a(None, None)
             if op == "add":
-                return lambda x, u: a(x, u) + b(x, u)
+                return lambda x, u: c + b(x, u)
             if op == "sub":
-                return lambda x, u: a(x, u) - b(x, u)
+                return lambda x, u: c - b(x, u)
             if op == "mul":
-                return lambda x, u: a(x, u) * b(x, u)
-            if op == "div":
-                return lambda x, u: a(x, u) / b(x, u)
-            exponent = b(None, None)  # a constant: evaluated once, here
-            return lambda x, u: _pow(a(x, u), exponent)
-        raise ValueError(f"unknown operator {op!r}")
-    raise ValueError(f"bad expression node: {tree!r}")
+                return lambda x, u: c * b(x, u)
+            return lambda x, u: c / b(x, u)
+        if op == "add":
+            return lambda x, u: a(x, u) + b(x, u)
+        if op == "sub":
+            return lambda x, u: a(x, u) - b(x, u)
+        if op == "mul":
+            return lambda x, u: a(x, u) * b(x, u)
+        if op == "div":
+            return lambda x, u: a(x, u) / b(x, u)
+        exponent = b(None, None)  # a constant: evaluated once, here
+        power = _pow_rows if stacked else _pow
+        return lambda x, u: power(a(x, u), exponent)
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def _on_stack(fns: tuple, xs: np.ndarray, us) -> np.ndarray:
+    """The ``(k, len(fns[0]))`` values of the float walks ``fns[0]`` at the
+    rows of ``xs`` and ``us`` (``None`` for an output), from one walk of the
+    stacked trees ``fns[1]``.
+
+    Where numpy flags a division by zero, an overflow or an invalid value,
+    or a ``pow`` raises, the stack is walked again row by row, so a stack
+    raises what its first failing row raises alone, and a value that float
+    arithmetic lets through (an overflow to inf) is returned as it is.  A
+    stack with a non-finite entry goes row by row at once: there numpy can
+    divide by zero without a flag (``inf / 0``), where a float raises.
+    """
+    point_fns, stack_fns = fns
+    k = xs.shape[0]
+    if us is not None and (us.ndim != 2 or us.shape[0] != k):
+        raise ValueError(f"need a ({k}, l) stack of inputs for {k} states, got shape {us.shape}")
+    if np.isfinite(xs).all() and (us is None or np.isfinite(us).all()):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                cols = np.ascontiguousarray(xs.T)
+                ucols = None if us is None else np.ascontiguousarray(us.T)
+                out = np.empty((k, len(stack_fns)))
+                for i, fn in enumerate(stack_fns):
+                    out[:, i] = fn(cols, ucols)
+                return out
+        except (ArithmeticError, ValueError):
+            pass
+    rows = us.tolist() if us is not None else [None] * k
+    return np.array([[fn(x, u) for fn in point_fns] for x, u in zip(xs.tolist(), rows)])
 
 
 def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
@@ -193,18 +261,18 @@ def _sampled_lipschitz_u(f, n: int, l: int, box: float) -> float:
 
 def _secant_sweep(f, n: int, l: int, box: float) -> float:
     """Largest secant ratio ``|f(x, u1) - f(x, u2)| / |u1 - u2|`` over 400
-    draws of the state and both inputs from ``[-box, box]``."""
-    rng = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(400):
-        x = rng.uniform(-box, box, size=n)
-        u1 = rng.uniform(-box, box, size=l)
-        u2 = rng.uniform(-box, box, size=l)
-        du = np.linalg.norm(u1 - u2)
-        if du == 0.0:
-            continue
-        best = max(best, float(np.linalg.norm(f(x, u1) - f(x, u2)) / du))
-    return best
+    draws of the state and both inputs from ``[-box, box]``.
+
+    The draws come in the order ``x, u1, u2`` per draw; ``f`` is called once,
+    on the stack of the rows ``(x, u1), (x, u2)`` of every draw in turn."""
+    draws = np.random.default_rng(0).uniform(-box, box, size=(400, n + 2 * l))
+    xs, u1s, u2s = draws[:, :n], draws[:, n:n + l], draws[:, n + l:]
+    du = row_norms(u1s - u2s)
+    used = du != 0.0
+    xs, du = xs[used], du[used]
+    values = f(np.repeat(xs, 2, axis=0), np.stack([u1s[used], u2s[used]], axis=1).reshape(-1, l))
+    ratios = row_norms(values[0::2] - values[1::2]) / du
+    return float(np.max(ratios, initial=0.0))
 
 
 def _matrices(key: str, spec: dict, dims: dict) -> list:
@@ -227,11 +295,12 @@ def _matrices(key: str, spec: dict, dims: dict) -> list:
     return out
 
 
-def _trees(what: str, trees: list, count: int, n: int, l: int) -> list:
-    """``count`` trees, each compiled over ``x1..xn`` and ``u1..ul``."""
+def _trees(what: str, trees: list, count: int, n: int, l: int) -> tuple:
+    """``count`` trees, each compiled over ``x1..xn`` and ``u1..ul``: the
+    float walks and the stacked walks."""
     if len(trees) != count:
         raise ValueError(f"need {count} {what} expressions, got {len(trees)}")
-    return [_compile(tree, n, l) for tree in trees]
+    return tuple([_compile(tree, n, l, stacked) for tree in trees] for stacked in (False, True))
 
 
 def system_from_spec(spec: dict) -> ControlSystem:
@@ -248,6 +317,8 @@ def system_from_spec(spec: dict) -> ControlSystem:
     is built: an unknown or missing key, a value of the wrong type or out of
     range, a malformed tree or matrix, a variable outside ``x1..xn`` or
     ``u1..ul``, or an input variable in an output raises ``ValueError``.
+    The system's ``f`` and ``h`` also take stacks of points (see the module
+    docstring); called on one point, the matrix form needs numpy arrays.
     """
     check_fields("system", spec, _SPEC_FIELDS, required=("n", "l", "p", "f", "h"))
     if "dictionary" in spec:
@@ -255,33 +326,47 @@ def system_from_spec(spec: dict) -> ControlSystem:
     n, l, p = int(spec["n"]), int(spec["l"]), int(spec["p"])
     dims = {"n": n, "l": l, "p": p}
     lipschitz = spec.get("lipschitz_u")
+    # bound here, not looked up on np per call: f and h are the hot calls
+    asarray, array, dot = np.asarray, np.array, np.dot
     if isinstance(spec["f"], dict):
         a, b = _matrices("f", spec, dims)
 
         def f(x, u):
-            return a @ x + b @ u
+            # np.dot on one point has the bits of the stack's row products
+            # and costs less than ``@``
+            if x.ndim == 1:
+                return dot(a, x) + dot(b, u)
+            return row_products(a, x) + row_products(b, u)
 
         if lipschitz is None:
             lipschitz = np.linalg.norm(b, 2)
     else:
         f_fns = _trees("state derivative", spec["f"], n, n, l)
+        f_point = f_fns[0]
 
         def f(x, u):
             # lists of Python floats, converted inline: f is the hot call
-            x, u = np.asarray(x, float).tolist(), np.asarray(u, float).tolist()
-            return np.array([fn(x, u) for fn in f_fns])
+            x, u = asarray(x, float), asarray(u, float)
+            if x.ndim == 2:
+                return _on_stack(f_fns, x, u)
+            x, u = x.tolist(), u.tolist()
+            return array([fn(x, u) for fn in f_point])
 
     if isinstance(spec["h"], dict):
         (c,) = _matrices("h", spec, dims)
 
         def h(x):
-            return c @ x
+            return dot(c, x) if x.ndim == 1 else row_products(c, x)
     else:
         h_fns = _trees("output", spec["h"], p, n, 0)
+        h_point = h_fns[0]
 
         def h(x):
-            x = np.asarray(x, float).tolist()
-            return np.array([fn(x, None) for fn in h_fns])
+            x = asarray(x, float)
+            if x.ndim == 2:
+                return _on_stack(h_fns, x, None)
+            x = x.tolist()
+            return array([fn(x, None) for fn in h_point])
 
     if lipschitz is None:
         box = float(spec.get("gain_box", ControlSystem.gain_box))

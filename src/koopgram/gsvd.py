@@ -179,6 +179,18 @@ def sigma_pinv(sigma: np.ndarray) -> np.ndarray:
     return sp
 
 
+def _rows(f: Callable, *stacks: np.ndarray) -> np.ndarray:
+    """``f`` called once on stacks of ``k`` points, as its ``(k, p)`` rows;
+    a ``(k,)`` value is one output coordinate, any other shape is refused."""
+    fx = np.asarray(f(*stacks), float)
+    k = len(stacks[0])
+    if fx.shape == (k,):
+        fx = fx[:, None]
+    if fx.ndim != 2 or fx.shape[0] != k:
+        raise ValueError(f"map must return one row per sample, shape ({k}, p), got {fx.shape}")
+    return fx
+
+
 def estimate_gains(
     f: Callable,
     dims: int | tuple[int, int],
@@ -218,12 +230,7 @@ def estimate_gains(
         raise ValueError("no nonzero sample points were generated")
     if not used.all():
         stacks, scale = [s[used] for s in stacks], scale[used]
-    fx = np.asarray(f(*stacks), float)
-    k = len(scale)
-    if fx.shape == (k,):
-        fx = fx[:, None]
-    if fx.ndim != 2 or fx.shape[0] != k:
-        raise ValueError(f"map must return one row per sample, shape ({k}, p), got {fx.shape}")
+    fx = _rows(f, *stacks)
     finite = np.isfinite(fx).all(axis=1)
     if not finite.all():
         first = int(np.argmin(finite))
@@ -252,19 +259,14 @@ def _sized_sigma(
 
 
 def _check_control_term(f: Callable, n: int, l: int, gains: GainProfile) -> None:
-    """``f(x, 0) = 0`` on sampled states, and one gain per output coordinate."""
-    rng = np.random.default_rng(0)
-    zero_u = np.zeros(l)
-    one_u = np.ones(l)
-    scale = 0.0
-    worst = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=(_ZERO_INPUT_CHECKS, n)):
-        ref = np.asarray(f(x, one_u), float).reshape(-1)
-        if ref.size != gains.size:
-            raise ValueError("gain profile size must match the output dimension")
-        worst = max(worst, np.linalg.norm(np.asarray(f(x, zero_u), float)))
-        scale = max(scale, np.linalg.norm(ref))
-    if worst > 1e-10 * (1.0 + scale):
+    """``f(x, 0) = 0`` on sampled states, and one gain per output coordinate;
+    ``f`` is called on the stack of states, at ``u = 1`` and at ``u = 0``."""
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(_ZERO_INPUT_CHECKS, n))
+    ref = _rows(f, xs, np.ones((_ZERO_INPUT_CHECKS, l)))
+    if ref.shape[1] != gains.size:
+        raise ValueError("gain profile size must match the output dimension")
+    worst = row_norms(_rows(f, xs, np.zeros((_ZERO_INPUT_CHECKS, l)))).max()
+    if worst > 1e-10 * (1.0 + row_norms(ref).max()):
         raise ValueError(
             f"control term does not vanish at u=0 (residual {worst:.3e})"
         )
@@ -281,7 +283,8 @@ def decompose(
     ``dims = n`` means ``f(x)`` with ``x`` in R^n; ``dims = (n, l)`` means
     ``f(x, u)`` with the norm carried by ``u`` in R^l, as in
     ``estimate_gains``.  A two-argument map must vanish at ``u = 0`` (checked
-    on sampled states) and ``gains`` must hold one bound per output
+    on one stack of sampled states, so the map takes stacks as
+    ``estimate_gains``'s does) and ``gains`` must hold one bound per output
     coordinate; its lift then vanishes at ``u = 0`` too.  ``slack`` must be at
     least 1; at exactly 1 the caller asserts the gain bounds are exact and the
     radicand may touch zero.

@@ -67,7 +67,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Black-box dynamics with output map and control-sensitivity metadata."""
+    """Black-box dynamics with output map and control-sensitivity metadata.
+
+    ``f(x, u)`` and ``h(x)`` take one point, or a ``(k, n)`` stack of states
+    with a ``(k, l)`` stack of inputs, and then return one row per point,
+    ``(k, n)`` or ``(k, p)``, bit for bit the rows of ``k`` single calls, as
+    the systems ``expr.system_from_spec`` builds do.  The gain sampling,
+    the fit and the simulated output call them on whole stacks; the
+    simulation's field calls ``f`` per point.
+    """
 
     name: str
     n: int
@@ -90,7 +98,8 @@ class ControlSystem:
             raise ValueError(f"{self.name}: h(0) must vanish")
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(x, np.zeros(self.l)), float)
+        """``f(x, 0)`` at one state or at each row of a stack of states."""
+        return np.asarray(self.f(x, np.zeros(x.shape[:-1] + (self.l,))), float)
 
 
 @dataclass(frozen=True)
@@ -315,9 +324,7 @@ def _simulate_signal(
         if not isinstance(states[0], str):
             states += [_solve_alone((bn.f_reduced, [r]), signal, grid, tol) for r in orders]
     xs = states[0]
-    full = xs if isinstance(xs, str) else np.stack(
-        [np.atleast_1d(np.asarray(system.h(x), float)) for x in xs]
-    )
+    full = xs if isinstance(xs, str) else np.asarray(system.h(xs), float).reshape(len(xs), -1)
     return Trajectories(grid=grid, full=full, reduced=dict(zip(orders, states[1:])))
 
 

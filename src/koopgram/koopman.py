@@ -232,9 +232,11 @@ def fit_koopman(
     """Fit the generator and the output matrix into one model.
 
     ``phi(x)``, ``D_phi(x) @ f0(x)`` and ``h(x)`` are evaluated once per data
-    state: ``f0``, ``h`` and the Jacobian are called once per state, and
-    ``phi`` and every product and norm run once on the stack of states, with
-    the bits of per-state calls.  The generator is a ridge least-squares fit
+    state: ``f0``, ``h`` and ``phi`` are called once, on the ``(N, n)`` stack
+    of states, and return one row per state (``h`` may return ``(N,)`` for
+    one output), as ``ControlSystem.drift`` and ``h`` do; the Jacobian is
+    called once per state, and every product and norm runs once on the
+    stack, with the bits of per-state calls.  The generator is a ridge least-squares fit
     on a random four fifths of the states; its residual gain is the largest held-out ratio
     ``||D_phi(x) f0(x) - A phi(x)|| / ||phi(x)||``, an out-of-sample estimate
     of the induced norm of the representation error.  The output matrix is
@@ -249,9 +251,8 @@ def fit_koopman(
         )
     states = data.states
     phis = np.asarray(dictionary.evaluate(states), float)
-    drifts = np.array([np.asarray(f0(x), float) for x in states])
-    targets = row_products(dictionary.jacobians(states), drifts)
-    ys = np.array([np.atleast_1d(np.asarray(h(x), float)) for x in states])
+    targets = row_products(dictionary.jacobians(states), np.asarray(f0(states), float))
+    ys = np.asarray(h(states), float).reshape(data.size, -1)
 
     train_idx, hold_idx = _split_indices(data.size, seed)
     a = _ridge_least_squares(phis[train_idx], targets[train_idx])
@@ -284,19 +285,17 @@ def lifted_control_term(
     The returned map ``(x, u) -> R^q`` vanishes at ``u = 0``; factor it with
     ``gsvd.decompose(fu, (n, l), gains)``.  It also takes a ``(k, n)`` stack
     of states with a ``(k, l)`` stack of inputs and returns the ``(k, q)``
-    stack of values, bit for bit the rows of ``k`` single calls: ``f`` and
-    the Jacobian are called once per row, the products run once per stack.
+    stack of values, bit for bit the rows of ``k`` single calls: ``f`` takes
+    the stacks, as ``ControlSystem.f`` does, and is called twice per stack;
+    the Jacobian is called once per row, the products run once per stack.
     """
-    zero_u = np.zeros(l)
 
     def eval_fu(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # one point or a stack of them: f and the Jacobian per row, the
-        # products once per stack, each row with the bits of a single point
+        # one point or a stack of them, each row with the bits of a single
+        # point
         xs = np.atleast_2d(np.asarray(x, float))
         us = np.atleast_2d(np.asarray(u, float))
-        fields = np.array(
-            [np.asarray(f(xi, ui), float) - np.asarray(f(xi, zero_u), float) for xi, ui in zip(xs, us)]
-        )
+        fields = np.asarray(f(xs, us), float) - np.asarray(f(xs, np.zeros((len(xs), l))), float)
         out = row_products(dictionary.jacobians(xs), fields)
         return out if np.ndim(x) == 2 else out[0]
 

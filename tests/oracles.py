@@ -271,3 +271,20 @@ def koopman_fit_by_state_loop(f0, h, dictionary, states, seed) -> dict:
         "output_residual": max(float(np.linalg.norm(y - c @ phi)) for y, phi in zip(ys, phis)),
         "output_scale": max(float(np.linalg.norm(y)) for y in ys),
     }
+
+
+def secant_sweep_by_draw_loop(f, n: int, l: int, box: float) -> float:
+    """Largest secant ratio ``|f(x, u1) - f(x, u2)| / |u1 - u2|`` with ``f``
+    called on one point at a time: 400 draws of ``x``, ``u1`` and ``u2`` in
+    turn from ``[-box, box]`` (seed 0), a draw with ``u1 = u2`` skipped."""
+    rng = np.random.default_rng(0)
+    best = 0.0
+    for _ in range(400):
+        x = rng.uniform(-box, box, size=n)
+        u1 = rng.uniform(-box, box, size=l)
+        u2 = rng.uniform(-box, box, size=l)
+        du = np.linalg.norm(u1 - u2)
+        if du == 0.0:
+            continue
+        best = max(best, float(np.linalg.norm(f(x, u1) - f(x, u2)) / du))
+    return best

@@ -30,7 +30,7 @@ from koopgram.koopman import (
     fit_koopman,
     lifted_control_term,
 )
-from koopgram.linalg import LtiSystem, hinf_norm, solve_lyapunov
+from koopgram.linalg import LtiSystem, hinf_norm, row_products, solve_lyapunov
 from koopgram.pipeline import PipelineConfig, run_pipeline, stage_balance, stage_certify, stage_decompose, stage_fit_koopman
 
 from oracles import hinf_by_sweep, lyapunov_by_quadrature, random_stable_system
@@ -70,13 +70,14 @@ def test_criterion_1_norm_preservation_and_reconstruction():
 
     factors.append((decompose(radial, 3, GainProfile([1.0, 1.0, 1.0]), slack=1.0), 3, None))
     factors.append((decompose(lambda x: np.zeros(2), 2, GainProfile([0.0, 0.0]), slack=1.0), 2, None))
-    # control-argument maps, norm carried by the second argument
-    fu1 = lambda x, u: np.array([np.cos(x[0]) * np.tanh(u[0])])
+    # control-argument maps, norm carried by the second argument; decompose
+    # checks them on a stack of states, so they take one point or a stack
+    fu1 = lambda x, u: np.cos(x[..., :1]) * np.tanh(u[..., :1])
     factors.append((decompose(fu1, (1, 1), GainProfile([1.0])), 1, 1))
     bmat = np.array([[1.0, 0.4], [0.0, 1.5]])
-    fu2 = lambda x, u: bmat @ u
+    fu2 = lambda x, u: row_products(bmat, u)
     factors.append((decompose(fu2, (2, 2), GainProfile(np.linalg.norm(bmat, axis=1)), slack=1.1), 2, 2))
-    fu3 = lambda x, u: np.array([0.3 * np.tanh(u[0]), np.tanh(u[0])])
+    fu3 = lambda x, u: np.concatenate([0.3 * np.tanh(u[..., :1]), np.tanh(u[..., :1])], axis=-1)
     factors.append((decompose(fu3, (2, 1), GainProfile([0.3, 1.0])), 2, 1))
 
     assert len(factors) == 11

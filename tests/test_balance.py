@@ -16,6 +16,7 @@ from koopgram.balance import (
     truncate,
 )
 from koopgram.certify import feedback_decomposition
+from koopgram.expr import get_builtin, system_from_spec
 from koopgram.gsvd import decompose, estimate_gains
 from koopgram.koopman import (
     build_dictionary,
@@ -32,30 +33,23 @@ EXPR_LIFT = Path(__file__).resolve().parents[1] / "perfbench" / "expr_lift_syste
 DECOUPLED = LtiSystem(-np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
 
 
+# declared systems, whose f and h take one point or a stack of them
 def linear_plant():
-    a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-    b = np.array([[1.0], [0.5]])
-    c = np.array([[1.0, 0.0]])
-    f = lambda x, u: a @ x + b @ u
-    h = lambda x: c @ x
-    return a, b, c, f, h
+    a = [[-1.0, 0.3], [0.0, -2.0]]
+    b = [[1.0], [0.5]]
+    c = [[1.0, 0.0]]
+    plant = system_from_spec({"n": 2, "l": 1, "p": 1, "f": {"a": a, "b": b}, "h": {"c": c}})
+    return np.array(a), np.array(b), np.array(c), plant.f, plant.h
 
 
 def slow_manifold():
-    def f(x, u):
-        return np.array(
-            [
-                -x[0] + 0.5 * np.tanh(u[0]),
-                -2.0 * (x[1] - x[0] ** 2) + np.cos(x[0]) * np.tanh(u[0]),
-            ]
-        )
-
-    h = lambda x: x[:2].copy()
-    return f, h
+    # f = (-x1 + 0.5 tanh u1, -2 (x2 - x1^2) + cos(x1) tanh u1), h = x
+    system = get_builtin("slow_manifold")
+    return system.f, system.h
 
 
 def fit_pipeline(f, h, dictionary, seed=0, slack=1.2, gain_box=3.0):
-    f0 = lambda x: f(x, np.zeros(1))
+    f0 = lambda x: f(x, np.zeros(x.shape[:-1] + (1,)))
     data = collect_trajectories(f0, dictionary.n, count=25, horizon=3.0, box=1.5, seed=seed)
     model = fit_koopman(f0, h, dictionary, data)
     fu = lifted_control_term(f, dictionary, l=1)

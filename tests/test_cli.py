@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koopgram.cli import main
@@ -223,7 +224,7 @@ class TestStages:
             h = system.h
 
             def counted(x):
-                calls.append(1)
+                calls.append(len(x) if np.ndim(x) == 2 else 1)
                 return h(x)
 
             return dataclasses.replace(system, h=counted)
@@ -232,10 +233,10 @@ class TestStages:
         monkeypatch.setattr(pipeline, "get_builtin", get_builtin)
         _, raw = write_config(tmp_path, system="mild_cubic")
         koop = stage_fit_koopman(PipelineConfig(**raw))
-        # one h(0) check when the system is built, then one per data state
-        # (30 trajectories of 10 samples); the output scale of the span
-        # check comes from the fit's own evaluations
-        assert len(calls) == 1 + 300
+        # one h(0) check when the system is built, then one call on the
+        # stack of data states (30 trajectories of 10 samples); the output
+        # scale of the span check comes from the fit's own evaluations
+        assert calls == [1, 300]
         assert koop["output_scale"] > 0.0
 
     def test_artifact_schema(self, tmp_path):

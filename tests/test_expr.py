@@ -1,13 +1,27 @@
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from koopgram.expr import compile_expression, system_from_spec
+from koopgram.expr import (
+    _on_stack,
+    _secant_sweep,
+    _trees,
+    builtin_systems,
+    compile_expression,
+    system_from_spec,
+)
 
-from oracles import evaluate_tree
-from test_fuzz import op, trees
+from oracles import evaluate_tree, secant_sweep_by_draw_loop
+from test_fuzz import op, trees, var
+
+EXPR_LIFT_SPEC = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expr_lift_system.json").read_text()
+)
 
 
 TANH_FIRST_ORDER_SPEC = {
@@ -80,6 +94,27 @@ class TestCompileExpression:
     def test_bad_variable(self):
         with pytest.raises(ValueError, match="bad variable"):
             compile_expression({"var": "y1"}, 1, 1)
+
+    @pytest.mark.parametrize("node", [
+        {"op": "tanh", "args": [{"var": "x1"}], "const": 0},
+        {"var": "x1", "junk": 1},
+        {"const": 1.0, "var": "x1"},
+        {"const": 2.0, "junk": None},
+        {"op": "neg"},
+        {"args": [{"var": "x1"}]},
+        {},
+    ])
+    def test_node_with_a_mixed_or_unknown_key_set_rejected(self, node):
+        with pytest.raises(ValueError, match="bad expression node"):
+            compile_expression(node, 1, 1)
+        with pytest.raises(ValueError, match="bad expression node"):
+            compile_expression(op("add", {"var": "x1"}, node), 1, 1)
+
+    def test_mixed_node_in_a_declaration_rejected(self):
+        # read as the constant 0 before: the tanh subtree was dropped
+        tree = op("add", op("neg", var("x1")), {"op": "tanh", "args": [var("u1")], "const": 0})
+        with pytest.raises(ValueError, match="bad expression node"):
+            system_from_spec(dict(TANH_FIRST_ORDER_SPEC, f=[tree]))
 
     def test_variable_index_checked_while_compiling(self):
         with pytest.raises(ValueError, match=r"'x3' is out of range: use x1..x2 or u1..u1"):
@@ -188,16 +223,134 @@ class TestInterpreterOracle:
         # denominators and bases; 1e160 overflows products and powers
         special = [0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e160, -1e160]
         points[:40] = rng.choice(special, size=(40, n + 1))
+        rows = {"f": [], "h": []}
         with np.errstate(all="ignore"):
             for point in points:
                 x, u = point[:n], point[n:]
-                for got, want in (
-                    (_outcome(lambda: system.f(x, u)),
+                for key, got, want in (
+                    ("f", _outcome(lambda: system.f(x, u)),
                      _outcome(lambda: np.array([evaluate_tree(t, x, u) for t in spec["f"]]))),
-                    (_outcome(lambda: system.h(x)),
+                    ("h", _outcome(lambda: system.h(x)),
                      _outcome(lambda: np.array([evaluate_tree(t, x, []) for t in spec["h"]]))),
                 ):
-                    if isinstance(want, tuple):
-                        assert got == want
-                    else:
-                        assert np.array_equal(got, want, equal_nan=True)
+                    _assert_same(got, want)
+                    rows[key].append(want)
+            # the whole stack at once: the rows, or what its first failing
+            # row raises
+            _assert_same(_outcome(lambda: system.f(points[:, :n], points[:, n:])), _stacked(rows["f"]))
+            _assert_same(_outcome(lambda: system.h(points[:, :n])), _stacked(rows["h"]))
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _stacked(outcomes):
+    """The outcome of a stack of points from their single outcomes."""
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    return raised[0] if raised else np.array(outcomes)
+
+
+def _rows(fn, *stacks):
+    return np.array([fn(*row) for row in zip(*stacks)])
+
+
+class TestStackedEvaluation:
+    """A system's f and h on a stack: one tree walk, the bits of one call per
+    point, and per-point exceptions."""
+
+    def test_every_operator_equals_the_float_walk(self):
+        x1, x2, u1 = var("x1"), var("x2"), var("u1")
+        square = op("pow", x1, 2)
+        declared = [
+            op("add", x1, u1), op("sub", x2, x1), op("mul", x1, x2), op("div", x1, op("add", 5.0, x2)),
+            op("neg", x2), op("sin", x1), op("cos", op("mul", x2, u1)), op("tanh", op("add", x1, x2)),
+            # integer exponents, then fractional ones on non-negative bases
+            square, op("pow", x2, 3), op("pow", op("add", 5.0, x1), -1), op("pow", x2, -2),
+            op("pow", square, 0.5), op("pow", op("add", 5.0, x2), 1.5), op("pow", op("cos", x1), 2),
+            op("pow", op("mul", square, op("tanh", u1)), 1),
+            # constant-only trees, one value broadcast to every row
+            1.5, {"const": -0.25}, op("cos", 0.7), op("pow", 1.3, 0.5), op("mul", op("tanh", 0.2), 3),
+        ]
+        fns = _trees("test", declared, len(declared), 2, 1)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-3.0, 3.0, size=(64, 2))
+        us = rng.uniform(-3.0, 3.0, size=(64, 1))
+        stacked = _on_stack(fns, xs, us)
+        assert stacked.shape == (64, len(declared))
+        walked = _rows(lambda x, u: [fn(x, u) for fn in fns[0]], xs.tolist(), us.tolist())
+        assert np.array_equal(stacked, walked)
+        trees_at = lambda x, u: [evaluate_tree(t, x, u) for t in declared]
+        assert np.array_equal(stacked, _rows(trees_at, xs, us))
+
+    @pytest.mark.parametrize("name", [s.name for s in builtin_systems()] + ["expr_lift", "matrix"])
+    def test_system_stack_equals_single_calls(self, name):
+        if name == "expr_lift":
+            system = system_from_spec(EXPR_LIFT_SPEC)
+        elif name == "matrix":
+            system = system_from_spec({"n": 2, "l": 2, "p": 1, "f": {"a": [[-1.0, 0.5], [0.0, -2.0]],
+                                       "b": [[1.0, 0.0], [0.3, -0.7]]}, "h": {"c": [[1.0, 2.0]]}})
+        else:
+            system = next(s for s in builtin_systems() if s.name == name)
+        rng = np.random.default_rng(6)
+        box = system.gain_box
+        xs = rng.uniform(-box, box, size=(53, system.n))
+        us = rng.uniform(-box, box, size=(53, system.l))
+        assert np.array_equal(system.f(xs, us), _rows(system.f, xs, us))
+        assert np.array_equal(system.h(xs), _rows(system.h, xs))
+        assert np.array_equal(system.drift(xs), _rows(system.drift, xs))
+        assert system.f(xs, us).shape == (53, system.n)
+        assert system.h(xs).shape == (53, system.p)
+
+    # f1 = x1 / (x2 + 1) divides by zero at x2 = -1; x1^1.5 has no real value
+    # at x1 < 0; x2^400 overflows at x2 = 10
+    RAISING = {"n": 2, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [op("mul", var("x1"), var("x2"))],
+               "f": [op("div", var("x1"), op("add", var("x2"), 1.0)),
+                     op("add", op("add", op("pow", var("x1"), 1.5), op("pow", var("x2"), 400)), var("u1"))]}
+
+    @pytest.mark.parametrize("bad, raised", [
+        ([1.0, -1.0], ZeroDivisionError), ([-1.0, 0.5], ValueError), ([1.0, 10.0], OverflowError),
+        ([np.inf, -1.0], ZeroDivisionError),
+    ])
+    def test_stack_raises_what_its_failing_point_raises(self, bad, raised):
+        system = system_from_spec(self.RAISING)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0.1, 2.0, size=(20, 2))
+        us = rng.uniform(-1.0, 1.0, size=(20, 1))
+        xs[7] = bad
+        with pytest.raises(raised) as alone:
+            system.f(xs[7], us[7])
+        with pytest.raises(raised) as stacked:
+            system.f(xs, us)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_first_failing_row_decides_the_exception(self):
+        system = system_from_spec(self.RAISING)
+        xs = np.array([[0.5, 0.5], [-1.0, 0.5], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="no real value"):
+            system.f(xs, np.zeros((3, 1)))
+        with pytest.raises(ZeroDivisionError):
+            system.f(xs[::-1], np.zeros((3, 1)))
+
+    def test_overflow_that_floats_let_through_is_returned(self):
+        # x1 * x2 overflows to inf without an exception in float arithmetic
+        system = system_from_spec(self.RAISING)
+        xs = np.array([[0.5, 0.5], [1e200, 1e200]])
+        got = system.h(xs)
+        assert np.array_equal(got, _rows(system.h, xs))
+        assert got[1, 0] == np.inf
+
+    def test_input_stack_must_match_the_states(self):
+        system = system_from_spec(self.RAISING)
+        with pytest.raises(ValueError, match=r"\(3, l\) stack of inputs"):
+            system.f(np.zeros((3, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("box, value", [(3.0, 0.8719), (5.0, 0.6473)])
+    def test_secant_sweep_equals_per_draw_loop(self, box, value):
+        system = system_from_spec(EXPR_LIFT_SPEC)
+        swept = _secant_sweep(system.f, system.n, system.l, box)
+        assert swept == secant_sweep_by_draw_loop(system.f, system.n, system.l, box)
+        assert round(swept, 4) == value

@@ -8,6 +8,7 @@ from koopgram.gsvd import (
     decompose,
     estimate_gains,
 )
+from koopgram.linalg import row_products
 
 
 def rotation(theta):
@@ -200,9 +201,10 @@ class TestDecomposeLinearPlus:
 
 
 class TestDecomposeControl:
+    # the maps take one point or a stack: decompose checks them on a stack
     @staticmethod
     def _tanh_map(x, u):
-        return np.array([np.cos(x[0]) * np.tanh(u[0])])
+        return np.cos(x[..., :1]) * np.tanh(u[..., :1])
 
     def test_zero_input_maps_to_zero(self):
         factor = decompose(self._tanh_map, (1, 1), GainProfile([1.0]))
@@ -210,7 +212,7 @@ class TestDecomposeControl:
 
     def test_linear_control_term(self):
         b = np.array([[1.0, 0.5], [0.0, 2.0]])
-        fu = lambda x, u: b @ u
+        fu = lambda x, u: row_products(b, u)
         gains = GainProfile(np.linalg.norm(b, axis=1))
         factor = decompose(fu, (2, 2), gains, slack=1.1)
         rng = np.random.default_rng(11)
@@ -235,7 +237,7 @@ class TestDecomposeControl:
             assert err <= 1e-10 * (1.0 + np.linalg.norm(fx))
 
     def test_rejects_nonvanishing_control_term(self):
-        bad = lambda x, u: np.array([x[0] + u[0]])
+        bad = lambda x, u: x[..., :1] + u[..., :1]
         with pytest.raises(ValueError, match="vanish"):
             decompose(bad, (1, 1), GainProfile([1.0]))
 

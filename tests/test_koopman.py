@@ -13,8 +13,9 @@ from koopgram.koopman import (
 from oracles import monomial_jacobian_by_loop
 
 
+# the maps fit_koopman calls take one point or a stack of them
 def slow_manifold_drift(x):
-    return np.array([-x[0], -2.0 * (x[1] - x[0] ** 2)])
+    return np.stack([-x[..., 0], -2.0 * (x[..., 1] - x[..., 0] ** 2)], axis=-1)
 
 
 SLOW_MANIFOLD_EXPONENTS = [(1, 0), (0, 1), (2, 0)]
@@ -115,7 +116,7 @@ class TestFitGenerator:
 
     def test_van_der_pol_identity_dictionary_has_large_residual(self):
         def vdp(x):
-            return np.array([x[1], (1.0 - x[0] ** 2) * x[1] - x[0]])
+            return np.stack([x[..., 1], (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
 
         d = build_dictionary("identity", 2)
         data = collect_trajectories(vdp, 2, count=20, horizon=2.0, box=2.0, seed=2)
@@ -142,19 +143,19 @@ def fit_output(h, d, data):
 class TestFitOutputMatrix:
     def test_coordinate_output(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        c, residual = fit_output(lambda x: np.array([x[0]]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: x[..., :1], d, slow_manifold_data)
         assert np.allclose(c, [[1.0, 0.0, 0.0]], atol=1e-10)
         assert residual <= 1e-10
 
     def test_monomial_output_in_span(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        c, residual = fit_output(lambda x: np.array([x[0] ** 2]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: x[..., :1] ** 2, d, slow_manifold_data)
         assert np.allclose(c, [[0.0, 0.0, 1.0]], atol=1e-10)
         assert residual <= 1e-10
 
     def test_out_of_span_output_reports_residual(self, slow_manifold_data):
         d = build_dictionary("identity", 2)
-        c, residual = fit_output(lambda x: np.array([np.sin(x[0])]), d, slow_manifold_data)
+        c, residual = fit_output(lambda x: np.sin(x[..., :1]), d, slow_manifold_data)
         phis = slow_manifold_data.states
         ys = np.sin(phis[:, :1])
         ref, *_ = np.linalg.lstsq(phis, ys, rcond=None)
@@ -184,9 +185,11 @@ class TestFitKoopman:
             slow_manifold_data,
         )
         size = slow_manifold_data.size
-        # phi once, on the whole stack of states; the others once per state
-        assert calls == {"evaluate": 1, "jacobian": size, "f0": size, "h": size}
-        assert ("evaluate", (size, 2)) in rows
+        # phi, f0 and h once, on the whole stack of states; the Jacobian
+        # once per state
+        assert calls == {"evaluate": 1, "jacobian": size, "f0": 1, "h": 1}
+        for name in ("evaluate", "f0", "h"):
+            assert (name, (size, 2)) in rows
 
     def test_model_is_frozen_and_complete(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)

@@ -2,11 +2,13 @@
 
 ``gsvd.estimate_gains`` calls its map once on the stack of samples, so the
 maps koopgram builds for it (``lifted_control_term``'s map and
-``bn.error_map``) and ``fit_koopman`` evaluate stacks.  Every check here is
+``bn.error_map``) and ``fit_koopman`` evaluate stacks, and so does the
+system's ``f``.  Every check here is
 ``np.array_equal`` against one call per point (or against the per-sample
 oracles in ``oracles.py``) on every builtin and on one inline expression
 spec.  The call-count guard pins how often the a-priori stages call the
-system's ``f``, so a duplicated or per-row re-evaluation shows.
+system's ``f`` and how many rows those calls cover, so a duplicated
+evaluation, a per-row call, or a lost sample shows.
 """
 
 import dataclasses
@@ -131,17 +133,22 @@ def test_estimate_gains_equals_per_sample_loop(name):
         assert got.sample_count == count
 
 
-# calls the certify stage's control-affinity probe makes of the system's f at
-# these settings, as counted before the gain sampling took stacks: 2 inputs
-# times (1 + AFFINE_SAMPLES) states times 2 calls when the term is affine, the
-# first state's 2 + 2 when it is not
-AFFINE_PROBE_CALLS = {
+# rows the certify stage's control-affinity probe evaluates with the system's
+# f at these settings, the same as the calls it made of f before f took
+# stacks: 2 inputs times (1 + AFFINE_SAMPLES) states times 2 (f(x, u) and
+# f(x, 0)) when the term is affine, the origin's and the first state's 2 + 2
+# when it is not
+AFFINE_PROBE_ROWS = {
     "lti6": 4 * (1 + AFFINE_SAMPLES),
     "slow_manifold": 4,
     "slow_manifold_identity": 4,
     "tanh_first_order": 4 * (1 + AFFINE_SAMPLES),
     "mild_cubic": 4 * (1 + AFFINE_SAMPLES),
 }
+# the stacks those rows come in: per input, f(x, u) and f(x, 0) on the
+# origin with the first state, then on the other states; a state-dependent
+# term stops the probe after its first stack
+AFFINE_PROBE_CALLS = {name: 8 if rows > 4 else 2 for name, rows in AFFINE_PROBE_ROWS.items()}
 GUARD_ORDERS = {
     "lti6": [1, 3],
     "slow_manifold": [1, 2],
@@ -154,10 +161,11 @@ GUARD_ORDERS = {
 @pytest.mark.parametrize("name", list(GUARD_ORDERS))
 def test_a_priori_stages_call_f_a_fixed_number_of_times(name, tmp_path, monkeypatch):
     base = get_builtin(name)
-    calls = [0]
+    calls, rows = [0], [0]
 
     def f(x, u):
         calls[0] += 1
+        rows[0] += len(x) if np.ndim(x) == 2 else 1
         return base.f(x, u)
 
     counted = dataclasses.replace(base, f=f)
@@ -166,17 +174,20 @@ def test_a_priori_stages_call_f_a_fixed_number_of_times(name, tmp_path, monkeypa
     cfg = PipelineConfig(system=name, reduction_orders=orders, output_dir=str(tmp_path),
                          sample_budget=BUDGET, data={"trajectories": 8})
     stage_fit_koopman(cfg)
-    calls[0] = 0
+    calls[0] = rows[0] = 0
     gains = stage_decompose(cfg)["gains"]
     samples = gains["sample_count"]
-    # f(x, u) and f(x, 0) per gain sample, and per zero-input check twice
-    # over (at u = 1 and u = 0)
-    assert calls[0] == 2 * samples + 4 * _ZERO_INPUT_CHECKS
+    # f(x, u) and f(x, 0) on the stack of gain samples, and on the stack of
+    # zero-input checks twice over (at u = 1 and u = 0): the same rows as one
+    # call per point made
+    assert calls[0] == 2 + 4
+    assert rows[0] == 2 * samples + 4 * _ZERO_INPUT_CHECKS
     residual_gain = json.loads((tmp_path / "koopman.json").read_text())["residual_gain"]
     stage_balance(cfg)
-    calls[0] = 0
+    calls[0] = rows[0] = 0
     stage_certify(cfg)
-    # one f(x, 0) per factor_error sample, for the full error and each order,
-    # when there is an error block
+    # f(x, 0) on the stack of factor_error samples, for the full error and
+    # each order, when there is an error block
     error_legs = 1 + len(orders) if residual_gain > EXACT_RESIDUAL_TOL else 0
-    assert calls[0] == error_legs * samples + AFFINE_PROBE_CALLS[name]
+    assert calls[0] == error_legs + AFFINE_PROBE_CALLS[name]
+    assert rows[0] == error_legs * samples + AFFINE_PROBE_ROWS[name]
