@@ -10,8 +10,9 @@ config seed ``--seed`` in a temporary directory, and solves its probe
 signals in this process, one after the other.  For each signal it prints the
 ODE right-hand-side evaluations (``nfev``), LSODA's accepted steps, the
 distinct times the field was evaluated at, the calls to the signal's input
-function and the CPU time of the solve.  The counts repeat exactly from run
-to run; the CPU times do not.  Last come the critical paths of the same
+function, the CPU time of the solve, and the ``bn.f_reduced`` calls with
+their mean CPU time per call in µs.  The counts repeat exactly from run to
+run; the CPU times do not.  Last come the critical paths of the same
 solves handed out to two workers, each next signal to the worker that frees
 first, in input order and in descending ``peak_freq`` order.
 """
@@ -60,11 +61,19 @@ def signal_costs(system, bn, orders, ensemble, tol) -> tuple[list, list]:
     rows, trajectories = [], []
     for signal in ensemble:
         row = {"signal": signal.name, "peak_freq": signal.peak_freq,
-               "nfev": 0, "steps": 0, "times": set(), "inputs": 0}
+               "nfev": 0, "steps": 0, "times": set(), "inputs": 0, "reduced": 0, "reduced_s": 0.0}
 
         def fn(ts, _fn=signal.fn):
             row["inputs"] += 1
             return _fn(ts)
+
+        def f_reduced(zs, u, _f=bn.f_reduced):
+            start = time.process_time()
+            try:
+                return _f(zs, u)
+            finally:
+                row["reduced_s"] += time.process_time() - start
+                row["reduced"] += 1
 
         def counted_odeint(field, *args, **kwargs):
             def counted(t, x):
@@ -78,7 +87,8 @@ def signal_costs(system, bn, orders, ensemble, tol) -> tuple[list, list]:
 
         with mock.patch.object(scipy.integrate, "odeint", counted_odeint):
             start = time.process_time()
-            traj = harness._simulate_signal(system, bn, orders, dataclasses.replace(signal, fn=fn), tol)
+            traj = harness._simulate_signal(system, dataclasses.replace(bn, f_reduced=f_reduced), orders,
+                                            dataclasses.replace(signal, fn=fn), tol)
             row["cpu_s"] = time.process_time() - start
         row["times"] = len(row["times"])
         rows.append(row)
@@ -112,10 +122,12 @@ def main(argv=None) -> int:
     rows = captured["rows"]
 
     print(f"{job.name} seed {args.seed}, orders {list(job.orders)}")
-    print(f"{'signal':<10}{'peak_freq':>10}{'nfev':>8}{'steps':>8}{'times':>8}{'inputs':>8}{'cpu_s':>9}")
+    print(f"{'signal':<10}{'peak_freq':>10}{'nfev':>8}{'steps':>8}{'times':>8}{'inputs':>8}{'cpu_s':>9}"
+          f"{'reduced':>9}{'us/call':>9}")
     for r in rows:
+        per_call = 1e6 * r["reduced_s"] / max(r["reduced"], 1)
         print(f"{r['signal']:<10}{r['peak_freq']:>10.4f}{r['nfev']:>8}{r['steps']:>8}"
-              f"{r['times']:>8}{r['inputs']:>8}{r['cpu_s']:>9.4f}")
+              f"{r['times']:>8}{r['inputs']:>8}{r['cpu_s']:>9.4f}{r['reduced']:>9}{per_call:>9.2f}")
     costs = [r["cpu_s"] for r in rows]
     by_peak = sorted(range(len(rows)), key=lambda i: -rows[i]["peak_freq"])
     print(f"two-worker critical path: input order {critical_path(costs):.4f} s, "

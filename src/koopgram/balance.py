@@ -155,26 +155,31 @@ def truncate(bal: BalancedRealization, r: int) -> ReducedRealization:
 class BalancedNonlinear:
     """Nonlinear dynamics carried into balanced and reduced coordinates.
 
-    One instance serves every reduction order.  Both maps evaluate the
-    lifted field ``D_phi(x) f(x, u) - A phi(x)`` at the recovered state
-    ``x = R_r z``, push it through the balancing transform and keep its
-    leading ``r`` rows.  ``error_map(z)`` is that field at ``u = 0``, the
-    representation error, which feeds the error factorizations; it takes
-    the order ``r`` from ``len(z)``, and ``len(z) = q`` is the full balanced
-    realization.  It also takes a ``(k, r)`` stack of states and returns the
-    ``(k, r)`` stack of values, bit for bit the rows of ``k`` single calls,
-    so that ``gsvd.estimate_gains`` samples it in one call: ``f`` takes the
-    stack of recovered states, as ``ControlSystem.f`` does, the Jacobian
-    runs per state, and ``R_r z``, ``phi``, every product and ``T(.)[:r]``
-    run once per stack.  ``f_reduced(zs, u)`` takes a list of states, one per order,
-    and returns one field per state, so one call per step serves every
-    simulated order; it simulates the truncated lifted realization, which
-    is the object the certificates actually bound: the truncated balanced
-    drift matrix plus the field at the current input.  It evaluates a
-    monomial dictionary once on the stack of recovered states; every other
-    product runs per state with the operands of a single call, so
-    ``f_reduced([z1, z2], u)[1]`` equals ``f_reduced([z2], u)[0]`` bit for
-    bit.
+    One instance serves every reduction order.  Both maps give the leading
+    ``r`` rows of the lifted field ``D_phi(x) f(x, u) - A phi(x)`` at the
+    recovered state ``x = R_r z``, pushed through the balancing transform.
+    ``error_map(z)`` is that field at ``u = 0``, the representation error,
+    which feeds the error factorizations; it takes the order ``r`` from
+    ``len(z)``, and ``len(z) = q`` is the full balanced realization.  It also
+    takes a ``(k, r)`` stack of states and returns the ``(k, r)`` stack of
+    values, bit for bit the rows of ``k`` single calls, so that
+    ``gsvd.estimate_gains`` samples it in one call: ``f`` takes the stack of
+    recovered states, the Jacobian runs per state, and ``R_r z``, ``phi``,
+    every product and ``T(.)[:r]`` run once per stack.  ``f_reduced(zs, u)``
+    takes a list of states, one per order, and returns one field per state,
+    so one call per step serves every simulated order.  It simulates the
+    truncated lifted realization, the object the certificates bound:
+    ``A_bal[:r, :r] z`` plus the field at the current input.  The lifting is
+    state-inclusive, ``phi = [x; phi_nl]`` and ``D_phi = [I; D_phi_nl]``, so
+    with ``T_r = T[:r]`` that is, exactly,
+    ``K_r z + M_r f(x, u) + N_r [D_phi_nl(x) f(x, u); phi_nl(x)]`` with
+    ``K_r = A_bal[:r, :r] - (T_r A)[:, :n] R_r``, ``M_r = T_r[:, :n]`` and
+    ``N_r = [T_r[:, n:], -(T_r A)[:, n:]]`` (none when ``q = n``), made once
+    per order: one ``f`` call, one ``Dictionary.lie_terms`` pass and small
+    products.  Each order is evaluated alone, so ``f_reduced([z1, z2], u)[1]``
+    equals ``f_reduced([z2], u)[0]`` bit for bit.  ``error_map`` keeps the
+    unfolded arithmetic: it is the certificates' sampled input, whose bits
+    folding would move.
     """
 
     f_reduced: Callable[[Sequence[np.ndarray], np.ndarray], list[np.ndarray]]
@@ -190,18 +195,19 @@ def balanced_nonlinear(
     bal: BalancedRealization,
 ) -> BalancedNonlinear:
     """Construct the nonlinear evaluators in balanced and reduced coordinates."""
-    l = int(input_dim)
-    t = bal.t
-    a = model.a
+    l, n = int(input_dim), bal.state_dim
+    t, a = bal.t, model.a
+    ta = t @ a
     dict_eval = model.dictionary.evaluate
-    jac = model.dictionary.jacobian
     jacobians = model.dictionary.jacobians
-    batch = model.dictionary.kind == "monomials"
-    # the views R[:, :r] and A_bal[:r, :r] of each order r, made once
-    views = [None] + [(bal.r[:, :r], bal.a_bal[:r, :r]) for r in range(1, bal.q + 1)]
-
-    def lifted(x, u, phi):
-        return jac(x) @ f(x, u) - a @ phi
+    lie_terms = model.dictionary.lie_terms
+    dot = np.dot  # cheaper than ``@`` on one state
+    # per order r: R_r = R[:, :r] and the folded field's K_r, M_r and N_r
+    plans = [None]
+    for r in range(1, bal.q + 1):
+        rr = bal.r[:, :r]
+        n_r = np.hstack([t[:r, n:], -ta[:r, n:]]) if bal.q > n else None
+        plans.append((rr, bal.a_bal[:r, :r] - ta[:r, :n] @ rr, t[:r, :n], n_r))
 
     def error_map(z):
         # one state or a stack of them: f on the stack, the Jacobian per
@@ -209,22 +215,21 @@ def balanced_nonlinear(
         # state
         zs = np.asarray(z, float)
         order = zs.shape[-1]
-        xs = row_products(views[order][0], np.atleast_2d(zs))
+        xs = row_products(plans[order][0], np.atleast_2d(zs))
         drifts = np.asarray(f(xs, np.zeros((len(xs), l))), float)
         fields = row_products(jacobians(xs), drifts) - row_products(a, dict_eval(xs))
         out = row_products(t, fields)[:, :order]
         return out if zs.ndim == 2 else out[0]
 
     def f_reduced(zs, u):
-        xs = [views[len(z)][0] @ z for z in zs]
-        # one monomial call for every order (the identity's copy gains
-        # nothing from it); the rest per order, with the operands of a single
-        # order, so that every bit is the same
-        phis = dict_eval(np.array(xs)) if batch and len(xs) > 1 else [dict_eval(x) for x in xs]
-        return [
-            views[len(z)][1] @ z + (t @ lifted(x, u, phi))[:len(z)]
-            for z, x, phi in zip(zs, xs, phis)
-        ]
+        out = []
+        for z in zs:
+            rr, k_r, m_r, n_r = plans[len(z)]
+            x = dot(rr, z)
+            fx = f(x, u)
+            dz = dot(k_r, z) + dot(m_r, fx)
+            out.append(dz if n_r is None else dz + dot(n_r, lie_terms(x, fx)))
+        return out
 
     return BalancedNonlinear(f_reduced=f_reduced, error_map=error_map, bal=bal, model=model)
 

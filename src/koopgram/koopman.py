@@ -15,6 +15,7 @@ factorization machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
@@ -41,7 +42,9 @@ class Dictionary:
     ``evaluate(x)`` returns the q lifted coordinates; the first n of them are
     x itself and every observable vanishes at the origin.  It also takes a
     ``(k, n)`` stack of states and returns the ``(k, q)`` stack of their
-    lifts, bit for bit the rows of ``k`` single calls.
+    lifts, bit for bit the rows of ``k`` single calls.  ``lie_terms(x, v)`` is
+    ``[D_phi_nl(x) v; phi_nl(x)]`` over the ``q - n`` observables past the
+    coordinates, from one pass over their factors (empty when ``q = n``).
     """
 
     n: int
@@ -50,6 +53,7 @@ class Dictionary:
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     exponents: tuple[tuple[int, ...], ...] | None = None
+    lie_terms: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, v: np.empty(0)
 
     def jacobians(self, xs: np.ndarray) -> np.ndarray:
         """The ``(k, q, n)`` stack of ``jacobian`` at each row of a ``(k, n)``
@@ -97,8 +101,24 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
             jac[i, j] = term
         return jac
 
+    # the Jacobian entries and the factors of the observables past the coordinates
+    lie_entries = [entry for entry in entries if entry[0] >= n]
+    factors = [[(k, pk) for k, pk in enumerate(e) if pk > 0] for e in exps[n:]]
+
+    def lie_terms(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # jacobian's products, each dotted with v as it comes
+        x, v = np.asarray(x, float).tolist(), np.asarray(v, float).tolist()
+        lie = [0.0] * len(factors)
+        for i, j, power, others in lie_entries:
+            term = power * x[j] ** (power - 1) if power > 1 else float(power)
+            for k, pk in others:
+                term = term * x[k] ** pk
+            lie[i - n] += term * v[j]
+        return np.array(lie + [math.prod([x[k] ** pk for k, pk in fs]) for fs in factors])
+
     return Dictionary(
-        n=n, q=len(exps), kind="monomials", evaluate=evaluate, jacobian=jacobian, exponents=exps
+        n=n, q=len(exps), kind="monomials", evaluate=evaluate, jacobian=jacobian, exponents=exps,
+        lie_terms=lie_terms,
     )
 
 

@@ -16,7 +16,7 @@ from koopgram.balance import (
     truncate,
 )
 from koopgram.certify import feedback_decomposition
-from koopgram.expr import get_builtin, system_from_spec
+from koopgram.expr import builtin_systems, get_builtin, system_from_spec
 from koopgram.gsvd import decompose, estimate_gains
 from koopgram.koopman import (
     build_dictionary,
@@ -29,6 +29,7 @@ from koopgram.linalg import LtiSystem, integrate_ode
 from oracles import lyapunov_by_quadrature, random_stable_system
 
 
+BUILTIN_NAMES = [system.name for system in builtin_systems()]
 EXPR_LIFT = Path(__file__).resolve().parents[1] / "perfbench" / "expr_lift_system.json"
 DECOUPLED = LtiSystem(-np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
 
@@ -46,6 +47,21 @@ def slow_manifold():
     # f = (-x1 + 0.5 tanh u1, -2 (x2 - x1^2) + cos(x1) tanh u1), h = x
     system = get_builtin("slow_manifold")
     return system.f, system.h
+
+
+def balanced_pipeline(tmp_path, system):
+    """The declared system, its ``BalancedNonlinear`` and its gain box, from
+    the pipeline stages up to balance at a reduced sample budget."""
+    if system == "expr_lift":
+        if not EXPR_LIFT.exists():
+            pytest.skip("perfbench/ is not in this checkout")
+        system = json.loads(EXPR_LIFT.read_text())
+    cfg = pipeline.PipelineConfig(system=system, reduction_orders=[1],
+                                  output_dir=str(tmp_path), sample_budget=400)
+    for stage in (pipeline.stage_fit_koopman, pipeline.stage_decompose, pipeline.stage_balance):
+        stage(cfg)
+    sysd, _, _, bn, _ = pipeline._reduced_models(cfg, "simulate")
+    return sysd, bn, pipeline._gain_box(cfg, sysd)
 
 
 def fit_pipeline(f, h, dictionary, seed=0, slack=1.2, gain_box=3.0):
@@ -187,21 +203,33 @@ class TestBalancedNonlinear:
     def test_multi_order_call_equals_single_order_calls(self, tmp_path, system):
         # identity, hinted monomial and expression-system dictionaries: one
         # call for orders 1-3 gives each order's field bit for bit
-        if system == "expr_lift":
-            if not EXPR_LIFT.exists():
-                pytest.skip("perfbench/ is not in this checkout")
-            system = json.loads(EXPR_LIFT.read_text())
-        cfg = pipeline.PipelineConfig(system=system, reduction_orders=[1, 2, 3],
-                                      output_dir=str(tmp_path), sample_budget=400)
-        for stage in (pipeline.stage_fit_koopman, pipeline.stage_decompose, pipeline.stage_balance):
-            stage(cfg)
-        sysd, _, _, bn, _ = pipeline._reduced_models(cfg, "simulate")
+        sysd, bn, _ = balanced_pipeline(tmp_path, system)
         rng = np.random.default_rng(28)
         for _ in range(200):
             zs = [rng.uniform(-2, 2, size=r) for r in (1, 2, 3)]
             u = rng.uniform(-2, 2, size=sysd.l)
             for z, field in zip(zs, bn.f_reduced(zs, u), strict=True):
                 assert np.array_equal(field, bn.f_reduced([z], u)[0])
+
+    @pytest.mark.parametrize("system", [*BUILTIN_NAMES, "expr_lift"])
+    def test_folded_field_equals_unfolded_lifted_field(self, tmp_path, system):
+        # at every order, the precomputed K_r z + M_r f + N_r [D_phi_nl f; phi_nl]
+        # is A_bal[:r, :r] z + (T (D_phi(x) f(x, u) - A phi(x)))[:r] at
+        # x = R_r z, up to rounding of its largest term
+        sysd, bn, box = balanced_pipeline(tmp_path, system)
+        bal, d, a = bn.bal, bn.model.dictionary, bn.model.a
+        rng = np.random.default_rng(31)
+        for r in range(1, bal.q + 1):
+            for _ in range(2000):
+                z = rng.uniform(-box, box, size=r)
+                u = rng.uniform(-box, box, size=sysd.l)
+                x = bal.r[:, :r] @ z
+                phi = d.evaluate(x)
+                terms = [bal.a_bal[:r, :r] @ z, (bal.t @ (d.jacobian(x) @ sysd.f(x, u)))[:r],
+                         (bal.t @ (a @ phi))[:r]]
+                scale = max(np.max(np.abs(term)) for term in terms)
+                err = np.max(np.abs(bn.f_reduced([z], u)[0] - (terms[0] + terms[1] - terms[2])))
+                assert err <= 1e-12 * scale, (r, z, u, err, scale)
 
     def test_error_map_vanishes_for_exact_dictionary(self):
         f, h = slow_manifold()

@@ -73,6 +73,31 @@ class TestBuildDictionary:
         for x in xs:
             assert np.array_equal(d.jacobian(x), monomial_jacobian_by_loop(d.exponents, x))
 
+    @pytest.mark.parametrize("kind, n, exponents", [
+        ("monomials", 3, None),  # every exponent up to degree 3
+        ("monomials", 2, [(1, 0), (0, 1), (2, 0)]),
+        ("monomials", 2, [(1, 0), (0, 1)]),
+        ("identity", 3, None),
+    ])
+    def test_lie_terms_equal_jacobian_product_and_evaluate(self, kind, n, exponents):
+        # one pass over the nonlinear monomials' factors gives the Jacobian's
+        # rows past the coordinates times v and those observables' values;
+        # the sum and numpy's vector power round differently, so each entry
+        # is held to a few ulps of the magnitude of its terms
+        d = build_dictionary(kind, n, degree=3 if exponents is None else None, exponents=exponents)
+        m = d.q - n
+        rng = np.random.default_rng(6)
+        xs = rng.normal(size=(2000, n)) * rng.choice([1e-3, 1.0, 30.0], size=(2000, 1))
+        xs[:20] = 0.0
+        xs[20:40, 0] = 0.0
+        xs[40:60, -1] = 0.0
+        for x, v in zip(xs, rng.normal(size=(2000, n))):
+            jac, phi = d.jacobian(x)[n:], d.evaluate(x)[n:]
+            got = d.lie_terms(x, v)
+            assert got.shape == (2 * m,)
+            scale = np.concatenate([np.abs(jac) @ np.abs(v), np.abs(phi)])
+            assert np.all(np.abs(got - np.concatenate([jac @ v, phi])) <= 4 * np.finfo(float).eps * scale)
+
     @pytest.mark.parametrize("kind", ["identity", "monomials"])
     def test_stacked_evaluate_equals_single_calls(self, kind):
         d = build_dictionary(kind, 3, degree=3 if kind == "monomials" else None)
