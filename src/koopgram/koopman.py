@@ -35,6 +35,16 @@ __all__ = [
 ]
 
 
+class _RowJacobians:
+    """``Dictionary.jacobians``' default: one ``jacobian`` call per row."""
+
+    def __init__(self, jacobian: Callable[[np.ndarray], np.ndarray]):
+        self.jacobian = jacobian
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.jacobian(x) for x in xs], dtype=float)
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """State-inclusive observable set with an analytic Jacobian.
@@ -45,6 +55,9 @@ class Dictionary:
     lifts, bit for bit the rows of ``k`` single calls.  ``lie_terms(x, v)`` is
     ``[D_phi_nl(x) v; phi_nl(x)]`` over the ``q - n`` observables past the
     coordinates, from one pass over their factors (empty when ``q = n``).
+    ``jacobians(xs)`` is the ``(k, q, n)`` stack of ``jacobian`` at each row
+    of a ``(k, n)`` stack of states, possibly read-only; by default one
+    ``jacobian`` call per row.
     """
 
     n: int
@@ -54,11 +67,13 @@ class Dictionary:
     jacobian: Callable[[np.ndarray], np.ndarray]
     exponents: tuple[tuple[int, ...], ...] | None = None
     lie_terms: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, v: np.empty(0)
+    jacobians: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def jacobians(self, xs: np.ndarray) -> np.ndarray:
-        """The ``(k, q, n)`` stack of ``jacobian`` at each row of a ``(k, n)``
-        stack of states, one ``jacobian`` call per row."""
-        return np.array([self.jacobian(x) for x in xs], dtype=float)
+    def __post_init__(self):
+        # the default is rebuilt around the jacobian this instance holds, so
+        # dataclasses.replace(d, jacobian=...) reaches the new one
+        if self.jacobians is None or isinstance(self.jacobians, _RowJacobians):
+            object.__setattr__(self, "jacobians", _RowJacobians(self.jacobian))
 
     def spec(self) -> dict:
         """JSON-serializable description sufficient to rebuild the dictionary."""
@@ -141,6 +156,7 @@ def build_dictionary(
         return Dictionary(
             n=n, q=n, kind="identity", evaluate=lambda x: np.array(x, dtype=float),
             jacobian=lambda x: eye.copy(), exponents=exps,
+            jacobians=lambda xs: np.broadcast_to(eye, (len(xs), n, n)),
         )
     if kind == "monomials":
         if exponents is None:
@@ -188,12 +204,28 @@ def collect_trajectories(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> TrajectoryDataset:
-    """Sample drift trajectories from random initial conditions in a box."""
+    """Sample drift trajectories from random initial conditions in a box.
+
+    The ``count`` trajectories are integrated together as one ODE on the
+    flattened ``(count, n)`` stack of states: ``f0`` is called on the whole
+    stack, one call per field evaluation, and returns its ``(count, n)``
+    rows, as ``ControlSystem.drift`` does.  All trajectories share one
+    LSODA step sequence.  LSODA accepts a step by the weighted max norm of
+    its local error, component by component, so each trajectory is still
+    held to ``tol`` as in a solve of its own; since no row's field depends on
+    another row, the solve's stiff steps treat the Jacobian as block
+    diagonal.  The states come back trajectory by trajectory, each with its
+    ``samples_per_trajectory`` times in order.
+    """
     rng = np.random.default_rng(seed)
     t_eval = np.linspace(0.0, horizon, samples_per_trajectory)
-    states = []
-    for x0 in rng.uniform(-box, box, size=(count, n)):
-        states.append(integrate_ode(lambda t, x: f0(x), x0, t_eval, tol))
+    x0s = rng.uniform(-box, box, size=(count, n))
+
+    def field(t, x):
+        return np.asarray(f0(x.reshape(count, n)), float).reshape(-1)
+
+    ys = integrate_ode(field, x0s.reshape(-1), t_eval, tol, block=n)
+    states = ys.reshape(t_eval.size, count, n).transpose(1, 0, 2).reshape(-1, n)
     provenance = {
         "seed": [int(v) for v in seed] if np.iterable(seed) else int(seed),
         "count": int(count),
@@ -202,7 +234,7 @@ def collect_trajectories(
         "box": float(box),
         "integrator_tol": float(tol),
     }
-    return TrajectoryDataset(np.vstack(states), provenance)
+    return TrajectoryDataset(states, provenance)
 
 
 @dataclass(frozen=True)

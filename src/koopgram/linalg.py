@@ -211,11 +211,16 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
 
     bbt = b @ b.T
     ctc = c.T @ c
+    # the Hamiltonian [[A, BB^T/gamma], [-C^TC/gamma, -A^T]]: its diagonal
+    # blocks do not depend on gamma, so each bisection step refills the others
+    q = a.shape[0]
+    ham = np.empty((2 * q, 2 * q))
+    ham[:q, :q] = a
+    ham[q:, q:] = -a.T
 
     def has_crossing(gamma: float) -> bool:
-        ham = np.block(
-            [[a, bbt / gamma], [-ctc / gamma, -a.T]]
-        )
+        ham[:q, q:] = bbt / gamma
+        ham[q:, :q] = -ctc / gamma
         return _imaginary_axis_crossings(ham)
 
     hi = 2.0 * lo
@@ -237,6 +242,7 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
 
 def integrate_ode(
     field: Callable[[float, np.ndarray], np.ndarray], x0, t_eval, tol: float,
+    *, block: int | None = None,
 ) -> np.ndarray:
     """Integrate ``dx/dt = field(t, x)`` with ODEPACK's LSODA over ``t_eval``.
 
@@ -248,7 +254,12 @@ def integrate_ode(
     component's error scaled by ``tol * (1e-3 + |x_i|)``: the test holds
     component by component, so appending components to a system does not
     loosen the control of the others.  ``tol`` must be finite and at least
-    ``MIN_ODE_TOL``; LSODA refuses smaller tolerances.  A solver failure
+    ``MIN_ODE_TOL``; LSODA refuses smaller tolerances.  ``block`` says that
+    the state is a stack of ``block``-sized pieces whose fields do not touch
+    one another, so the field's Jacobian is block diagonal: LSODA's stiff
+    (BDF) steps then form and factor it as a band of half-width
+    ``block - 1``, from ``2 * block - 1`` field calls, instead of a dense
+    matrix from one call per component.  A solver failure
     (step budget spent, repeated error-test or convergence failures), a
     non-finite field value and a non-finite state all raise
     ``StiffnessError``.
@@ -270,9 +281,10 @@ def integrate_ode(
         # a failure comes back in info["message"] too; raise it, do not print
         # it (the filters are process-wide; koopgram integrates on one thread)
         warnings.simplefilter("ignore", scipy.integrate.ODEintWarning)
+        band = {} if block is None else {"ml": block - 1, "mu": block - 1}
         y, info = scipy.integrate.odeint(
             checked, x0, t_eval, rtol=tol, atol=tol * 1e-3,
-            mxstep=_MXSTEP, full_output=True, tfirst=True,
+            mxstep=_MXSTEP, full_output=True, tfirst=True, **band,
         )
     if info["message"] not in _ODEINT_DONE:
         raise StiffnessError(f"integration failed: {info['message']}")

@@ -9,6 +9,8 @@ import pytest
 from koopgram.cli import main
 from koopgram.pipeline import (
     ARTIFACT_NAMES,
+    _DATA_DEFAULTS,
+    _SEED_DATA,
     MissingArtifactError,
     PipelineConfig,
     run_pipeline,
@@ -19,6 +21,12 @@ from koopgram.pipeline import (
     stage_report,
     stage_simulate,
 )
+
+
+# midway between the two largest default drift initial states of a
+# one-dimensional system at seed 0
+ONE_ESCAPE = float(np.mean(np.sort(np.random.default_rng([0, _SEED_DATA]).uniform(
+    -_DATA_DEFAULTS["box"], _DATA_DEFAULTS["box"], size=_DATA_DEFAULTS["trajectories"]))[-2:]))
 
 
 def small_config(tmp_path, **overrides):
@@ -409,6 +417,13 @@ class TestCliEntry:
             ("fit-koopman", {"op": "add", "args": [
                 {"op": "sub", "args": [{"op": "pow", "args": [{"var": "x1"}, 2]}, {"var": "x1"}]},
                 {"op": "tanh", "args": [{"var": "u1"}]}]}),
+            # x' = 10 x (x - c) + tanh(u) escapes from x0 > c, c lying between
+            # the two largest initial states: one drift trajectory of 30 fails
+            ("fit-koopman", {"op": "add", "args": [
+                {"op": "mul", "args": [10.0, {"op": "sub", "args": [
+                    {"op": "pow", "args": [{"var": "x1"}, 2]},
+                    {"op": "mul", "args": [ONE_ESCAPE, {"var": "x1"}]}]}]},
+                {"op": "tanh", "args": [{"var": "u1"}]}]}),
             # x1 / x1 divides by zero when f(0, 0) is checked
             ("fit-koopman", {"op": "add", "args": [
                 {"op": "div", "args": [{"var": "x1"}, {"var": "x1"}]},
@@ -425,7 +440,7 @@ class TestCliEntry:
             ("certify", {"op": "add", "args": [
                 {"op": "mul", "args": [-1e-12, {"var": "x1"}]}, {"var": "u1"}]}),
         ],
-        ids=["finite-time-blowup", "division-by-zero", "fractional-power-of-negative", "unbracketed-hinf"],
+        ids=["finite-time-blowup", "one-trajectory-blowup", "division-by-zero", "fractional-power-of-negative", "unbracketed-hinf"],
     )
     def test_library_failure_exits_one(self, tmp_path, capsys, command, drift):
         spec = {"name": "bad", "n": 1, "l": 1, "p": 1, "f": [drift],

@@ -9,6 +9,7 @@ from koopgram.koopman import (
     collect_trajectories,
     fit_koopman,
 )
+from koopgram.linalg import StiffnessError, integrate_ode
 
 from oracles import monomial_jacobian_by_loop
 
@@ -103,9 +104,26 @@ class TestBuildDictionary:
         d = build_dictionary(kind, 3, degree=3 if kind == "monomials" else None)
         xs = np.random.default_rng(4).normal(size=(500, 3)) * 10.0
         stacked = d.evaluate(xs)
+        jacs = d.jacobians(xs)
         assert stacked.shape == (500, d.q)
-        for x, row in zip(xs, stacked):
+        assert jacs.shape == (500, d.q, 3)
+        for x, row, jac in zip(xs, stacked, jacs):
             assert np.array_equal(d.evaluate(x), row)
+            assert np.array_equal(d.jacobian(x), jac)
+
+    def test_replaced_jacobian_reaches_the_default_jacobians(self):
+        # the default per-row jacobians follows dataclasses.replace, as a
+        # wrapper that times jacobian needs; the identity's one broadcast
+        # identity stack is kept and shared read-only
+        xs = np.random.default_rng(5).normal(size=(7, 2))
+        d = build_dictionary("monomials", 2, degree=2)
+        seen = []
+        spy = dataclasses.replace(d, jacobian=lambda x: seen.append(x) or d.jacobian(x))
+        assert np.array_equal(spy.jacobians(xs), d.jacobians(xs))
+        assert len(seen) == len(xs)
+        eye = dataclasses.replace(build_dictionary("identity", 2), jacobian=None).jacobians(xs)
+        assert np.array_equal(eye, np.broadcast_to(np.eye(2), (7, 2, 2)))
+        assert not eye.flags.writeable
 
     def test_explicit_exponents(self):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
@@ -117,6 +135,63 @@ class TestTrajectoryDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TrajectoryDataset(np.zeros((0, 2)), {})
+
+
+def van_der_pol(x):
+    return np.stack([x[..., 1], (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
+
+
+class TestCollectTrajectories:
+    def test_drift_sees_only_whole_stacks(self):
+        shapes = set()
+
+        def drift(x):
+            shapes.add(x.shape)
+            return van_der_pol(x)
+
+        data = collect_trajectories(drift, 2, count=7, seed=3)
+        assert shapes == {(7, 2)}
+        assert data.states.shape == (70, 2)
+
+    def test_each_trajectory_matches_its_own_solve(self):
+        # the shared solve holds every trajectory to tol, as a solve of its
+        # own does; the two take different steps, so the samples agree to the
+        # global error of a 4 s horizon (about 2e2 tol here), not bit for bit
+        count, samples, tol = 12, 10, 1e-9
+        data = collect_trajectories(van_der_pol, 2, count=count, horizon=4.0,
+                                    samples_per_trajectory=samples, tol=tol, seed=5)
+        x0s = np.random.default_rng(5).uniform(-2.0, 2.0, size=(count, 2))
+        t_eval = np.linspace(0.0, 4.0, samples)
+        for i, x0 in enumerate(x0s):
+            solo = integrate_ode(lambda t, x: van_der_pol(x), x0, t_eval, tol)
+            assert np.allclose(data.states[i * samples:(i + 1) * samples], solo,
+                               rtol=1e3 * tol, atol=tol)
+
+    def test_one_escaping_trajectory_fails_the_collection(self):
+        # x' = 10 x (x - c) escapes in finite time from x0 > c only; with c
+        # between the two largest initial states, one trajectory of 30 escapes
+        x0s = np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, size=30))
+
+        def drift(c):
+            return lambda x: 10.0 * x * (x - c)
+
+        with pytest.raises(StiffnessError, match="integration failed"):
+            collect_trajectories(drift(0.5 * (x0s[-2] + x0s[-1])), 1, seed=0)
+        assert collect_trajectories(drift(x0s[-1] + 0.1), 1, seed=0).size == 300
+
+    def test_stiff_drift_stays_cheap(self):
+        # one mode at rate -1e5 makes the drift stiff: LSODA's BDF steps need
+        # the Jacobian of the whole 1200-dimensional stack, formed as a band
+        # from 11 field calls instead of 1200 dense columns
+        rates = np.array([1e5, 1.0, 2.0, 3.0, 0.5, 1.5])
+        calls = [0]
+
+        def drift(x):
+            calls[0] += 1
+            return -rates * x + 0.1 * np.tanh(np.roll(x, 1, axis=-1))
+
+        collect_trajectories(drift, 6, count=200, tol=1e-9, seed=0)
+        assert calls[0] < 5000
 
 
 def state_output(x):
