@@ -168,76 +168,75 @@ def solve_lyapunov(a, q) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _imaginary_axis_crossings(ham: np.ndarray) -> bool:
-    """True when the Hamiltonian has an eigenvalue on the imaginary axis."""
+def _imaginary_axis_crossings(ham: np.ndarray) -> np.ndarray:
+    """Sorted imaginary parts of the Hamiltonian's imaginary-axis
+    eigenvalues; they come in pairs ``+-w``, so empty means no crossing."""
     eig = np.linalg.eigvals(ham)
     scale = max(1.0, float(np.max(np.abs(eig))))
-    return bool(np.min(np.abs(eig.real)) <= 1e-9 * scale)
+    return np.sort(eig.imag[np.abs(eig.real) <= 1e-9 * scale])
 
 
-def _sweep_lower_bound(a, b, c, n_points: int = 512) -> float:
-    """Coarse frequency-sweep lower bound on the peak gain."""
-    eig = np.linalg.eigvals(a)
-    mags = np.abs(eig)
-    lo = max(np.min(mags) * 1e-3, 1e-8)
-    hi = max(np.max(mags) * 1e3, 1.0)
-    freqs = np.concatenate(
-        [[0.0], np.geomspace(lo, hi, n_points), np.abs(eig.imag[eig.imag > 0])]
-    )
+def _peak_gain(a, b, c, freqs: np.ndarray) -> float:
+    """Largest ``sigma_max(C (jwI - A)^{-1} B)`` over the frequencies
+    ``freqs``; 0.0 when there are none."""
     n, l = b.shape
     # an explicit (k, n, l) right-hand side is read as a stack of matrices
     # by every numpy version, not as a stack of vectors
     rhs = np.broadcast_to(b, (freqs.size, n, l))
     g = c @ np.linalg.solve(1j * freqs[:, None, None] * np.eye(n) - a, rhs)
-    return float(np.max(np.linalg.norm(g, 2, axis=(-2, -1))))
+    return float(np.max(np.linalg.norm(g, 2, axis=(-2, -1)), initial=0.0))
+
+
+# level-set steps before hinf_norm gives up; a peak is reached in a few, but
+# a pole within rounding of the imaginary axis shows a crossing at every level
+_HINF_MAX_STEPS = 100
 
 
 def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     """H-infinity norm of a stable strictly proper system.
 
-    Computes ``sup_w sigma_max(C (jwI - A)^{-1} B)`` by bisection on the
-    imaginary-axis eigenvalue test of the associated Hamiltonian matrix,
-    initialized from a coarse frequency sweep.  The result is accurate to
-    relative ``tol``.
+    Bounds ``||G||_inf = sup_w sigma_max(C (jwI - A)^{-1} B)`` by the
+    quadratically convergent level-set iteration of S. Boyd and
+    V. Balakrishnan (1990) and N. A. Bruinsma and M. Steinbuch, "A fast
+    algorithm to compute the H-infinity-norm of a transfer function matrix"
+    (Systems & Control Letters, 1990).  A lower bound ``lo`` starts at the
+    largest gain at ``w = 0`` and at each pole's modulus.  Each step tests
+    ``gamma = (1 + 2 tol) lo``: while the Hamiltonian
+    ``[[A, BB^T/gamma], [-C^TC/gamma, -A^T]]`` has imaginary-axis
+    eigenvalues ``jw_i``, the gain reaches ``gamma`` somewhere, and ``lo``
+    rises to the largest gain at the midpoints of consecutive ``w_i`` (or
+    to ``gamma`` when none is larger).  The first ``gamma`` without a
+    crossing is returned, so ``||G||_inf <= gamma <= (1 + 2 tol) ||G||_inf``.
+    Raises ``RuntimeError`` when no level is free of crossings within a
+    fixed number of steps.
     """
     a, b, c = sys.a, sys.b, sys.c
     _require_hurwitz(a, "hinf_norm")
     if spectral_norm(b) == 0.0 or spectral_norm(c) == 0.0:
         return 0.0
 
-    lo = _sweep_lower_bound(a, b, c)
+    lo = _peak_gain(a, b, c, np.concatenate([[0.0], np.abs(np.linalg.eigvals(a))]))
     if lo <= 0.0:
         return 0.0
 
     bbt = b @ b.T
     ctc = c.T @ c
-    # the Hamiltonian [[A, BB^T/gamma], [-C^TC/gamma, -A^T]]: its diagonal
-    # blocks do not depend on gamma, so each bisection step refills the others
+    # the diagonal blocks of the Hamiltonian do not depend on gamma, so each
+    # step refills only the other two
     q = a.shape[0]
     ham = np.empty((2 * q, 2 * q))
     ham[:q, :q] = a
     ham[q:, q:] = -a.T
-
-    def has_crossing(gamma: float) -> bool:
+    for _ in range(_HINF_MAX_STEPS):
+        gamma = (1.0 + 2.0 * tol) * lo
         ham[:q, q:] = bbt / gamma
         ham[q:, :q] = -ctc / gamma
-        return _imaginary_axis_crossings(ham)
-
-    hi = 2.0 * lo
-    for _ in range(200):
-        if not has_crossing(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("hinf_norm: failed to bracket the peak gain")
-
-    while hi - lo > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if has_crossing(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        freqs = _imaginary_axis_crossings(ham)
+        if freqs.size == 0:
+            return gamma
+        mid = _peak_gain(a, b, c, np.abs(0.5 * (freqs[1:] + freqs[:-1])))
+        lo = mid if mid > lo else gamma
+    raise RuntimeError("hinf_norm: failed to bracket the peak gain")
 
 
 def integrate_ode(

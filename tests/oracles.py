@@ -3,8 +3,7 @@
 These deliberately avoid the code paths they verify: the Lyapunov oracle
 integrates the Gramian quadrature directly, the H-infinity oracle is a dense
 frequency sweep (evaluated in batched chunks of frequencies, with no
-Hamiltonian or bisection step), the coarse-sweep oracle walks the library's
-sweep grid one frequency at a time, and the ODE oracle is a fixed-step
+Hamiltonian level-set step), and the ODE oracle is a fixed-step
 classical Runge-Kutta scheme.  The monomial Jacobian oracle is the plain
 triple loop over every entry, and the expression oracle walks a tree
 recursively in Python floats.  The gain and fit oracles call their maps one
@@ -78,29 +77,6 @@ def hinf_by_sweep(a, b, c, n_points: int = 100_000) -> float:
         rhs = np.broadcast_to(b, (w.size, n, l))
         g = c @ np.linalg.solve(1j * w[:, None, None] * eye - a, rhs)
         best = max(best, float(np.max(np.linalg.norm(g, 2, axis=(-2, -1)))))
-    return best
-
-
-def sweep_peak_by_loop(a, b, c, n_points: int = 512) -> float:
-    """Peak transfer gain over the coarse sweep grid, one frequency at a time.
-
-    The grid is the one the library's H-infinity initialization sweeps:
-    ``[0]``, ``n_points`` log-spaced frequencies spanning three decades
-    beyond the slowest and fastest poles, and the positive imaginary parts
-    of the poles.  Each frequency takes its own solve and 2-norm.
-    """
-    eig = np.linalg.eigvals(a)
-    mags = np.abs(eig)
-    lo = max(np.min(mags) * 1e-3, 1e-8)
-    hi = max(np.max(mags) * 1e3, 1.0)
-    freqs = np.concatenate(
-        [[0.0], np.geomspace(lo, hi, n_points), np.abs(eig.imag[eig.imag > 0])]
-    )
-    eye = np.eye(a.shape[0])
-    best = 0.0
-    for w in freqs:
-        g = c @ np.linalg.solve(1j * w * eye - a, b)
-        best = max(best, float(np.linalg.norm(g, 2)))
     return best
 
 

@@ -11,7 +11,7 @@ from koopgram.linalg import (
     LtiSystem,
     SpectrumError,
     StiffnessError,
-    _sweep_lower_bound,
+    _imaginary_axis_crossings,
     hinf_norm,
     integrate_ode,
     pinv,
@@ -23,7 +23,6 @@ from oracles import (
     lyapunov_by_quadrature,
     random_stable_system,
     rk4_fixed_step,
-    sweep_peak_by_loop,
 )
 
 
@@ -136,13 +135,33 @@ class TestHinfNorm:
         with pytest.raises(SpectrumError):
             hinf_norm(LtiSystem([[0.5]], [[1.0]], [[1.0]]))
 
-    def test_batched_sweep_equals_per_frequency_loop(self):
+    @staticmethod
+    def random_systems():
         rng = np.random.default_rng(9)
         for k in range(40):
             n, l, p = (int(v) for v in rng.integers(1, 7, size=3))
             a, b, c = random_stable_system(rng, n, l, p)
             for cm in (c, np.eye(n)):
-                assert _sweep_lower_bound(a, b, cm) == sweep_peak_by_loop(a, b, cm)
+                yield a, b, cm
+
+    def test_upper_bound_within_tolerance_of_dense_sweep(self):
+        for a, b, cm in self.random_systems():
+            ref = hinf_by_sweep(a, b, cm, n_points=20_000)
+            assert ref <= hinf_norm(LtiSystem(a, b, cm)) <= (1 + 1e-4) * ref
+
+    def test_returned_level_has_no_crossing(self):
+        first_order = [([[-1.0]], [[1.0]], [[1.0]]), ([[-2.0]], [[3.0]], [[1.0]])]
+        for a, b, c in [*self.random_systems(), *first_order]:
+            a, b, c = (np.asarray(m, float) for m in (a, b, c))
+            gamma = hinf_norm(LtiSystem(a, b, c))
+            ham = np.block([[a, b @ b.T / gamma], [-c.T @ c / gamma, -a.T]])
+            assert _imaginary_axis_crossings(ham).size == 0
+
+    def test_near_marginal_pole_raises_within_a_second(self):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed to bracket the peak gain"):
+            hinf_norm(LtiSystem([[-1e-12]], [[1.0]], [[1.0]]))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIntegrateOde:
