@@ -164,7 +164,7 @@ class BalancedNonlinear:
     takes a ``(k, r)`` stack of states and returns the ``(k, r)`` stack of
     values, bit for bit the rows of ``k`` single calls, so that
     ``gsvd.estimate_gains`` samples it in one call: ``f`` takes the stack of
-    recovered states, the Jacobian runs per state, and ``R_r z``, ``phi``,
+    recovered states, and ``R_r z``, ``phi``, the dictionary's ``jacobians``,
     every product and ``T(.)[:r]`` run once per stack.  ``f_reduced(zs, u)``
     takes a list of states, one per order, and returns one field per state,
     so one call per step serves every simulated order.  It simulates the
@@ -210,9 +210,8 @@ def balanced_nonlinear(
         plans.append((rr, bal.a_bal[:r, :r] - ta[:r, :n] @ rr, t[:r, :n], n_r))
 
     def error_map(z):
-        # one state or a stack of them: f on the stack, the Jacobian per
-        # state, the rest once per stack, each row with the bits of a single
-        # state
+        # one state or a stack of them: f, the Jacobians and the rest once
+        # per stack, each row with the bits of a single state
         zs = np.asarray(z, float)
         order = zs.shape[-1]
         xs = row_products(plans[order][0], np.atleast_2d(zs))

@@ -4,7 +4,10 @@ A declaration gives one expression tree per state derivative over the state
 variables ``x1..xn`` and inputs ``u1..ul``, and one per output coordinate
 over the states alone.  Supported operators: add, sub, mul, div, neg, sin,
 cos, tanh, pow (with a constant exponent; a power with no real value, such
-as a negative base to a fractional exponent, raises ``ValueError``).  A node
+as a negative base to a fractional exponent, raises ``ValueError``, and one
+that overflows ``OverflowError``).  An exponent of 2, 3 or 4 is the product
+``x * x * ...`` taken left to right (``linalg.int_power``), so a square is
+the correctly rounded ``x * x``; any other exponent is ``math.pow``.  A node
 is a number, ``{"const": c}``, ``{"var": name}`` or ``{"op": name, "args":
 [...]}``; any other key set raises ``ValueError``.  Trees evaluate to plain
 floats, so the same declaration drives simulation, gain sampling, and
@@ -40,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .harness import ControlSystem
-from .linalg import row_norms, row_products
+from .linalg import int_power, row_norms, row_products
 
 __all__ = ["builtin_systems", "compile_expression", "get_builtin", "system_from_spec"]
 
@@ -105,19 +108,37 @@ def check_dictionary(where: str, spec: dict) -> None:
             check_type(f"{where} exponent", power, numbers.Integral)
 
 
+# constant exponents taken as products, in both walks
+_PRODUCT_EXPONENTS = {2.0: 2, 3.0: 3, 4.0: 4}
+
+
 def _pow(a: float, b: float) -> float:
-    # math.pow equals ** on real results; where ** turns complex (negative
-    # base, fractional exponent) or divides by zero, math.pow raises
+    """``a ** b`` in the float walk: for ``b`` in 2, 3, 4 the product
+    ``linalg.int_power(a, b)`` (a square is the correctly rounded ``a * a``),
+    for any other ``b`` ``math.pow``, which equals ``**`` on real results.
+    No real value raises ``ValueError`` and an overflow of a finite base
+    ``OverflowError``, each naming the power."""
+    k = _PRODUCT_EXPONENTS.get(b)
     try:
-        return math.pow(a, b)
+        value = math.pow(a, b) if k is None else int_power(a, k)
+        if math.isinf(value) and math.isfinite(a):
+            raise OverflowError
     except ValueError:
         raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
+    except OverflowError:
+        raise OverflowError(f"pow({a!r}, {b!r}) overflows") from None
+    return value
 
 
 def _pow_rows(a, b: float) -> np.ndarray:
-    # math.pow per element: np.power differs from it in the last bit of some
-    # values, even for exponent 2
-    return np.array([math.pow(v, b) for v in np.atleast_1d(a).tolist()])
+    # _pow on a column: the products on the whole column (an overflow raises
+    # under _on_stack's error state), else math.pow per element; np.power
+    # differs from both in the last bit of some values
+    a = np.atleast_1d(a)
+    k = _PRODUCT_EXPONENTS.get(b)
+    if k is not None:
+        return int_power(a, k)
+    return np.array([math.pow(v, b) for v in a.tolist()])
 
 
 _TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
@@ -138,11 +159,14 @@ def _compile(tree, n: int, l: int, stacked: bool = False) -> Callable[[list, lis
     In the float walk every node returns a Python float, so arithmetic
     raises ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where
     numpy would warn; only the transcendental nodes leave float arithmetic,
-    and they convert numpy's result back.  The stacked walk differs only at
-    the transcendental and ``pow`` leaves, which keep numpy's values on the
-    whole column and run ``math.pow`` per element, so each row has the bits
-    of the float walk; a constant-only subtree stays one value, which
-    broadcasts.  ``_on_stack`` runs it under the numpy error checks.
+    and they convert numpy's result back.  A ``pow`` with exponent 2, 3 or 4
+    is ``linalg.int_power``'s left-to-right product in both walks, any other
+    ``math.pow``.  The stacked walk differs only at the transcendental and
+    ``pow`` leaves, which keep numpy's values on the whole column, multiply
+    whole columns for exponents 2-4 and run ``math.pow`` per element
+    otherwise, so each row has the bits of the float walk; a constant-only
+    subtree stays one value, which broadcasts.  ``_on_stack`` runs it under
+    the numpy error checks.
     """
     if isinstance(tree, dict) and set(tree) not in _NODE_KEYS:
         raise ValueError(f"bad expression node {tree!r}: a node has exactly the keys "

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import integrate_ode, is_hurwitz, row_norms, row_products
+from .linalg import int_power, integrate_ode, is_hurwitz, row_norms, row_products
 
 __all__ = [
     "Dictionary",
@@ -56,8 +56,13 @@ class Dictionary:
     ``[D_phi_nl(x) v; phi_nl(x)]`` over the ``q - n`` observables past the
     coordinates, from one pass over their factors (empty when ``q = n``).
     ``jacobians(xs)`` is the ``(k, q, n)`` stack of ``jacobian`` at each row
-    of a ``(k, n)`` stack of states, possibly read-only; by default one
-    ``jacobian`` call per row.
+    of a ``(k, n)`` stack of states, possibly read-only.  The identity and
+    monomial dictionaries build it once per stack (a monomial one entry by
+    entry on whole columns, with the bits of ``jacobian``); a hand-built
+    dictionary's default makes one ``jacobian`` call per row.  Monomial
+    factor powers are ``linalg.int_power``'s left-to-right products in
+    ``jacobian``, ``jacobians`` and ``lie_terms``; ``evaluate`` takes
+    numpy's power.
     """
 
     n: int
@@ -106,14 +111,27 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
         x = np.asarray(x, float)
         return np.prod(np.where(present, x[..., None, :] ** emat, 1.0), axis=-1)
 
+    def term(x, j: int, power: int, others: tuple):
+        # one entry of D_phi at a state's list of floats, or at an (n, k)
+        # array of a stack's columns: the same products in the same order
+        out = power * int_power(x[j], power - 1) if power > 1 else float(power)
+        for k, pk in others:
+            out = out * int_power(x[k], pk)
+        return out
+
     def jacobian(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float).tolist()
         jac = np.zeros(emat.shape)
         for i, j, power, others in entries:
-            term = power * x[j] ** (power - 1) if power > 1 else float(power)
-            for k, pk in others:
-                term = term * x[k] ** pk
-            jac[i, j] = term
+            jac[i, j] = term(x, j, power, others)
+        return jac
+
+    def jacobians(xs: np.ndarray) -> np.ndarray:
+        # jacobian's entries, each computed once on the whole stack
+        cols = np.ascontiguousarray(np.asarray(xs, float).T)
+        jac = np.zeros((cols.shape[1], *emat.shape))
+        for i, j, power, others in entries:
+            jac[:, i, j] = term(cols, j, power, others)
         return jac
 
     # the Jacobian entries and the factors of the observables past the coordinates
@@ -125,15 +143,12 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
         x, v = np.asarray(x, float).tolist(), np.asarray(v, float).tolist()
         lie = [0.0] * len(factors)
         for i, j, power, others in lie_entries:
-            term = power * x[j] ** (power - 1) if power > 1 else float(power)
-            for k, pk in others:
-                term = term * x[k] ** pk
-            lie[i - n] += term * v[j]
-        return np.array(lie + [math.prod([x[k] ** pk for k, pk in fs]) for fs in factors])
+            lie[i - n] += term(x, j, power, others) * v[j]
+        return np.array(lie + [math.prod([int_power(x[k], pk) for k, pk in fs]) for fs in factors])
 
     return Dictionary(
         n=n, q=len(exps), kind="monomials", evaluate=evaluate, jacobian=jacobian, exponents=exps,
-        lie_terms=lie_terms,
+        lie_terms=lie_terms, jacobians=jacobians,
     )
 
 
@@ -286,9 +301,11 @@ def fit_koopman(
     ``phi(x)``, ``D_phi(x) @ f0(x)`` and ``h(x)`` are evaluated once per data
     state: ``f0``, ``h`` and ``phi`` are called once, on the ``(N, n)`` stack
     of states, and return one row per state (``h`` may return ``(N,)`` for
-    one output), as ``ControlSystem.drift`` and ``h`` do; the Jacobian is
-    called once per state, and every product and norm runs once on the
-    stack, with the bits of per-state calls.  The generator is a ridge least-squares fit
+    one output), as ``ControlSystem.drift`` and ``h`` do; ``jacobians`` is
+    called once on the stack too (a monomial dictionary builds it there, a
+    hand-built one by default calls ``jacobian`` per state), and every
+    product and norm runs once on the stack, with the bits of per-state
+    calls.  The generator is a ridge least-squares fit
     on a random four fifths of the states; its residual gain is the largest held-out ratio
     ``||D_phi(x) f0(x) - A phi(x)|| / ||phi(x)||``, an out-of-sample estimate
     of the induced norm of the representation error.  The output matrix is
@@ -339,7 +356,7 @@ def lifted_control_term(
     of states with a ``(k, l)`` stack of inputs and returns the ``(k, q)``
     stack of values, bit for bit the rows of ``k`` single calls: ``f`` takes
     the stacks, as ``ControlSystem.f`` does, and is called twice per stack;
-    the Jacobian is called once per row, the products run once per stack.
+    the dictionary's ``jacobians`` and the products run once per stack.
     """
 
     def eval_fu(x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "as_vector",
     "row_norms",
     "row_products",
+    "int_power",
     "pinv",
     "spectral_norm",
     "is_hurwitz",
@@ -82,6 +83,21 @@ def row_products(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     matrix-vector product per row, so each row has the bits of the single
     product (``einsum`` and ``vs @ m.T`` change the last bit of some)."""
     return (m @ vs[..., None])[..., 0]
+
+
+def int_power(x, k: int):
+    """``x`` to the integer power ``k >= 1`` as the product ``x * x * ... * x``
+    taken left to right.  Each step is one correctly rounded multiplication,
+    so a Python float and every entry of a numpy array get the same bits, and
+    a square is the correctly rounded ``x * x`` (``math.pow`` and numpy's
+    power differ from these products in the last bit of some values).  An
+    overflow gives inf, as float multiplication does; numpy warns or raises
+    on it under its error state."""
+    out = x
+    while k > 1:  # cheaper than a range loop on one float
+        out = out * x
+        k -= 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ frequency sweep (evaluated in batched chunks of frequencies, with no
 Hamiltonian level-set step), and the ODE oracle is a fixed-step
 classical Runge-Kutta scheme.  The monomial Jacobian oracle is the plain
 triple loop over every entry, and the expression oracle walks a tree
-recursively in Python floats.  The gain and fit oracles call their maps one
-sample (one state) at a time, where the library calls them on the whole
-stack.  Nothing here imports from ``koopgram``.
+recursively in Python floats; both take the integer powers the library
+takes as products (every monomial factor, and a ``pow`` with exponent 2, 3
+or 4) by their own left-to-right multiplication loop.  The gain and fit
+oracles call their maps one sample (one state) at a time, where the library
+calls them on the whole stack.  Nothing here imports from ``koopgram``.
 """
 
 from __future__ import annotations
@@ -124,21 +126,29 @@ def random_stable_system(rng, n: int, l: int, p: int, ratio_cap: float = 6.0):
     return a, b, c
 
 
+def _product_power(x: float, k: int) -> float:
+    """``x ** k`` for an integer ``k >= 1`` as ``x * x * ... * x``, left to right."""
+    value = x
+    for _ in range(k - 1):
+        value = value * x
+    return value
+
+
 def monomial_jacobian_by_loop(exponents, x) -> np.ndarray:
     """Jacobian of the monomials ``prod_k x_k ** e_k``, one ``e`` per row of
     ``exponents``, entry by entry: ``e_j x_j ** (e_j - 1)`` times the other
-    factors in coordinate order."""
-    x = np.asarray(x, float)
+    factors in coordinate order, each power a product."""
+    x = np.asarray(x, float).tolist()
     n = len(exponents[0])
     jac = np.zeros((len(exponents), n))
     for i, e in enumerate(exponents):
         for j, power in enumerate(e):
             if power == 0:
                 continue
-            term = power * x[j] ** (power - 1) if power > 1 else float(power)
+            term = power * _product_power(x[j], power - 1) if power > 1 else float(power)
             for k, pk in enumerate(e):
                 if k != j and pk > 0:
-                    term = term * x[k] ** pk
+                    term = term * _product_power(x[k], pk)
             jac[i, j] = term
     return jac
 
@@ -148,10 +158,12 @@ _TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
 
 def evaluate_tree(tree, x, u) -> float:
     """Value of a JSON expression tree at ``(x, u)``, recursively in Python
-    floats: numpy's sin, cos and tanh, and ``math.pow``, whose ``ValueError``
+    floats: numpy's sin, cos and tanh, a power with exponent 2, 3 or 4 as the
+    product ``a * a * ...`` and any other by ``math.pow``, whose ``ValueError``
     (no real value) is re-raised as ``pow(a, b) has no real value``.  A
-    division by zero raises ``ZeroDivisionError`` and an overflowing power
-    ``OverflowError``; arguments are evaluated left to right."""
+    division by zero raises ``ZeroDivisionError`` and a power of a finite base
+    that overflows ``OverflowError("pow(a, b) overflows")``; arguments are
+    evaluated left to right."""
     if isinstance(tree, (int, float)):
         return float(tree)
     if "const" in tree:
@@ -175,9 +187,14 @@ def evaluate_tree(tree, x, u) -> float:
     if op == "div":
         return a / b
     try:
-        return math.pow(a, b)
+        value = _product_power(a, int(b)) if b in (2.0, 3.0, 4.0) else math.pow(a, b)
     except ValueError:
         raise ValueError(f"pow({a!r}, {b!r}) has no real value") from None
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value) and math.isfinite(a):
+        raise OverflowError(f"pow({a!r}, {b!r}) overflows")
+    return value
 
 
 def gains_by_sample_loop(f, dims, sample_budget: int, seed, box: float):

@@ -15,18 +15,19 @@ def _slow_manifold_f(x, u):
     return np.array(
         [
             -x[0] + 0.5 * np.tanh(u[0]),
-            -2.0 * (x[1] - x[0] ** 2) + np.cos(x[0]) * np.tanh(u[0]),
+            -2.0 * (x[1] - x[0] * x[0]) + np.cos(x[0]) * np.tanh(u[0]),
         ]
     )
 
 
 def _mild_cubic_f(x, u):
     # saturating cubic: x^3/(1+x^2) grows linearly, so the residual left
-    # after the best linear fit keeps a small, globally finite gain
+    # after the best linear fit keeps a small, globally finite gain; a
+    # declared integer power is the left-to-right product
     return np.array(
         [
             -x[0] + 0.5 * x[1] + 0.3 * np.tanh(u[0]),
-            -2.0 * x[1] - 0.1 * x[0] ** 3 / (1.0 + x[0] ** 2) + np.tanh(u[0]),
+            -2.0 * x[1] - 0.1 * (x[0] * x[0] * x[0]) / (1.0 + x[0] * x[0]) + np.tanh(u[0]),
         ]
     )
 

@@ -1,5 +1,6 @@
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +67,15 @@ class TestCompileExpression:
         assert fn(np.array([2.0]), np.zeros(1)) == 8.0
 
     def test_power_equals_python_power_on_real_cases(self):
+        # exponents 2-4 are the left-to-right products, any other is a ** b
         rng = np.random.default_rng(11)
         for _ in range(2000):
             base = float(rng.uniform(0.0, 10.0))
             exponent = float(rng.uniform(-4.0, 4.0))
             for a, b in ((base, exponent), (-base, float(rng.integers(-5, 6)))):
                 fn = compile_expression({"op": "pow", "args": [{"const": a}, b]}, 1, 1)
-                assert fn(np.zeros(1), np.zeros(1)) == a**b
+                want = math.prod([a] * int(b)) if b in (2.0, 3.0, 4.0) else a**b
+                assert fn(np.zeros(1), np.zeros(1)) == want
 
     def test_power_without_real_value_rejected(self):
         fn = compile_expression({"op": "pow", "args": [{"var": "x1"}, 1.5]}, 1, 1)
@@ -342,6 +345,44 @@ class TestStackedEvaluation:
         got = system.h(xs)
         assert np.array_equal(got, _rows(system.h, xs))
         assert got[1, 0] == np.inf
+
+    @pytest.mark.parametrize("exponent", [2, 3, 4, 2.5])
+    def test_power_walks_and_oracle_agree_bit_for_bit(self, exponent):
+        # negative bases, signed zeros, subnormals, bases whose power is
+        # subnormal or just below the overflow, and powers that math.pow
+        # rounds differently; the last row overflows
+        rng = np.random.default_rng(8)
+        small, big = 1e-310 ** (1 / exponent), 0.9 * 1.7e308 ** (1 / exponent)
+        bases = np.concatenate([
+            rng.uniform(-5.0, 5.0, size=400), [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308],
+            [small, -small, big, -big], [1e200],
+        ])
+        if exponent == 2.5:
+            bases = np.where(bases < 0.0, -bases, bases)  # real values only; -0.0 stays
+        spec = {"n": 1, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [var("x1")],
+                "f": [op("pow", var("x1"), exponent)]}
+        system = system_from_spec(spec)
+        xs, us = bases[:, None], np.zeros((bases.size, 1))
+        walked = [_outcome(lambda: system.f(x, u)[0]) for x, u in zip(xs, us)]
+        oracle = [_outcome(lambda: evaluate_tree(spec["f"][0], x, u)) for x, u in zip(xs, us)]
+        assert walked[:-1] == oracle[:-1]
+        assert np.array_equal(np.array(walked[:-1]), np.array(oracle[:-1]))
+        assert [np.signbit(v) for v in walked[:-1]] == [np.signbit(v) for v in oracle[:-1]]
+        assert walked[-1] == oracle[-1] == (OverflowError, f"pow(1e+200, {float(exponent)!r}) overflows")
+        stacked = system.f(xs[:-1], us[:-1])[:, 0]
+        assert np.array_equal(stacked, np.array(walked[:-1]))
+        assert [np.signbit(v) for v in stacked] == [np.signbit(v) for v in walked[:-1]]
+        if exponent != 2.5:
+            assert np.array_equal(stacked, math.prod([bases[:-1]] * exponent))
+        # the stack falls back row by row and raises what the row raises
+        assert _outcome(lambda: system.f(xs, us)) == walked[-1]
+
+    def test_constant_power_that_overflows_raises_on_a_stack(self):
+        # a constant base stays one float in the stacked walk, where its
+        # product would overflow to inf without an exception
+        fns = _trees("test", [op("add", var("x1"), op("pow", 1e200, 3))], 1, 1, 1)
+        with pytest.raises(OverflowError, match=r"pow\(1e\+200, 3\.0\) overflows"):
+            _on_stack(fns, np.zeros((4, 1)), np.zeros((4, 1)))
 
     def test_input_stack_must_match_the_states(self):
         system = system_from_spec(self.RAISING)

@@ -118,12 +118,32 @@ class TestBuildDictionary:
         xs = np.random.default_rng(5).normal(size=(7, 2))
         d = build_dictionary("monomials", 2, degree=2)
         seen = []
-        spy = dataclasses.replace(d, jacobian=lambda x: seen.append(x) or d.jacobian(x))
+        # jacobians=None stands for a hand-built dictionary: the per-row default
+        hand_built = dataclasses.replace(d, jacobians=None)
+        spy = dataclasses.replace(hand_built, jacobian=lambda x: seen.append(x) or d.jacobian(x))
         assert np.array_equal(spy.jacobians(xs), d.jacobians(xs))
+        assert len(seen) == len(xs)
+        # a monomial dictionary's stacked jacobians never calls jacobian
+        dataclasses.replace(d, jacobian=lambda x: seen.append(x) or d.jacobian(x)).jacobians(xs)
         assert len(seen) == len(xs)
         eye = dataclasses.replace(build_dictionary("identity", 2), jacobian=None).jacobians(xs)
         assert np.array_equal(eye, np.broadcast_to(np.eye(2), (7, 2, 2)))
         assert not eye.flags.writeable
+
+    @pytest.mark.parametrize("n, q", [(3, 19), (6, 83)])
+    def test_stacked_monomial_jacobians_equal_per_state_jacobian(self, n, q):
+        # every entry computed on the whole stack from jacobian's products
+        d = build_dictionary("monomials", n, degree=3)
+        assert d.q == q
+        rng = np.random.default_rng(q)
+        xs = rng.uniform(-10.0, 10.0, size=(400, n))
+        xs[:10] = 0.0
+        xs[10:20, 0] = -0.0
+        xs[20:30] *= 1e-3
+        jacs = d.jacobians(xs)
+        assert jacs.shape == (400, q, n)
+        for x, jac in zip(xs, jacs):
+            assert np.array_equal(jac, d.jacobian(x))
 
     def test_explicit_exponents(self):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
@@ -266,7 +286,7 @@ class TestFitOutputMatrix:
 class TestFitKoopman:
     def test_evaluates_each_callable_once_per_state(self, slow_manifold_data):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
-        calls = {"evaluate": 0, "jacobian": 0, "f0": 0, "h": 0}
+        calls = {"evaluate": 0, "jacobians": 0, "f0": 0, "h": 0}
         rows = []
 
         def counted(name, fn):
@@ -278,17 +298,16 @@ class TestFitKoopman:
             return wrapper
 
         counted_d = dataclasses.replace(
-            d, evaluate=counted("evaluate", d.evaluate), jacobian=counted("jacobian", d.jacobian)
+            d, evaluate=counted("evaluate", d.evaluate), jacobians=counted("jacobians", d.jacobians)
         )
         fit_koopman(
             counted("f0", slow_manifold_drift), counted("h", state_output), counted_d,
             slow_manifold_data,
         )
         size = slow_manifold_data.size
-        # phi, f0 and h once, on the whole stack of states; the Jacobian
-        # once per state
-        assert calls == {"evaluate": 1, "jacobian": size, "f0": 1, "h": 1}
-        for name in ("evaluate", "f0", "h"):
+        # phi, the Jacobians, f0 and h once each, on the whole stack of states
+        assert calls == {"evaluate": 1, "jacobians": 1, "f0": 1, "h": 1}
+        for name in ("evaluate", "jacobians", "f0", "h"):
             assert (name, (size, 2)) in rows
 
     def test_model_is_frozen_and_complete(self, slow_manifold_data):
