@@ -12,13 +12,16 @@ balanced and truncated coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gsvd
 from .koopman import KoopmanModel
-from .linalg import LtiSystem, SpectrumError, is_hurwitz, row_products, solve_lyapunov
+from .linalg import (
+    ListField, LtiSystem, SpectrumError, is_hurwitz, list_field, row_products, solve_lyapunov,
+)
 
 __all__ = [
     "MinimalityError",
@@ -166,23 +169,30 @@ class BalancedNonlinear:
     ``gsvd.estimate_gains`` samples it in one call: ``f`` takes the stack of
     recovered states, and ``R_r z``, ``phi``, the dictionary's ``jacobians``,
     every product and ``T(.)[:r]`` run once per stack.  ``f_reduced(zs, u)``
-    takes a list of states, one per order, and returns one field per state,
-    so one call per step serves every simulated order.  It simulates the
-    truncated lifted realization, the object the certificates bound:
-    ``A_bal[:r, :r] z`` plus the field at the current input.  The lifting is
-    state-inclusive, ``phi = [x; phi_nl]`` and ``D_phi = [I; D_phi_nl]``, so
-    with ``T_r = T[:r]`` that is, exactly,
-    ``K_r z + M_r f(x, u) + N_r [D_phi_nl(x) f(x, u); phi_nl(x)]`` with
+    takes a list of states, one per order, each a list of floats, and the
+    input as a sequence of floats, and returns one field per state, each a
+    list of floats, so one call per step serves every simulated order.  It
+    simulates the truncated lifted realization, the object the certificates
+    bound: ``A_bal[:r, :r] z`` plus the field at the current input.  The
+    lifting is state-inclusive, ``phi = [x; phi_nl]`` and
+    ``D_phi = [I; D_phi_nl]``, so with ``T_r = T[:r]`` that is, exactly,
+    ``W_r [z; f(x, u); D_phi_nl(x) f(x, u); phi_nl(x)]`` with the folded
+    matrix ``W_r = [K_r | M_r | N_r]``,
     ``K_r = A_bal[:r, :r] - (T_r A)[:, :n] R_r``, ``M_r = T_r[:, :n]`` and
-    ``N_r = [T_r[:, n:], -(T_r A)[:, n:]]`` (none when ``q = n``), made once
-    per order: one ``f`` call, one ``Dictionary.lie_terms`` pass and small
-    products.  Each order is evaluated alone, so ``f_reduced([z1, z2], u)[1]``
-    equals ``f_reduced([z2], u)[0]`` bit for bit.  ``error_map`` keeps the
-    unfolded arithmetic: it is the certificates' sampled input, whose bits
-    folding would move.
+    ``N_r = [T_r[:, n:], -(T_r A)[:, n:]]`` (no columns when ``q = n``), made
+    once per order.  An evaluation runs in Python floats: ``x = R_r z`` as
+    row sums, one call of ``f``'s list form (``linalg.list_field``), one
+    ``Dictionary.lie_terms`` pass and the row sums of ``W_r``.  A plant
+    declared as ``a x + b u`` (a ``linalg.ListField`` with ``linear``) under
+    a dictionary of the coordinates alone folds further, exactly, to the row
+    sums of ``[K_r + M_r a R_r | M_r b]`` on ``[z; u]``, with no ``f`` call;
+    a replaced ``f`` is never folded.  Each order is evaluated alone, so
+    ``f_reduced([z1, z2], u)[1]`` equals ``f_reduced([z2], u)[0]`` bit for
+    bit.  ``error_map`` keeps the unfolded numpy arithmetic: it is the
+    certificates' sampled input, whose bits folding would move.
     """
 
-    f_reduced: Callable[[Sequence[np.ndarray], np.ndarray], list[np.ndarray]]
+    f_reduced: Callable[[Sequence[list], Sequence[float]], list[list]]
     error_map: Callable[[np.ndarray], np.ndarray]
     bal: BalancedRealization
     model: KoopmanModel
@@ -201,33 +211,45 @@ def balanced_nonlinear(
     dict_eval = model.dictionary.evaluate
     jacobians = model.dictionary.jacobians
     lie_terms = model.dictionary.lie_terms
-    dot = np.dot  # cheaper than ``@`` on one state
-    # per order r: R_r = R[:, :r] and the folded field's K_r, M_r and N_r
+    point = list_field(f)
+    linear = f.linear if isinstance(f, ListField) and bal.q == n else None
+    # per order r, as lists of rows: R_r = R[:, :r] and the folded field's
+    # W_r = [K_r | M_r | N_r]; a linear plant a x + b u under the coordinates
+    # alone folds further, to no R_r and W_r = [K_r + M_r a R_r | M_r b]
     plans = [None]
     for r in range(1, bal.q + 1):
         rr = bal.r[:, :r]
-        n_r = np.hstack([t[:r, n:], -ta[:r, n:]]) if bal.q > n else None
-        plans.append((rr, bal.a_bal[:r, :r] - ta[:r, :n] @ rr, t[:r, :n], n_r))
+        k_r, m_r = bal.a_bal[:r, :r] - ta[:r, :n] @ rr, t[:r, :n]
+        if linear is None:
+            plans.append((rr.tolist(), np.hstack([k_r, m_r, t[:r, n:], -ta[:r, n:]]).tolist()))
+        else:
+            a_f, b_f = linear
+            plans.append((None, np.hstack([k_r + m_r @ a_f @ rr, m_r @ b_f]).tolist()))
 
     def error_map(z):
         # one state or a stack of them: f, the Jacobians and the rest once
         # per stack, each row with the bits of a single state
         zs = np.asarray(z, float)
         order = zs.shape[-1]
-        xs = row_products(plans[order][0], np.atleast_2d(zs))
+        xs = row_products(bal.r[:, :order], np.atleast_2d(zs))
         drifts = np.asarray(f(xs, np.zeros((len(xs), l))), float)
         fields = row_products(jacobians(xs), drifts) - row_products(a, dict_eval(xs))
         out = row_products(t, fields)[:, :order]
         return out if zs.ndim == 2 else out[0]
 
     def f_reduced(zs, u):
+        # Python floats throughout: on states of a few entries each numpy
+        # call would cost more than its arithmetic
         out = []
         for z in zs:
-            rr, k_r, m_r, n_r = plans[len(z)]
-            x = dot(rr, z)
-            fx = f(x, u)
-            dz = dot(k_r, z) + dot(m_r, fx)
-            out.append(dz if n_r is None else dz + dot(n_r, lie_terms(x, fx)))
+            rr, w_r = plans[len(z)]
+            if rr is None:
+                w = [*z, *u]
+            else:
+                x = [sum(map(mul, row, z)) for row in rr]
+                fx = point(x, u)
+                w = [*z, *fx, *lie_terms(x, fx)]
+            out.append([sum(map(mul, row, w)) for row in w_r])
         return out
 
     return BalancedNonlinear(f_reduced=f_reduced, error_map=error_map, bal=bal, model=model)

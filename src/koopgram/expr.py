@@ -21,7 +21,13 @@ stack of states with a ``(k, l)`` stack of inputs, and then return the
 single calls.  A stack walks each tree once, on numpy columns, and a stack
 one of whose points raises alone raises the same exception; matrices run
 ``linalg.row_products``.  So the gain sampling of the pipeline evaluates a
-whole sample set in one call.
+whole sample set in one call.  The system's ``f`` is a ``linalg.ListField``:
+on one point given as a list ``x`` and a sequence ``u`` of floats it returns
+the list of the array call's values, bit for bit, and raises what the array
+call raises.  For trees that list call is the float walk itself, and the
+array call on one point is the same walk plus one conversion each way; for
+matrices it is the array call converted, and ``linear`` holds ``(a, b)``.
+The probe-signal simulation calls the list form.
 
 The bundled example systems are declarations too, in the package file
 ``builtins.json``; ``get_builtin`` and ``builtin_systems`` build them with
@@ -43,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .harness import ControlSystem
-from .linalg import int_power, row_norms, row_products
+from .linalg import ListField, int_power, row_norms, row_products
 
 __all__ = ["builtin_systems", "compile_expression", "get_builtin", "system_from_spec"]
 
@@ -341,8 +347,9 @@ def system_from_spec(spec: dict) -> ControlSystem:
     is built: an unknown or missing key, a value of the wrong type or out of
     range, a malformed tree or matrix, a variable outside ``x1..xn`` or
     ``u1..ul``, or an input variable in an output raises ``ValueError``.
-    The system's ``f`` and ``h`` also take stacks of points (see the module
-    docstring); called on one point, the matrix form needs numpy arrays.
+    The system's ``f`` and ``h`` also take stacks of points, and ``f`` one
+    point as lists (see the module docstring); called on one array point,
+    the matrix form needs numpy arrays.
     """
     check_fields("system", spec, _SPEC_FIELDS, required=("n", "l", "p", "f", "h"))
     if "dictionary" in spec:
@@ -355,26 +362,34 @@ def system_from_spec(spec: dict) -> ControlSystem:
     if isinstance(spec["f"], dict):
         a, b = _matrices("f", spec, dims)
 
-        def f(x, u):
+        def f_point(x, u):
+            return (dot(a, x) + dot(b, u)).tolist()
+
+        def f_call(x, u):
             # np.dot on one point has the bits of the stack's row products
             # and costs less than ``@``
             if x.ndim == 1:
                 return dot(a, x) + dot(b, u)
             return row_products(a, x) + row_products(b, u)
 
+        f = ListField(f_point, f_call, linear=(a, b))
         if lipschitz is None:
             lipschitz = np.linalg.norm(b, 2)
     else:
         f_fns = _trees("state derivative", spec["f"], n, n, l)
-        f_point = f_fns[0]
+        f_walks = f_fns[0]
 
-        def f(x, u):
-            # lists of Python floats, converted inline: f is the hot call
+        def f_point(x, u):
+            # the float walk itself: the simulation's hot call
+            return [fn(x, u) for fn in f_walks]
+
+        def f_call(x, u):
             x, u = asarray(x, float), asarray(u, float)
             if x.ndim == 2:
                 return _on_stack(f_fns, x, u)
-            x, u = x.tolist(), u.tolist()
-            return array([fn(x, u) for fn in f_point])
+            return array(f_point(x.tolist(), u.tolist()))
+
+        f = ListField(f_point, f_call)
 
     if isinstance(spec["h"], dict):
         (c,) = _matrices("h", spec, dims)

@@ -14,11 +14,16 @@ system and every reduced order: the input is evaluated once per step time
 (LSODA's second field call at a time reuses it), one ``bn.f_reduced`` call
 evaluates the field of every order, and all systems share one step
 sequence, so the full-vs-reduced difference carries no integrator noise
-from different step grids.  The integrator tests its
-local error component by component, so the stacked solve runs at ``tol``
-and each block keeps the error control it would have alone; one order's
-estimate still moves, at integration-error level, with the other orders
-requested, as they change the shared steps.  When that solve
+from different step grids.  The field computes in Python floats, on one
+list of the stacked state per call and one tuple of the input per step
+time, and builds one array per call: on states of a few entries each numpy
+call costs more than its arithmetic.  The plant's ``f`` is called through
+``linalg.list_field``: a declared system's own list walk, any other
+callable (a wrapper included) behind an array adapter.  The integrator
+tests its local error component by component, so the stacked solve runs at
+``tol`` and each block keeps the error control it would have alone; one
+order's estimate still moves, at integration-error level, with the other
+orders requested, as they change the shared steps.  When that solve
 fails, the blocks are solved one by one: a failure of the full system
 excludes the signal at every order, with its error text, and a failure of
 one reduced order excludes the signal only at that order.
@@ -50,7 +55,7 @@ import numpy as np
 import scipy.integrate
 
 from .balance import BalancedNonlinear, ReducedRealization
-from .linalg import StiffnessError, integrate_ode
+from .linalg import StiffnessError, integrate_ode, list_field
 
 __all__ = [
     "ControlSystem",
@@ -74,7 +79,10 @@ class ControlSystem:
     ``(k, n)`` or ``(k, p)``, bit for bit the rows of ``k`` single calls, as
     the systems ``expr.system_from_spec`` builds do.  The gain sampling,
     the fit and the simulated output call them on whole stacks; the
-    simulation's field calls ``f`` per point.
+    simulation's field calls ``f`` per point, as ``linalg.list_field(f)``:
+    a declared system's ``f`` is a ``linalg.ListField``, which also takes
+    the point as a list and returns a list, bit for bit the array call; any
+    other ``f`` is called on arrays, its input read-only.
     """
 
     name: str
@@ -261,18 +269,21 @@ class Trajectories:
 def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
     """States of every block, solved together as one stacked ODE with
     ``u = signal(t)`` evaluated once per step time, so all blocks share one
-    step sequence.  LSODA evaluates the field twice at most step times; the
-    second call reuses the last ``u``, which is read-only, so a field that
-    writes into it raises instead of changing that call's input.
+    step sequence.  The field computes in Python floats: the stacked state
+    becomes one list per call, the input one tuple per step time, and the
+    blocks' values one array per call.  LSODA evaluates the field twice at
+    most step times; the second call reuses the last tuple.
 
     A block ``(rhs, dim)`` is one state of dimension ``dim`` with field
-    ``rhs(state, u)``; a block ``(rhs, dims)`` with a list ``dims`` is one
-    state per entry, and ``rhs(states, u)`` returns one field per state, as
-    ``BalancedNonlinear.f_reduced`` does for all reduced orders at once.  The
-    result holds one state history per state, in order.  The integrator
-    accepts a step only when every component's scaled local error is below
-    1, so each state is held to ``tol`` as if solved alone; the others can
-    only shorten its steps, never loosen its control.
+    ``rhs(state, u)``, which takes the state as a list of floats and the
+    input as a tuple and returns a sequence of floats, as
+    ``linalg.list_field`` does; a block ``(rhs, dims)`` with a list ``dims``
+    is one state per entry, and ``rhs(states, u)`` returns one field per
+    state, as ``BalancedNonlinear.f_reduced`` does for all reduced orders at
+    once.  The result holds one state history per state, in order.  The
+    integrator accepts a step only when every component's scaled local error
+    is below 1, so each state is held to ``tol`` as if solved alone; the
+    others can only shorten its steps, never loosen its control.
     """
     # per block: its field and its one slice of the stacked state, or the
     # list of its slices; a one-state block is called without a list, which
@@ -290,17 +301,16 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
 
     def field(t, s):
         if t != last[0]:
-            last[:] = t, signal(t)
-            last[1].flags.writeable = False
-        u = last[1]
-        ds = np.empty(s.shape)
+            last[:] = t, tuple(signal(t).tolist())
+        u, s = last[1], s.tolist()
+        ds = []
         for rhs, part in plan:
             if isinstance(part, slice):
-                ds[part] = rhs(s[part], u)
+                ds += rhs(s[part], u)
                 continue
-            for one, d in zip(part, rhs([s[p] for p in part], u)):
-                ds[one] = d
-        return ds
+            for d in rhs([s[p] for p in part], u):
+                ds += d
+        return np.array(ds)
 
     states = integrate_ode(field, np.zeros(lo), grid, tol)
     return [states[:, part] for part in parts]
@@ -319,7 +329,7 @@ def _simulate_signal(
     system: ControlSystem, bn: BalancedNonlinear, orders: list, signal: Signal, tol: float,
 ) -> Trajectories:
     """One signal's ``Trajectories``: the stacked solve, or block by block if it fails."""
-    plant = (system.f, system.n)
+    plant = (list_field(system.f), system.n)
     grid = np.linspace(0.0, signal.horizon, _N_GRID)
     try:
         states = _integrate([plant, (bn.f_reduced, orders)], signal, grid, tol)

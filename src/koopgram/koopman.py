@@ -52,9 +52,11 @@ class Dictionary:
     ``evaluate(x)`` returns the q lifted coordinates; the first n of them are
     x itself and every observable vanishes at the origin.  It also takes a
     ``(k, n)`` stack of states and returns the ``(k, q)`` stack of their
-    lifts, bit for bit the rows of ``k`` single calls.  ``lie_terms(x, v)`` is
-    ``[D_phi_nl(x) v; phi_nl(x)]`` over the ``q - n`` observables past the
-    coordinates, from one pass over their factors (empty when ``q = n``).
+    lifts, bit for bit the rows of ``k`` single calls.  ``lie_terms(x, v)``
+    takes one state ``x`` and one vector ``v`` as lists of floats and returns
+    the list ``[D_phi_nl(x) v; phi_nl(x)]`` over the ``q - n`` observables
+    past the coordinates, from one pass over their factors in Python floats
+    (empty when ``q = n``); the simulation's reduced fields call it per point.
     ``jacobians(xs)`` is the ``(k, q, n)`` stack of ``jacobian`` at each row
     of a ``(k, n)`` stack of states, possibly read-only.  The identity and
     monomial dictionaries build it once per stack (a monomial one entry by
@@ -71,7 +73,7 @@ class Dictionary:
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     exponents: tuple[tuple[int, ...], ...] | None = None
-    lie_terms: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, v: np.empty(0)
+    lie_terms: Callable[[list, list], list] = lambda x, v: []
     jacobians: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -138,13 +140,12 @@ def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictiona
     lie_entries = [entry for entry in entries if entry[0] >= n]
     factors = [[(k, pk) for k, pk in enumerate(e) if pk > 0] for e in exps[n:]]
 
-    def lie_terms(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def lie_terms(x: list, v: list) -> list:
         # jacobian's products, each dotted with v as it comes
-        x, v = np.asarray(x, float).tolist(), np.asarray(v, float).tolist()
         lie = [0.0] * len(factors)
         for i, j, power, others in lie_entries:
             lie[i - n] += term(x, j, power, others) * v[j]
-        return np.array(lie + [math.prod([int_power(x[k], pk) for k, pk in fs]) for fs in factors])
+        return lie + [math.prod([int_power(x[k], pk) for k, pk in fs]) for fs in factors]
 
     return Dictionary(
         n=n, q=len(exps), kind="monomials", evaluate=evaluate, jacobian=jacobian, exponents=exps,

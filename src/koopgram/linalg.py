@@ -1,8 +1,10 @@
 """Dense linear algebra and integration primitives shared by the whole toolkit.
 
-Everything here operates on plain numpy arrays.  All public entry points
-reject non-finite input, and every returned value is finite.  Matrices are
-immutable by convention: no function mutates its arguments.
+Everything here operates on plain numpy arrays, apart from the one-point
+list form of a system field (``ListField``, ``list_field``) that the
+probe-signal simulation calls.  All public entry points reject non-finite
+input, and every returned value is finite.  Matrices are immutable by
+convention: no function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "row_norms",
     "row_products",
     "int_power",
+    "ListField",
+    "list_field",
     "pinv",
     "spectral_norm",
     "is_hurwitz",
@@ -98,6 +102,46 @@ def int_power(x, k: int):
         out = out * x
         k -= 1
     return out
+
+
+class ListField:
+    """A system field ``f(x, u)`` that also takes one point as lists.
+
+    ``point(x, u)`` takes the state as a list of floats and the input as any
+    sequence of floats and returns the list of ``call``'s values at that
+    point, bit for bit, raising what ``call`` raises; ``call`` takes one point
+    or stacks as arrays.  The instance runs ``point`` on a list ``x`` and
+    ``call`` on anything else.  ``linear`` is ``(a, b)`` when the field is
+    ``a x + b u``, so that ``balance.balanced_nonlinear`` can fold it into
+    its matrices; a field that wraps this one is not a ``ListField``, so it
+    is neither folded nor bypassed.
+    """
+
+    def __init__(self, point: Callable, call: Callable, linear: tuple | None = None):
+        self.point, self.call, self.linear = point, call, linear
+
+    def __call__(self, x, u):
+        return self.point(x, u) if type(x) is list else self.call(x, u)
+
+
+class _ArrayPoint:
+    """``list_field``'s default: the point as arrays, the input read-only, so
+    that a field that writes into it raises, and the value as a list."""
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __call__(self, x: list, u) -> list:
+        u = np.array(u, dtype=float)
+        u.flags.writeable = False
+        return np.asarray(self.f(np.array(x, dtype=float), u), float).tolist()
+
+
+def list_field(f: Callable) -> Callable[[list, tuple], list]:
+    """The one-point list form of the field ``f``: a ``ListField``'s own
+    ``point``, any other callable behind an adapter that converts the point
+    to arrays and the value back to a list."""
+    return f.point if isinstance(f, ListField) else _ArrayPoint(f)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -230,6 +231,34 @@ class TestBalancedNonlinear:
                 scale = max(np.max(np.abs(term)) for term in terms)
                 err = np.max(np.abs(bn.f_reduced([z], u)[0] - (terms[0] + terms[1] - terms[2])))
                 assert err <= 1e-12 * scale, (r, z, u, err, scale)
+
+    @pytest.mark.parametrize("system", ["lti6", "slow_manifold"])
+    def test_replaced_f_is_neither_folded_nor_bypassed(self, tmp_path, system):
+        # a wrapper of the declared f (lti6's folds into the order matrices)
+        # is called once per order, and its own values drive every order
+        sysd, bn, box = balanced_pipeline(tmp_path, system)
+        calls = []
+
+        def doubled(x, u):
+            calls.append(len(x))
+            return 2.0 * np.asarray(sysd.f(x, u))
+
+        bal, d, a = bn.bal, bn.model.dictionary, bn.model.a
+        wrapped = balanced_nonlinear(dataclasses.replace(sysd, f=doubled).f, sysd.l, bn.model, bal)
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            zs = [rng.uniform(-box, box, size=r) for r in range(1, bal.q + 1)]
+            u = rng.uniform(-box, box, size=sysd.l)
+            calls.clear()
+            fields = wrapped.f_reduced([z.tolist() for z in zs], tuple(u.tolist()))
+            assert calls == [sysd.n] * bal.q
+            for z, field in zip(zs, fields, strict=True):
+                r = len(z)
+                x = bal.r[:, :r] @ z
+                terms = [bal.a_bal[:r, :r] @ z, (bal.t @ (d.jacobian(x) @ (2.0 * sysd.f(x, u))))[:r],
+                         (bal.t @ (a @ d.evaluate(x)))[:r]]
+                scale = max(np.max(np.abs(term)) for term in terms)
+                assert np.max(np.abs(np.array(field) - (terms[0] + terms[1] - terms[2]))) <= 1e-12 * scale
 
     def test_error_map_vanishes_for_exact_dictionary(self):
         f, h = slow_manifold()

@@ -395,3 +395,66 @@ class TestStackedEvaluation:
         swept = _secant_sweep(system.f, system.n, system.l, box)
         assert swept == secant_sweep_by_draw_loop(system.f, system.n, system.l, box)
         assert round(swept, 4) == value
+
+
+def _list_outcome(system, x, u):
+    """``_outcome`` of ``system.f`` on the point as a list and a tuple, with
+    a list result checked and made an array."""
+
+    def call():
+        got = system.f(x.tolist(), tuple(u.tolist()))
+        assert type(got) is list and all(type(v) is float for v in got)
+        return np.array(got)
+
+    return _outcome(call)
+
+
+class TestListPoint:
+    """A declared system's f on one list point: the list of the array call's
+    values, bit for bit, or what the array call raises."""
+
+    @pytest.mark.parametrize("name", [s.name for s in builtin_systems()] + ["expr_lift", "matrix"])
+    def test_list_point_equals_array_call(self, name):
+        if name == "expr_lift":
+            system = system_from_spec(EXPR_LIFT_SPEC)
+        elif name == "matrix":
+            system = system_from_spec({"n": 2, "l": 2, "p": 1, "f": {"a": [[-1.0, 0.5], [0.0, -2.0]],
+                                       "b": [[1.0, 0.0], [0.3, -0.7]]}, "h": {"c": [[1.0, 2.0]]}})
+        else:
+            system = next(s for s in builtin_systems() if s.name == name)
+        rng = np.random.default_rng(9)
+        box = system.gain_box
+        points = rng.uniform(-box, box, size=(200, system.n + system.l))
+        points[:20] = rng.choice([0.0, -0.0, 1e-310, 1e160, -1e160], size=(20, system.n + system.l))
+        with np.errstate(all="ignore"):
+            for point in points:
+                x, u = point[:system.n], point[system.n:]
+                _assert_same(_list_outcome(system, x, u), _outcome(lambda: system.f(x, u)))
+
+    def test_list_point_raises_what_the_array_call_raises(self):
+        system = system_from_spec(TestStackedEvaluation.RAISING)
+        for bad in ([1.0, -1.0], [-1.0, 0.5], [1.0, 10.0], [np.inf, -1.0]):
+            x, u = np.array(bad), np.array([0.3])
+            raised = _outcome(lambda: system.f(x, u))
+            assert isinstance(raised, tuple)
+            assert _list_outcome(system, x, u) == raised
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(st.just(n), st.lists(trees(n, 3), min_size=n,
+                                                                                max_size=n))))
+    def test_fuzz_trees_list_point_equals_array_call(self, case):
+        n, drawn = case
+        at_zero = [_outcome(lambda: evaluate_tree(tree, [0.0] * n, [0.0])) for tree in drawn]
+        assume(all(isinstance(v, float) and np.isfinite(v) for v in at_zero))
+        spec = {"n": n, "l": 1, "p": 1, "h": [var("x1")], "lipschitz_u": 1.0,
+                "f": [op("sub", tree, v) for tree, v in zip(drawn, at_zero)]}
+        system = system_from_spec(spec)
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-3.0, 3.0, size=(40, n + 1))
+        special = [0.0, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e160, -1e160]
+        points[:25] = rng.choice(special, size=(25, n + 1))
+        with np.errstate(all="ignore"):
+            for point in points:
+                x, u = point[:n], point[n:]
+                _assert_same(_list_outcome(system, x, u), _outcome(lambda: system.f(x, u)))

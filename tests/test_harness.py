@@ -34,7 +34,7 @@ from koopgram.harness import (
     simulate_ensemble,
 )
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
-from koopgram.linalg import LtiSystem
+from koopgram.linalg import LtiSystem, list_field
 
 
 def _gap(system, bn, red, ensemble, tol):
@@ -83,7 +83,7 @@ def _broken_order_2(bn):
 
     def blowing_up(zs, u):
         # z' = 1 + z^2 per component: z = tan(t) has a pole at t = pi / 2
-        return [1.0 + z * z if len(z) == 2 else f_reduced([z], u)[0] for z in zs]
+        return [[1.0 + v * v for v in z] if len(z) == 2 else f_reduced([z], u)[0] for z in zs]
 
     return [
         (dataclasses.replace(bn, f_reduced=raising), "synthetic order-2"),
@@ -299,10 +299,33 @@ class TestInputCache:
 
         sig = input_ensemble(1, 8.0, count=1, seed=6)[0]
         grid = np.linspace(0.0, sig.horizon, _N_GRID)
+        # an array plant gets the input read-only from the list adapter, and
+        # a list-form field gets it as a tuple
         with pytest.raises(ValueError, match="read-only"):
+            _integrate([(list_field(writing), base.n)], sig, grid, 1e-8)
+        with pytest.raises(TypeError, match="does not support item assignment"):
             _integrate([(writing, base.n)], sig, grid, 1e-8)
         traj = _simulate_signal(dataclasses.replace(base, f=writing), bn, [1], sig, 1e-8)
         assert "read-only" in traj.full
+
+
+class TestPlantField:
+    def test_replaced_plant_reaches_the_simulation(self):
+        # a wrapper of lti6's declared f goes through the list adapter at
+        # every field call, with the bits of the declared list form
+        base, bn, _ = _reduced_pair("lti6", r=2)
+        calls = []
+
+        def wrapped(x, u):
+            calls.append(1)
+            return base.f(x, u)
+
+        sig = input_ensemble(2, 8.0, count=1, seed=6)[0]
+        declared = _simulate_signal(base, bn, [2], sig, 1e-8)
+        replaced = _simulate_signal(dataclasses.replace(base, f=wrapped), bn, [2], sig, 1e-8)
+        assert len(calls) > 100
+        assert np.array_equal(replaced.full, declared.full)
+        assert np.array_equal(replaced.reduced[2], declared.reduced[2])
 
 
 class TestEstimateGap:

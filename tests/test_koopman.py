@@ -94,7 +94,7 @@ class TestBuildDictionary:
         xs[40:60, -1] = 0.0
         for x, v in zip(xs, rng.normal(size=(2000, n))):
             jac, phi = d.jacobian(x)[n:], d.evaluate(x)[n:]
-            got = d.lie_terms(x, v)
+            got = np.array(d.lie_terms(x.tolist(), v.tolist()))
             assert got.shape == (2 * m,)
             scale = np.concatenate([np.abs(jac) @ np.abs(v), np.abs(phi)])
             assert np.all(np.abs(got - np.concatenate([jac @ v, phi])) <= 4 * np.finfo(float).eps * scale)
