@@ -20,7 +20,7 @@ import numpy as np
 from . import gsvd
 from .koopman import KoopmanModel
 from .linalg import (
-    ListField, LtiSystem, SpectrumError, is_hurwitz, list_field, row_products, solve_lyapunov,
+    LtiSystem, SpectrumError, is_hurwitz, list_field, row_products, solve_lyapunov,
 )
 
 __all__ = [
@@ -183,10 +183,12 @@ class BalancedNonlinear:
     once per order.  An evaluation runs in Python floats: ``x = R_r z`` as
     row sums, one call of ``f``'s list form (``linalg.list_field``), one
     ``Dictionary.lie_terms`` pass and the row sums of ``W_r``.  A plant
-    declared as ``a x + b u`` (a ``linalg.ListField`` with ``linear``) under
-    a dictionary of the coordinates alone folds further, exactly, to the row
-    sums of ``[K_r + M_r a R_r | M_r b]`` on ``[z; u]``, with no ``f`` call;
-    a replaced ``f`` is never folded.  Each order is evaluated alone, so
+    declared as ``a x + b u`` (``ControlSystem.linear``, given as
+    ``linear``) under a dictionary of the coordinates alone folds further,
+    exactly, to the row sums of ``[K_r + M_r a R_r | M_r b]`` on ``[z; u]``,
+    with no ``f`` call.  The fold follows the declaration, not the type of
+    ``f``, so a wrapper of ``f`` that keeps its values keeps every bit of
+    the result.  Each order is evaluated alone, so
     ``f_reduced([z1, z2], u)[1]`` equals ``f_reduced([z2], u)[0]`` bit for
     bit.  ``error_map`` keeps the unfolded numpy arithmetic: it is the
     certificates' sampled input, whose bits folding would move.
@@ -203,8 +205,14 @@ def balanced_nonlinear(
     input_dim: int,
     model: KoopmanModel,
     bal: BalancedRealization,
+    linear: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BalancedNonlinear:
-    """Construct the nonlinear evaluators in balanced and reduced coordinates."""
+    """Construct the nonlinear evaluators in balanced and reduced coordinates.
+
+    ``linear`` is ``(a, b)`` when ``f(x, u) = a x + b u``, as
+    ``ControlSystem.linear`` declares it; the reduced orders then call
+    ``f`` only under a dictionary with observables past the coordinates.
+    """
     l, n = int(input_dim), bal.state_dim
     t, a = bal.t, model.a
     ta = t @ a
@@ -212,7 +220,8 @@ def balanced_nonlinear(
     jacobians = model.dictionary.jacobians
     lie_terms = model.dictionary.lie_terms
     point = list_field(f)
-    linear = f.linear if isinstance(f, ListField) and bal.q == n else None
+    if bal.q > n:
+        linear = None
     # per order r, as lists of rows: R_r = R[:, :r] and the folded field's
     # W_r = [K_r | M_r | N_r]; a linear plant a x + b u under the coordinates
     # alone folds further, to no R_r and W_r = [K_r + M_r a R_r | M_r b]

@@ -22,12 +22,13 @@ single calls.  A stack walks each tree once, on numpy columns, and a stack
 one of whose points raises alone raises the same exception; matrices run
 ``linalg.row_products``.  So the gain sampling of the pipeline evaluates a
 whole sample set in one call.  The system's ``f`` is a ``linalg.ListField``:
-on one point given as a list ``x`` and a sequence ``u`` of floats it returns
-the list of the array call's values, bit for bit, and raises what the array
-call raises.  For trees that list call is the float walk itself, and the
-array call on one point is the same walk plus one conversion each way; for
-matrices it is the array call converted, and ``linear`` holds ``(a, b)``.
-The probe-signal simulation calls the list form.
+its list form ``f.point``, on one point given as a list ``x`` and a sequence
+``u`` of floats, returns the list of the array call's values, bit for bit,
+and raises what the array call raises.  For trees that list form is the
+float walk itself, and the array call on one point is the same walk plus one
+conversion each way; for matrices it is the array call converted, and the
+system's ``linear`` holds ``(a, b)``.  The probe-signal simulation calls the
+list form.
 
 The bundled example systems are declarations too, in the package file
 ``builtins.json``; ``get_builtin`` and ``builtin_systems`` build them with
@@ -347,9 +348,9 @@ def system_from_spec(spec: dict) -> ControlSystem:
     is built: an unknown or missing key, a value of the wrong type or out of
     range, a malformed tree or matrix, a variable outside ``x1..xn`` or
     ``u1..ul``, or an input variable in an output raises ``ValueError``.
-    The system's ``f`` and ``h`` also take stacks of points, and ``f`` one
-    point as lists (see the module docstring); called on one array point,
-    the matrix form needs numpy arrays.
+    The system's ``f`` and ``h`` also take stacks of points, and ``f.point``
+    one point as lists (see the module docstring); called on one array
+    point, the matrix form needs numpy arrays.
     """
     check_fields("system", spec, _SPEC_FIELDS, required=("n", "l", "p", "f", "h"))
     if "dictionary" in spec:
@@ -372,10 +373,11 @@ def system_from_spec(spec: dict) -> ControlSystem:
                 return dot(a, x) + dot(b, u)
             return row_products(a, x) + row_products(b, u)
 
-        f = ListField(f_point, f_call, linear=(a, b))
+        f, linear = ListField(f_point, f_call), (a, b)
         if lipschitz is None:
             lipschitz = np.linalg.norm(b, 2)
     else:
+        linear = None
         f_fns = _trees("state derivative", spec["f"], n, n, l)
         f_walks = f_fns[0]
 
@@ -413,7 +415,7 @@ def system_from_spec(spec: dict) -> ControlSystem:
     given = {"dictionary_hint": "dictionary", "gain_box": "gain_box", "suggested_slack": "slack"}
     return ControlSystem(
         name=spec.get("name", "user_system"), n=n, l=l, p=p, f=f, h=h,
-        lipschitz_u=float(lipschitz),
+        lipschitz_u=float(lipschitz), linear=linear,
         **{field: spec[key] for field, key in given.items() if key in spec},
     )
 

@@ -80,9 +80,15 @@ class ControlSystem:
     the systems ``expr.system_from_spec`` builds do.  The gain sampling,
     the fit and the simulated output call them on whole stacks; the
     simulation's field calls ``f`` per point, as ``linalg.list_field(f)``:
-    a declared system's ``f`` is a ``linalg.ListField``, which also takes
-    the point as a list and returns a list, bit for bit the array call; any
-    other ``f`` is called on arrays, its input read-only.
+    a declared system's ``f`` is a ``linalg.ListField``, whose list form
+    ``f.point`` takes the point as lists and returns a list, bit for bit the
+    array call; any other ``f`` is called on arrays, its input read-only.
+
+    ``linear`` is ``(a, b)`` when ``f(x, u) = a x + b u``, as a
+    matrix-declared system sets it; reduced orders under a dictionary of the
+    coordinates alone then fold the plant into their matrices and do not
+    call ``f``.  Construction checks ``f`` against it at one fixed point, so
+    a replaced ``f`` with other values must drop ``linear`` too.
     """
 
     name: str
@@ -95,6 +101,7 @@ class ControlSystem:
     dictionary_hint: dict = field(default_factory=lambda: {"kind": "identity"})
     gain_box: float = 5.0
     suggested_slack: float = 1.05
+    linear: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # written as not-below so that a NaN value is rejected too
@@ -104,6 +111,12 @@ class ControlSystem:
         hzero = np.atleast_1d(np.asarray(self.h(np.zeros(self.n)), float))
         if not np.linalg.norm(hzero) <= 1e-12:
             raise ValueError(f"{self.name}: h(0) must vanish")
+        if self.linear is not None:
+            a, b = map(np.asarray, self.linear)
+            x, u = np.cos(np.arange(1.0, self.n + 1)), np.sin(np.arange(1.0, self.l + 1))
+            if not (a.shape == (self.n, self.n) and b.shape == (self.n, self.l) and np.allclose(
+                    np.asarray(self.f(x, u), float), a @ x + b @ u, rtol=1e-9, atol=1e-12)):
+                raise ValueError(f"{self.name}: f is not the declared linear a x + b u")
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """``f(x, 0)`` at one state or at each row of a stack of states."""

@@ -105,36 +105,37 @@ def int_power(x, k: int):
 
 
 class ListField:
-    """A system field ``f(x, u)`` that also takes one point as lists.
+    """A system field ``f(x, u)`` that also has a one-point list form.
 
-    ``point(x, u)`` takes the state as a list of floats and the input as any
-    sequence of floats and returns the list of ``call``'s values at that
-    point, bit for bit, raising what ``call`` raises; ``call`` takes one point
-    or stacks as arrays.  The instance runs ``point`` on a list ``x`` and
-    ``call`` on anything else.  ``linear`` is ``(a, b)`` when the field is
-    ``a x + b u``, so that ``balance.balanced_nonlinear`` can fold it into
-    its matrices; a field that wraps this one is not a ``ListField``, so it
-    is neither folded nor bypassed.
+    Calling the instance runs ``call``, which takes one point or stacks as
+    arrays.  ``point(x, u)`` takes the state as a list of floats and the
+    input as any sequence of floats and returns the list of ``call``'s
+    values at that point, bit for bit, raising what ``call`` raises; reach
+    it through ``list_field``.
     """
 
-    def __init__(self, point: Callable, call: Callable, linear: tuple | None = None):
-        self.point, self.call, self.linear = point, call, linear
+    def __init__(self, point: Callable, call: Callable):
+        self.point, self.call = point, call
 
     def __call__(self, x, u):
-        return self.point(x, u) if type(x) is list else self.call(x, u)
+        return self.call(x, u)
 
 
 class _ArrayPoint:
     """``list_field``'s default: the point as arrays, the input read-only, so
-    that a field that writes into it raises, and the value as a list."""
+    that a field that writes into it raises, and the value as a list.  The
+    input array is made once per input tuple: the simulation hands every
+    call at one step time the same tuple."""
 
     def __init__(self, f: Callable):
-        self.f = f
+        self.f, self.u, self.u_array = f, None, None
 
     def __call__(self, x: list, u) -> list:
-        u = np.array(u, dtype=float)
-        u.flags.writeable = False
-        return np.asarray(self.f(np.array(x, dtype=float), u), float).tolist()
+        if u is not self.u:
+            self.u_array = np.array(u, dtype=float)
+            self.u_array.flags.writeable = False
+            self.u = u if type(u) is tuple else None  # a list could change in place
+        return np.asarray(self.f(np.array(x, dtype=float), self.u_array), float).tolist()
 
 
 def list_field(f: Callable) -> Callable[[list, tuple], list]:

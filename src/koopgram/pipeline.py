@@ -332,7 +332,8 @@ def _reduced_models(config: PipelineConfig, needed_by: str):
     dec = _read_artifact(config, "decompose", needed_by)
     bal = _load(BalancedRealization, _read_artifact(config, "balance", needed_by))
     reduced = [truncate(bal, r) for r in config.reduction_orders]
-    return system, dec, bal, balanced_nonlinear(system.f, system.l, model, bal), reduced
+    bn = balanced_nonlinear(system.f, system.l, model, bal, system.linear)
+    return system, dec, bal, bn, reduced
 
 
 def stage_certify(config: PipelineConfig) -> dict:

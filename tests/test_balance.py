@@ -233,9 +233,23 @@ class TestBalancedNonlinear:
                 assert err <= 1e-12 * scale, (r, z, u, err, scale)
 
     @pytest.mark.parametrize("system", ["lti6", "slow_manifold"])
-    def test_replaced_f_is_neither_folded_nor_bypassed(self, tmp_path, system):
-        # a wrapper of the declared f (lti6's folds into the order matrices)
-        # is called once per order, and its own values drive every order
+    def test_wrapper_that_keeps_the_values_keeps_the_bits(self, tmp_path, system):
+        # the fold follows the system's linear declaration, which a replaced
+        # system keeps, so a plain wrapper of lti6's declared f folds too
+        sysd, bn, box = balanced_pipeline(tmp_path, system)
+        replaced = dataclasses.replace(sysd, f=lambda x, u: sysd.f(x, u))
+        wrapped = balanced_nonlinear(replaced.f, replaced.l, bn.model, bn.bal, replaced.linear)
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            zs = [rng.uniform(-box, box, size=r).tolist() for r in range(1, bn.bal.q + 1)]
+            u = tuple(rng.uniform(-box, box, size=sysd.l).tolist())
+            got, want = wrapped.f_reduced(zs, u), bn.f_reduced(zs, u)
+            assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want]
+
+    @pytest.mark.parametrize("system", ["lti6", "slow_manifold"])
+    def test_replaced_f_drives_every_order(self, tmp_path, system):
+        # a replaced f with other values must drop lti6's linear declaration;
+        # then it is called once per order, and its values drive every order
         sysd, bn, box = balanced_pipeline(tmp_path, system)
         calls = []
 
@@ -243,8 +257,12 @@ class TestBalancedNonlinear:
             calls.append(len(x))
             return 2.0 * np.asarray(sysd.f(x, u))
 
+        if sysd.linear is not None:
+            with pytest.raises(ValueError, match="declared linear"):
+                dataclasses.replace(sysd, f=doubled)
+        replaced = dataclasses.replace(sysd, f=doubled, linear=None)
         bal, d, a = bn.bal, bn.model.dictionary, bn.model.a
-        wrapped = balanced_nonlinear(dataclasses.replace(sysd, f=doubled).f, sysd.l, bn.model, bal)
+        wrapped = balanced_nonlinear(replaced.f, sysd.l, bn.model, bal, replaced.linear)
         rng = np.random.default_rng(32)
         for _ in range(100):
             zs = [rng.uniform(-box, box, size=r) for r in range(1, bal.q + 1)]

@@ -398,11 +398,11 @@ class TestStackedEvaluation:
 
 
 def _list_outcome(system, x, u):
-    """``_outcome`` of ``system.f`` on the point as a list and a tuple, with
-    a list result checked and made an array."""
+    """``_outcome`` of ``system.f``'s list form on the point as a list and a
+    tuple, with a list result checked and made an array."""
 
     def call():
-        got = system.f(x.tolist(), tuple(u.tolist()))
+        got = system.f.point(x.tolist(), tuple(u.tolist()))
         assert type(got) is list and all(type(v) is float for v in got)
         return np.array(got)
 
@@ -430,6 +430,14 @@ class TestListPoint:
             for point in points:
                 x, u = point[:system.n], point[system.n:]
                 _assert_same(_list_outcome(system, x, u), _outcome(lambda: system.f(x, u)))
+
+    def test_call_on_a_list_keeps_the_array_contract(self):
+        # only f.point returns lists; calling f itself returns an array
+        system = next(s for s in builtin_systems() if s.name == "slow_manifold")
+        x, u = [0.5, -1.5], [0.25]
+        got = system.f(x, u)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == system.f(np.array(x), np.array(u)).tobytes()
 
     def test_list_point_raises_what_the_array_call_raises(self):
         system = system_from_spec(TestStackedEvaluation.RAISING)

@@ -410,7 +410,7 @@ class TestEstimateGap:
         ens = input_ensemble(2, 15.0, count=2, seed=3)
         for signal, traj in zip(ens, simulate_ensemble(sysd, bn, orders, ens, 1e-7)):
             grid = np.linspace(0.0, signal.horizon, _N_GRID)
-            (xs,) = _integrate([(sysd.f, sysd.n)], signal, grid, 1e-7)
+            (xs,) = _integrate([(list_field(sysd.f), sysd.n)], signal, grid, 1e-7)
             ys = np.stack([sysd.h(x) for x in xs])
             assert np.max(np.abs(traj.full - ys)) <= 1e-6
             for r in orders:

@@ -14,6 +14,7 @@ from koopgram.linalg import (
     _imaginary_axis_crossings,
     hinf_norm,
     integrate_ode,
+    list_field,
     pinv,
     solve_lyapunov,
 )
@@ -165,6 +166,25 @@ class TestHinfNorm:
         with pytest.raises(RuntimeError, match="failed to bracket the peak gain"):
             hinf_norm(LtiSystem([[-1e-12]], [[1.0]], [[1.0]]))
         assert time.perf_counter() - start < 1.0
+
+
+class TestListField:
+    def test_adapter_makes_one_read_only_input_per_tuple(self):
+        seen = []
+
+        def f(x, u):
+            seen.append(u)
+            return x + u[0]
+
+        point, u = list_field(f), (1.0,)
+        assert point([1.0, 2.0], u) == [2.0, 3.0]
+        assert point([0.0, 0.0], u) == [1.0, 1.0]
+        assert seen[0] is seen[1] and not seen[0].flags.writeable
+        # a list input can change in place, so it is converted at every call
+        v = [1.0]
+        assert point([0.0], v) == [1.0]
+        v[0] = 2.0
+        assert point([0.0], v) == [2.0]
 
 
 class TestIntegrateOde:
