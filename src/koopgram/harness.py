@@ -17,7 +17,9 @@ sequence, so the full-vs-reduced difference carries no integrator noise
 from different step grids.  The field computes in Python floats, on one
 list of the stacked state per call and one tuple of the input per step
 time, and builds one array per call: on states of a few entries each numpy
-call costs more than its arithmetic.  The plant's ``f`` is called through
+call costs more than its arithmetic.  The input tuple comes from the
+signal's one-point form ``Signal.point``, bit for bit its array ``fn``, or
+from ``fn`` when it has none.  The plant's ``f`` is called through
 ``linalg.list_field``: a declared system's own list walk, any other
 callable (a wrapper included) behind an array adapter.  The integrator
 tests its local error component by component, so the stacked solve runs at
@@ -42,6 +44,7 @@ the trajectories into one order's empirical gain.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import threading
@@ -128,7 +131,12 @@ class Signal:
     """Square-integrable input on [0, horizon] with its known L2 norm and
     ``peak_freq``, the highest angular frequency it carries (0 if unknown).
 
-    The simulation hands the system each value ``u`` read-only.
+    ``point``, when set, is ``fn`` at one float time ``t``: the tuple of
+    ``fn``'s row as Python floats (bit for bit in ``input_ensemble``), and
+    the simulation evaluates the input through it instead of ``fn``.
+    Construction checks it against ``fn`` at a few fixed times, so a
+    replaced ``fn`` with other values must drop ``point`` too.  The
+    simulation hands the system each value ``u`` read-only.
     """
 
     name: str
@@ -136,12 +144,20 @@ class Signal:
     horizon: float
     l2_norm: float
     peak_freq: float = 0.0
+    point: Callable[[float], tuple] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (self.l2_norm > 0.0 and np.isfinite(self.l2_norm)):
             raise ValueError(f"signal {self.name} must carry positive energy")
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError("signal horizon must be positive and finite")
+        if self.point is not None:
+            # the solver may step past the horizon, so one time lies beyond it
+            ts = self.horizon * np.array([0.0, 0.37, 0.81, 1.3])
+            want = np.asarray(self.fn(ts), float)
+            got = np.array([self.point(t) for t in ts.tolist()], float)
+            if not (got.shape == want.shape and np.allclose(got, want, rtol=1e-9, atol=1e-12)):
+                raise ValueError(f"signal {self.name}: point does not give the values of fn")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.fn(np.asarray(t, float).reshape(1))[0]
@@ -162,19 +178,29 @@ def signal_l2_norm(fn: Callable, horizon: float) -> float:
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
 
 
-# each signal returns its fn and its peak angular frequency; a tone shapes
-# its per-channel constants to (1, l) once, not per call
+# each signal returns its fn, its one-point form and its peak angular
+# frequency.  A tone shapes its per-channel constants to (1, l) once, not per
+# call.  The point form repeats fn's arithmetic in fn's order on Python
+# floats: math.sin has numpy's bits, math.exp does not, so the exponential
+# is numpy's on one float
 def _decayed_tone(amp, decay, freqs, phases):
+    channels = list(zip(freqs.tolist(), phases.tolist()))
     freqs, phases = freqs[None, :], phases[None, :]
 
     def fn(ts):
         ts = ts[:, None]
         return amp * np.exp(-decay * ts) * np.sin(freqs * ts + phases)
 
-    return fn, float(freqs.max())
+    def point(t):
+        scale = amp * float(np.exp(-decay * t))
+        return tuple([scale * math.sin(f * t + p) for f, p in channels])
+
+    return fn, point, float(freqs.max())
 
 
 def _noise_burst(coeffs, freqs, phases, center, width):
+    channels = [list(zip(*c)) for c in zip(coeffs.T.tolist(), freqs.T.tolist(), phases.T.tolist())]
+
     # the (k, 5, l) tone values added tone after tone, as a loop would add
     # them (and cheaper than np.sum over the tone axis)
     def fn(ts):
@@ -186,12 +212,26 @@ def _noise_burst(coeffs, freqs, phases, center, width):
             total = total + tones[:, i]
         return window * total
 
-    return fn, float(freqs.max())
+    # numpy's square is d * d; -0.0 is the exact identity of addition, so the
+    # sum starts from the first tone's bits, its sign included
+    def point(t):
+        d = (t - center) / width
+        window = float(np.exp(-(d * d)))
+        values = []
+        for tones in channels:
+            total = -0.0
+            for c, f, p in tones:
+                total += c * math.sin(f * t + p)
+            values.append(window * total)
+        return tuple(values)
+
+    return fn, point, float(freqs.max())
 
 
 def _chirp(amp, decay, lo, hi, horizon, phases):
     # the angular frequency sweeps from lo at t = 0 to hi at the horizon
     rate = (hi - lo) / max(horizon, 1e-6)
+    channels = phases.tolist()
     phases = phases[None, :]
 
     def fn(ts):
@@ -199,7 +239,12 @@ def _chirp(amp, decay, lo, hi, horizon, phases):
         phase = lo * ts + 0.5 * rate * ts * ts
         return amp * np.exp(-decay * ts) * np.sin(phase + phases)
 
-    return fn, hi
+    def point(t):
+        phase = lo * t + 0.5 * rate * t * t
+        scale = amp * float(np.exp(-decay * t))
+        return tuple([scale * math.sin(phase + p) for p in channels])
+
+    return fn, point, hi
 
 
 def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Signal]:
@@ -220,7 +265,7 @@ def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Si
     n_tones = count - n_chirps - n_bursts
     tone_freqs = np.geomspace(max(lo, 1e-3), hi, n_tones)
 
-    named = []  # (name, fn, peak_freq), drawing from rng in this order
+    named = []  # (name, fn, point, peak_freq), drawing from rng in this order
     for i in range(n_tones):
         named.append((f"tone-{i}", *_decayed_tone(
             amp=rng.uniform(0.5, 1.5),
@@ -244,11 +289,11 @@ def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Si
             phases=rng.uniform(0, 2 * np.pi, size=l),
         )))
     signals = []
-    for name, fn, peak in named:
+    for name, fn, point, peak in named:
         norm = signal_l2_norm(fn, horizon)
         if norm <= 1e-9:
             raise ValueError(f"signal {name} has no energy on the horizon")
-        signals.append(Signal(name=name, fn=fn, horizon=horizon, l2_norm=norm, peak_freq=peak))
+        signals.append(Signal(name=name, fn=fn, horizon=horizon, l2_norm=norm, peak_freq=peak, point=point))
     return signals
 
 
@@ -283,9 +328,10 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
     """States of every block, solved together as one stacked ODE with
     ``u = signal(t)`` evaluated once per step time, so all blocks share one
     step sequence.  The field computes in Python floats: the stacked state
-    becomes one list per call, the input one tuple per step time, and the
-    blocks' values one array per call.  LSODA evaluates the field twice at
-    most step times; the second call reuses the last tuple.
+    becomes one list per call, the input one tuple per step time (from
+    ``signal.point``, or from ``signal(t)`` when the signal has none), and
+    the blocks' values one array per call.  LSODA evaluates the field twice
+    at most step times; the second call reuses the last tuple.
 
     A block ``(rhs, dim)`` is one state of dimension ``dim`` with field
     ``rhs(state, u)``, which takes the state as a list of floats and the
@@ -310,11 +356,12 @@ def _integrate(blocks, signal: Signal, grid: np.ndarray, tol: float) -> list:
         parts += slices
         plan.append((rhs, slices if isinstance(d, list) else slices[0]))
 
+    point = signal.point or (lambda t: tuple(signal(t).tolist()))
     last = [None, None]  # the last step time and its input
 
     def field(t, s):
         if t != last[0]:
-            last[:] = t, tuple(signal(t).tolist())
+            last[:] = t, point(t)
         u, s = last[1], s.tolist()
         ds = []
         for rhs, part in plan:

@@ -9,6 +9,7 @@ convention: no function mutates its arguments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -322,7 +323,9 @@ def integrate_ode(
     matrix from one call per component.  A solver failure
     (step budget spent, repeated error-test or convergence failures), a
     non-finite field value and a non-finite state all raise
-    ``StiffnessError``.
+    ``StiffnessError``.  Each field value is screened by one dot product,
+    its sum of squares; only a value whose sum is not finite is tested entry
+    by entry.
     """
     x0 = as_vector(x0, "x0")
     if not (np.isfinite(tol) and tol >= MIN_ODE_TOL):
@@ -333,14 +336,23 @@ def integrate_ode(
 
     def checked(t, x):
         dx = field(t, x)
-        if not np.isfinite(dx).all():
+        # a finite sum of squares shows every entry finite; an entry above
+        # about 1e154 overflows it, and then the entrywise test decides
+        try:
+            finite = math.isfinite(dx.dot(dx))
+        except Exception:  # dx not an array, or numpy set to raise on overflow
+            finite = False
+        if not finite and not np.isfinite(dx).all():
             raise StiffnessError(f"integration failed: non-finite field value at t = {t:g}")
         return dx
 
     with warnings.catch_warnings():
         # a failure comes back in info["message"] too; raise it, do not print
-        # it (the filters are process-wide; koopgram integrates on one thread)
+        # it (the filters are process-wide; koopgram integrates on one thread);
+        # the screen's own overflow is no failure, and a field's warnings come
+        # from other modules, so they still show
         warnings.simplefilter("ignore", scipy.integrate.ODEintWarning)
+        warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning, f"{__name__}$")
         band = {} if block is None else {"ml": block - 1, "mu": block - 1}
         y, info = scipy.integrate.odeint(
             checked, x0, t_eval, rtol=tol, atol=tol * 1e-3,

@@ -237,7 +237,7 @@ class TestSignalBits:
                 center=rng.uniform(0.2, 0.5) * horizon,
                 width=rng.uniform(0.05, 0.15) * horizon,
             )
-            fn, peak = _noise_burst(**params)
+            fn, _, peak = _noise_burst(**params)
             reference = _noise_burst_loop(**params)
             assert peak == params["freqs"].max()
             for t in rng.uniform(0.0, horizon, size=40):
@@ -255,9 +255,45 @@ class TestSignalBits:
                 assert sig.l2_norm == signal_l2_norm(sig.fn, sig.horizon) == one_shot
 
 
+class TestSignalPoint:
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_point_equals_one_row_of_fn(self, l):
+        # tones, bursts and chirps, at t = 0, the horizon, past it (the
+        # solver can step beyond the last output time) and between
+        for seed in range(4):
+            for sig in input_ensemble(l, 12.0, count=10, seed=seed):
+                times = [0.0, sig.horizon, 1.01 * sig.horizon, 1.5 * sig.horizon]
+                times += np.random.default_rng(seed).uniform(0.0, sig.horizon, size=200).tolist()
+                for t in times:
+                    value = sig.point(t)
+                    assert type(value) is tuple and all(type(v) is float for v in value)
+                    row = sig.fn(np.array([t]))[0]
+                    assert np.array_equal(value, row)
+                    assert np.array_equal(np.signbit(value), np.signbit(row))
+
+    def test_replaced_fn_with_other_values_raises(self):
+        sig = input_ensemble(2, 10.0, count=5, seed=0)[2]
+        with pytest.raises(ValueError, match="point does not give the values of fn"):
+            dataclasses.replace(sig, fn=lambda ts: 2.0 * sig.fn(ts))
+        # dropping the point form, or keeping fn's values, is accepted
+        assert dataclasses.replace(sig, fn=lambda ts: 2.0 * sig.fn(ts), point=None).point is None
+        assert dataclasses.replace(sig, fn=lambda ts: sig.fn(ts)).point is sig.point
+
+    def test_signal_without_point_simulates(self):
+        sysd, bn, _ = _reduced_pair("slow_manifold", r=1)
+        sig = input_ensemble(sysd.l, 8.0, count=1, seed=4)[0]
+        bare = Signal(name="bare", fn=sig.fn, horizon=sig.horizon, l2_norm=sig.l2_norm)
+        assert bare.point is None
+        # the array path gives the point form's bits, so the same trajectories
+        with_point = _simulate_signal(sysd, bn, [1], sig, 1e-8)
+        without = _simulate_signal(sysd, bn, [1], bare, 1e-8)
+        assert np.array_equal(without.full, with_point.full)
+        assert np.array_equal(without.reduced[1], with_point.reduced[1])
+
+
 def _field_times_and_inputs(monkeypatch, system, bn, orders, sig, tol):
     """The times of every field call of ``sig``'s ``_simulate_signal``, in
-    order, and the number of calls to the signal's input function."""
+    order, and the number of calls to the signal's one-point input form."""
     times, inputs = [], []
     original = harness.integrate_ode
 
@@ -268,12 +304,14 @@ def _field_times_and_inputs(monkeypatch, system, bn, orders, sig, tol):
 
         return original(recorded, *a, **k)
 
-    def fn(ts):
+    def point(t):
         inputs.append(1)
-        return sig.fn(ts)
+        return sig.point(t)
 
+    counted = dataclasses.replace(sig, point=point)
+    inputs.clear()  # construction checks the point form at a few times
     monkeypatch.setattr(harness, "integrate_ode", integrate_ode)
-    _simulate_signal(system, bn, orders, dataclasses.replace(sig, fn=fn), tol)
+    _simulate_signal(system, bn, orders, counted, tol)
     monkeypatch.setattr(harness, "integrate_ode", original)
     return times, len(inputs)
 

@@ -274,6 +274,49 @@ class TestIntegrateOde:
                 integrate_ode(field, [1.0], np.linspace(0.0, 2.0, 2001), 1e-8)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_entry_raises(self, bad):
+        def field(t, x):
+            return -x if t < 0.5 else np.array([1.0, bad, 2.0])
+
+        with pytest.raises(StiffnessError, match=r"^integration failed: non-finite field value at t = 0\.5"):
+            integrate_ode(field, [1.0, 1.0, 1.0], np.linspace(0.0, 2.0, 11), 1e-8)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_finite_entries_whose_squares_overflow_integrate(self, scale):
+        # the sum of squares overflows, the entries are finite: the solve
+        # runs to the end, its states exact to the tolerance, and the
+        # screen's overflow warning stays inside integrate_ode
+        def field(t, x):
+            return np.array([scale, -0.5 * scale]) * np.cos(t)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = integrate_ode(field, [scale, scale], np.linspace(0.0, 3.0, 7), 1e-8)
+        assert caught == []
+        assert np.allclose(x[-1] / scale, [1.0 + math.sin(3.0), 1.0 - 0.5 * math.sin(3.0)], rtol=1e-6)
+        # numpy set to raise on overflow leaves the decision to the entrywise test
+        with np.errstate(over="raise"):
+            assert np.array_equal(integrate_ode(field, [scale, scale], np.linspace(0.0, 3.0, 7), 1e-8), x)
+
+    def test_field_warnings_still_show(self):
+        def field(t, x):
+            np.array([1e200]).dot(np.array([1e200]))
+            return -x
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            integrate_ode(field, [1.0], [0.0, 1.0], 1e-8)
+        assert caught and {str(w.message) for w in caught} == {"overflow encountered in dot"}
+
+    def test_sequence_field_values_are_accepted(self):
+        # the screen needs an array; a list or a scalar gets the entrywise test
+        for field in (lambda t, x: [-x[0]], lambda t, x: -x[0]):
+            x = integrate_ode(field, [1.0], [0.0, 1.0], 1e-10)
+            assert abs(x[-1, 0] - math.exp(-1.0)) <= 1e-8
+        with pytest.raises(StiffnessError, match="non-finite field value"):
+            integrate_ode(lambda t, x: [math.nan], [1.0], [0.0, 1.0], 1e-8)
+
     def test_repeated_solves_do_not_grow_memory(self):
         def solve():
             integrate_ode(lambda t, x: -x, [1.0, 2.0], np.linspace(0.0, 1.0, 11), 1e-8)
