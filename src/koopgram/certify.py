@@ -8,18 +8,33 @@ balanced realization (a Lipschitz-weighted norm plus the Hankel tail).
 When either feedback loop reaches unit gain the certificate is marked
 unbounded rather than reported as a huge number, so downstream reporting can
 distinguish "violated" from "large".
+
+The control term prices evaluating the lifted control term
+``g(x, u) = D_phi(x) (f(x, u) - f(x, 0))`` at the reduced state's recovery
+instead of the full state, so it is 0 when ``g`` is free of ``x``; the
+certify stage decides that from the declaration, term by term.  If every
+``f_i`` is a sum of terms that each read only states or only inputs, then
+``f(x, u) - f(x, 0) = w(u)``, with ``w_j = 0`` where ``f_j`` reads no
+input; a term such as ``cos(x1) tanh(u1)`` breaks that.  The coordinate
+rows of ``D_phi`` are constant, so those rows of ``g`` are ``w(u)``.  An
+observable ``phi_k`` past the coordinates gives
+``sum_j dphi_k/dx_j(x) w_j(u)``, which depends on ``x`` as soon as
+``phi_k`` has a nonzero exponent on a driven ``x_j``.  So separability of
+``f`` is not enough: ``f = (-x1 + 3 tanh u1, -2 x2 + x1^2)`` is separable,
+but ``phi = x1^2`` lifts it to the row ``6 x1 tanh u1``.  The test is
+sufficient, not necessary: a wrong "state-dependent" only costs tightness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .balance import BalancedRealization
+from .expr import control_reads
 from .gsvd import GsvdFactor, sigma_pinv
-from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, row_norms, row_products, spectral_norm
+from .linalg import LtiSystem, as_matrix, hinf_norm, pinv, spectral_norm
 
 __all__ = [
     "FeedbackDecomposition",
@@ -34,13 +49,6 @@ __all__ = [
     "lift_sensitivity_norms",
     "build_certificate",
 ]
-
-# control-affinity probe: states sampled per input, their box half-width, and
-# the relative deviation of the balanced control term that counts as state
-# dependence
-AFFINE_SAMPLES = 64
-AFFINE_BOX = 2.0
-AFFINE_TOL = 1e-10
 
 
 def control_truncation_gain(
@@ -140,36 +148,12 @@ def feedback_decomposition(a, b, error_factor: GsvdFactor | None) -> FeedbackDec
     )
 
 
-def is_control_affine(f: Callable, l: int, bal: BalancedRealization, seed: int = 0) -> bool:
-    """Detect a state-independent balanced control term by sampling the probe
-    ``pinv(R) @ (f(R z, u) - f(R z, 0))`` over balanced states ``z``.
-
-    Per input, the probe runs on the stack of the origin and the first
-    state, where a state-dependent term shows, and then on the stack of the
-    other states; a state deviates when its distance from the origin's
-    probe exceeds ``AFFINE_TOL`` times the running maximum of
-    ``1 + ||probe||``."""
-    rng = np.random.default_rng(seed)
-    r_pinv = pinv(bal.r)
-
-    def probe(zs, u):
-        xs = row_products(bal.r, zs)
-        us = np.broadcast_to(u, (len(zs), l))
-        fields = np.asarray(f(xs, us), float) - np.asarray(f(xs, np.zeros((len(zs), l))), float)
-        return row_products(r_pinv, fields)
-
-    for u in (np.ones(l), rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=l)):
-        zs = rng.uniform(-AFFINE_BOX, AFFINE_BOX, size=(AFFINE_SAMPLES, bal.q))
-        zs = np.vstack([np.zeros(bal.q), zs])
-        base, scale = None, 1.0
-        for part in (zs[:2], zs[2:]):
-            fz = probe(part, u)
-            base = fz[0] if base is None else base
-            scales = np.maximum.accumulate(np.append(scale, 1.0 + row_norms(fz)))
-            if np.any(row_norms(fz - base) > AFFINE_TOL * scales[1:]):
-                return False
-            scale = scales[-1]
-    return True
+def is_control_affine(spec: dict, exponents) -> bool:
+    """Whether the lifted control term is free of the state, read from the
+    system declaration ``spec`` and the dictionary's monomial ``exponents``
+    without calling ``f``; the module docstring derives the rule."""
+    separable, driven = control_reads(spec)
+    return separable and not any(p and d for e in exponents[len(driven):] for p, d in zip(e, driven))
 
 
 def lift_sensitivity_norms(

@@ -420,6 +420,32 @@ def system_from_spec(spec: dict) -> ControlSystem:
     )
 
 
+def control_reads(spec: dict) -> tuple[bool, list[bool]]:
+    """Whether every ``f_i`` of the declaration ``spec`` is a sum, through
+    ``add``, ``sub`` and ``neg``, of terms that each read only states or
+    only inputs (a constant reads neither; a matrix ``f`` always is), and
+    per ``f_i`` whether it reads an input (a nonzero row of a matrix ``b``)."""
+    f = spec["f"]
+    if isinstance(f, dict):
+        return True, [any(row) for row in f["b"]]
+    return all(map(_separable, f)), ["u" in _reads(tree) for tree in f]
+
+
+def _separable(tree) -> bool:
+    if isinstance(tree, dict) and tree.get("op") in ("add", "sub", "neg"):
+        return all(map(_separable, tree["args"]))
+    return _reads(tree) != {"x", "u"}
+
+
+def _reads(tree) -> set:
+    # the kinds of variable, "x" and "u", that a checked tree reads
+    if not isinstance(tree, dict) or "const" in tree:
+        return set()
+    if "var" in tree:
+        return {tree["var"][0]}
+    return set().union(*map(_reads, tree["args"]))
+
+
 def _bundle() -> dict:
     """The bundled example declarations, name -> declaration."""
     return json.loads(files(__package__).joinpath("builtins.json").read_text())
@@ -430,9 +456,14 @@ def builtin_systems() -> list[ControlSystem]:
     return [system_from_spec({"name": name, **spec}) for name, spec in _bundle().items()]
 
 
-def get_builtin(name: str) -> ControlSystem:
-    """The bundled example system ``name``, built alone."""
+def builtin_declaration(name: str) -> dict:
+    """The declaration of the bundled example system ``name``."""
     bundle = _bundle()
     if name not in bundle:
         raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(bundle)}")
-    return system_from_spec({"name": name, **bundle[name]})
+    return {"name": name, **bundle[name]}
+
+
+def get_builtin(name: str) -> ControlSystem:
+    """The bundled example system ``name``, built alone."""
+    return system_from_spec(builtin_declaration(name))

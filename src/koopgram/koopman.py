@@ -35,16 +35,6 @@ __all__ = [
 ]
 
 
-class _RowJacobians:
-    """``Dictionary.jacobians``' default: one ``jacobian`` call per row."""
-
-    def __init__(self, jacobian: Callable[[np.ndarray], np.ndarray]):
-        self.jacobian = jacobian
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.jacobian(x) for x in xs], dtype=float)
-
-
 @dataclass(frozen=True)
 class Dictionary:
     """State-inclusive observable set with an analytic Jacobian.
@@ -58,10 +48,9 @@ class Dictionary:
     past the coordinates, from one pass over their factors in Python floats
     (empty when ``q = n``); the simulation's reduced fields call it per point.
     ``jacobians(xs)`` is the ``(k, q, n)`` stack of ``jacobian`` at each row
-    of a ``(k, n)`` stack of states, possibly read-only.  The identity and
-    monomial dictionaries build it once per stack (a monomial one entry by
-    entry on whole columns, with the bits of ``jacobian``); a hand-built
-    dictionary's default makes one ``jacobian`` call per row.  Monomial
+    of a ``(k, n)`` stack of states, possibly read-only, built once per
+    stack (a monomial dictionary's entry by entry on whole columns, with the
+    bits of ``jacobian``); ``build_dictionary`` makes every one.  Monomial
     factor powers are ``linalg.int_power``'s left-to-right products in
     ``jacobian``, ``jacobians`` and ``lie_terms``; ``evaluate`` takes
     numpy's power.
@@ -72,22 +61,13 @@ class Dictionary:
     kind: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    exponents: tuple[tuple[int, ...], ...] | None = None
+    jacobians: Callable[[np.ndarray], np.ndarray]
+    exponents: tuple[tuple[int, ...], ...]
     lie_terms: Callable[[list, list], list] = lambda x, v: []
-    jacobians: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        # the default is rebuilt around the jacobian this instance holds, so
-        # dataclasses.replace(d, jacobian=...) reaches the new one
-        if self.jacobians is None or isinstance(self.jacobians, _RowJacobians):
-            object.__setattr__(self, "jacobians", _RowJacobians(self.jacobian))
 
     def spec(self) -> dict:
         """JSON-serializable description sufficient to rebuild the dictionary."""
-        out = {"kind": self.kind, "n": self.n, "q": self.q}
-        if self.exponents is not None:
-            out["exponents"] = [list(e) for e in self.exponents]
-        return out
+        return {"kind": self.kind, "n": self.n, "q": self.q, "exponents": [list(e) for e in self.exponents]}
 
 
 def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictionary:

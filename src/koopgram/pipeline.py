@@ -39,7 +39,9 @@ from .certify import (
     lift_sensitivity_norms,
     output_embedding_gap,
 )
-from .expr import check_dictionary, check_fields, check_type, get_builtin, system_from_spec
+from .expr import (
+    builtin_declaration, check_dictionary, check_fields, check_type, get_builtin, system_from_spec,
+)
 from .gsvd import MIN_SAMPLE_BUDGET, decompose, estimate_gains
 from .harness import ControlSystem, estimate_gap, input_ensemble, judge_bound, simulate_ensemble
 from .koopman import (
@@ -356,7 +358,9 @@ def stage_certify(config: PipelineConfig) -> dict:
         fb = feedback_decomposition(a, b, err)
         return fb, output_embedding_gap(c, fb.gp_norm)
 
-    affine = is_control_affine(system.f, system.l, bal, seed=config.seed)
+    # from the declaration, never from f, which a caller may wrap
+    spec = config.system if isinstance(config.system, dict) else builtin_declaration(config.system)
+    affine = is_control_affine(spec, bn.model.dictionary.exponents)
     gain = control_truncation_gain(system.lipschitz_u, lift_norm, recovery_norm, affine)
     fb_full, gap_full = leg(None, [config.seed, _SEED_ERROR_FULL])
 

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,8 +23,9 @@ from koopgram.gsvd import GainProfile, decompose
 from koopgram.linalg import LtiSystem, SpectrumError, hinf_norm, is_hurwitz, spectral_norm
 
 from oracles import hinf_by_sweep, random_stable_system
-from test_balance import fit_pipeline, linear_plant, slow_manifold
-from koopgram.koopman import build_dictionary
+from test_balance import EXPR_LIFT, fit_pipeline, linear_plant
+from koopgram.expr import builtin_declaration, system_from_spec
+from koopgram.koopman import build_dictionary, lifted_control_term
 
 
 class TestControlTruncationGain:
@@ -126,18 +128,93 @@ class TestFeedbackDecomposition:
         assert not fb.small_gain_ok
 
 
+def linear_spec():
+    """The declaration of ``test_balance.linear_plant``."""
+    a, b, c, _, _ = linear_plant()
+    return {"n": 2, "l": 1, "p": 1, "f": {"a": a.tolist(), "b": b.tolist()}, "h": {"c": c.tolist()}}
+
+
+def _op(name, *args):
+    return {"op": name, "args": list(args)}
+
+
+X1, X2, U1 = {"var": "x1"}, {"var": "x2"}, {"var": "u1"}
+EYE2, SQUARE_X1, SQUARE_X2 = [[1, 0], [0, 1]], [[1, 0], [0, 1], [2, 0]], [[1, 0], [0, 1], [0, 2]]
+MATRIX_F = {"n": 2, "l": 1, "p": 1, "f": {"a": [[-1.0, 0.5], [0.0, -2.0]], "b": [[1.0], [0.0]]},
+            "h": {"c": [[1.0, 0.0]]}}
+
+
+def _trees(*f):
+    return {"n": 2, "l": 1, "p": 1, "f": list(f), "h": [X1], "lipschitz_u": 3.0}
+
+
+# x1' = -x1 + 3 tanh u1 drives x1; x2' reads no input
+DRIVEN_X1 = _op("add", _op("neg", X1), _op("mul", 3.0, _op("tanh", U1)))
+AFFINITY_TABLE = {
+    "matrix_f": (MATRIX_F, SQUARE_X2, True),
+    "matrix_f_observable_on_driven_row": (MATRIX_F, SQUARE_X1, False),
+    "constant_times_state_term": (
+        _trees(_op("sub", _op("mul", {"const": 2.0}, _op("neg", X1)), _op("tanh", U1)),
+               _op("mul", _op("add", -1.5, 0.5), _op("sin", X2))), EYE2, True),
+    "term_reads_state_and_input": (_trees(DRIVEN_X1, _op("add", _op("neg", X2), _op("mul", X1, U1))),
+                                   EYE2, False),
+    "observable_on_driven_coordinate": (
+        _trees(DRIVEN_X1, _op("add", _op("mul", -2.0, X2), _op("pow", X1, 2))), SQUARE_X1, False),
+    "observable_on_undriven_coordinates": (
+        _trees(_op("add", DRIVEN_X1, _op("pow", X2, 2)), _op("mul", -2.0, X2)), SQUARE_X2, True),
+}
+
+
+# each bundled declaration and the expr-lift spec, with its flag at the
+# parent commit, when a sampled probe decided it
+DECLARED_FLAGS = {"lti6": True, "slow_manifold": False, "slow_manifold_identity": False,
+                  "tanh_first_order": True, "mild_cubic": True, "expr_lift": False}
+
+
+def _case(name):
+    """(declaration, exponents of its dictionary, expected flag) of a table row."""
+    if name in AFFINITY_TABLE:
+        return AFFINITY_TABLE[name]
+    if name == "expr_lift":
+        if not EXPR_LIFT.exists():
+            pytest.skip("perfbench/ is not in this checkout")
+        spec = json.loads(EXPR_LIFT.read_text())
+    else:
+        spec = builtin_declaration(name)
+    hint = spec.get("dictionary", {"kind": "identity"})
+    d = build_dictionary(hint["kind"], spec["n"], exponents=hint.get("exponents"))
+    return spec, d.exponents, DECLARED_FLAGS[name]
+
+
+def _state_dependent(spec, exponents):
+    """Whether the lifted control term ``D_phi(x) (f(x, u) - f(x, 0))``,
+    sampled on 64 states in ``[-2, 2]`` at one input, leaves the origin's
+    value by more than ``1e-10`` relative."""
+    system = system_from_spec(spec)
+    d = build_dictionary("monomials", system.n, exponents=exponents)
+    rng = np.random.default_rng(0)
+    xs = np.vstack([np.zeros(system.n), rng.uniform(-2.0, 2.0, size=(64, system.n))])
+    us = np.broadcast_to(rng.uniform(-2.0, 2.0, size=system.l), (len(xs), system.l))
+    values = lifted_control_term(system.f, d, system.l)(xs, us)
+    return bool(np.max(np.abs(values - values[0])) > 1e-10 * (1.0 + np.max(np.abs(values))))
+
+
 class TestIsControlAffine:
     def test_linear_plant_is_affine(self):
-        _, _, _, f, h = linear_plant()
-        d = build_dictionary("identity", 2)
-        model, factor, bal = fit_pipeline(f, h, d)
-        assert is_control_affine(f, 1, bal)
+        assert is_control_affine(linear_spec(), build_dictionary("identity", 2).exponents)
 
     def test_state_scaled_control_is_not_affine(self):
-        f, h = slow_manifold()
         d = build_dictionary("monomials", 2, exponents=[(1, 0), (0, 1), (2, 0)])
-        model, factor, bal = fit_pipeline(f, h, d)
-        assert not is_control_affine(f, 1, bal)
+        assert not is_control_affine(builtin_declaration("slow_manifold"), d.exponents)
+
+    @pytest.mark.parametrize("name", [*DECLARED_FLAGS, *AFFINITY_TABLE])
+    def test_rule_table(self, name):
+        # the rule gives each declaration's flag, and the sampled control
+        # term agrees: every case here is state-dependent exactly when the
+        # rule says it is not affine
+        spec, exponents, flag = _case(name)
+        assert is_control_affine(spec, exponents) is flag
+        assert _state_dependent(spec, exponents) is not flag
 
 
 class TestBuildCertificate:
@@ -258,7 +335,8 @@ class TestEndToEndFiveTermPath:
                 red.c_r, input_to_state_norm(red.a_r, red.b_r)
             ),
             control_gain=control_truncation_gain(
-                sysd.lipschitz_u, lift_norm, rec_norm, is_control_affine(sysd.f, 1, bal)
+                sysd.lipschitz_u, lift_norm, rec_norm,
+                is_control_affine(builtin_declaration("mild_cubic"), d.exponents),
             ),
             hinf_output=hinf_norm(LtiSystem(bal.a_bal, bal.b_bal, bal.c_bal)),
             hsv_tail=red.hsv_tail,
@@ -282,7 +360,7 @@ class TestEndToEndLinearCollapse:
         model, factor, bal = fit_pipeline(f, h, d)
         red = truncate(bal, 1)
         bn = balanced_nonlinear(f, 1, model, bal)
-        affine = is_control_affine(f, 1, bal)
+        affine = is_control_affine(linear_spec(), d.exponents)
         lift_norm, rec_norm = lift_sensitivity_norms(bal, factor.u, factor.sigma)
         gain = control_truncation_gain(1.0, lift_norm, rec_norm, affine)
         assert gain == 0.0

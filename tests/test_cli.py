@@ -333,6 +333,33 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "verdict=PASS" in out
 
+    def test_separable_drift_with_driven_observable_is_priced_and_passes(self, tmp_path, capsys):
+        # f = (-x1 + 3 tanh u1, -2 x2 + x1^2) is separable, but the
+        # observable x1^2 lifts the input into the row 6 x1 tanh u1, so the
+        # control term depends on the state and must be priced; with it set
+        # to 0 the r = 2 bound fell below the measured error (a FAIL)
+        x1, x2, u1 = {"var": "x1"}, {"var": "x2"}, {"var": "u1"}
+        system = {
+            "n": 2, "l": 1, "p": 1, "lipschitz_u": 3.0, "gain_box": 3.0, "slack": 1.25,
+            "f": [{"op": "add", "args": [{"op": "neg", "args": [x1]},
+                                         {"op": "mul", "args": [3.0, {"op": "tanh", "args": [u1]}]}]},
+                  {"op": "add", "args": [{"op": "mul", "args": [-2.0, x2]},
+                                         {"op": "pow", "args": [x1, 2]}]}],
+            "h": [{"op": "add", "args": [x1, x2]}],
+            "dictionary": {"kind": "monomials", "exponents": [[1, 0], [0, 1], [2, 0]]},
+        }
+        path, raw = write_config(tmp_path, system=system, reduction_orders=[1, 2],
+                                 ensemble_count=5, sample_budget=1000)
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
+        assert report["control_affine"] is False
+        assert [row["verdict"] for row in report["rows"]] == ["PASS", "PASS"]
+        for row in report["rows"]:
+            assert np.isfinite(row["total_bound"])
+            assert row["control_gain"] > 0.0
+            assert row["total_bound"] >= row["empirical"]
+
     def test_stagewise_invocation(self, tmp_path):
         path, raw = write_config(tmp_path)
         for cmd in ["fit-koopman", "decompose", "balance", "certify", "simulate", "report"]:

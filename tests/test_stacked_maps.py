@@ -20,7 +20,6 @@ import pytest
 
 from koopgram import pipeline
 from koopgram.balance import EXACT_RESIDUAL_TOL, balance, balanced_nonlinear
-from koopgram.certify import AFFINE_SAMPLES
 from koopgram.expr import builtin_systems, get_builtin, system_from_spec
 from koopgram.gsvd import _ZERO_INPUT_CHECKS, decompose, estimate_gains
 from koopgram.koopman import build_dictionary, collect_trajectories, fit_koopman, lifted_control_term
@@ -133,22 +132,6 @@ def test_estimate_gains_equals_per_sample_loop(name):
         assert got.sample_count == count
 
 
-# rows the certify stage's control-affinity probe evaluates with the system's
-# f at these settings, the same as the calls it made of f before f took
-# stacks: 2 inputs times (1 + AFFINE_SAMPLES) states times 2 (f(x, u) and
-# f(x, 0)) when the term is affine, the origin's and the first state's 2 + 2
-# when it is not
-AFFINE_PROBE_ROWS = {
-    "lti6": 4 * (1 + AFFINE_SAMPLES),
-    "slow_manifold": 4,
-    "slow_manifold_identity": 4,
-    "tanh_first_order": 4 * (1 + AFFINE_SAMPLES),
-    "mild_cubic": 4 * (1 + AFFINE_SAMPLES),
-}
-# the stacks those rows come in: per input, f(x, u) and f(x, 0) on the
-# origin with the first state, then on the other states; a state-dependent
-# term stops the probe after its first stack
-AFFINE_PROBE_CALLS = {name: 8 if rows > 4 else 2 for name, rows in AFFINE_PROBE_ROWS.items()}
 GUARD_ORDERS = {
     "lti6": [1, 3],
     "slow_manifold": [1, 2],
@@ -187,7 +170,8 @@ def test_a_priori_stages_call_f_a_fixed_number_of_times(name, tmp_path, monkeypa
     calls[0] = rows[0] = 0
     stage_certify(cfg)
     # f(x, 0) on the stack of factor_error samples, for the full error and
-    # each order, when there is an error block
+    # each order, when there is an error block, and nothing else: control
+    # affinity is read from the declaration
     error_legs = 1 + len(orders) if residual_gain > EXACT_RESIDUAL_TOL else 0
-    assert calls[0] == error_legs + AFFINE_PROBE_CALLS[name]
-    assert rows[0] == error_legs * samples + AFFINE_PROBE_ROWS[name]
+    assert calls[0] == error_legs
+    assert rows[0] == error_legs * samples
