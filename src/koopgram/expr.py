@@ -11,7 +11,11 @@ the correctly rounded ``x * x``; any other exponent is ``math.pow``.  A node
 is a number, ``{"const": c}``, ``{"var": name}`` or ``{"op": name, "args":
 [...]}``; any other key set raises ``ValueError``.  Trees evaluate to plain
 floats, so the same declaration drives simulation, gain sampling, and
-Lie-derivative targets without compiling user code.  A linear system may
+Lie-derivative targets.  Each list of trees is checked and generated as
+straight-line Python source, one assignment per node in post-order: the
+source names only values, variable indices and operators from a fixed
+table, never text of the declaration, and the constants are bound into the
+functions' namespace by reference, bits intact.  A linear system may
 give its matrices instead: ``f`` as ``{"a": A, "b": B}`` for ``A x + B u``
 and ``h`` as ``{"c": C}`` for ``C x``.
 
@@ -41,9 +45,11 @@ config and its ``data`` in ``pipeline``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import re
 from importlib.resources import files
 from typing import Callable
 
@@ -148,9 +154,17 @@ def _pow_rows(a, b: float) -> np.ndarray:
     return np.array([math.pow(v, b) for v in a.tolist()])
 
 
-_TRANSCENDENTAL = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
-_UNARY = {"neg", *_TRANSCENDENTAL}
-_BINARY = {"add", "sub", "mul", "div", "pow"}
+# operator -> its node's value from its arguments' values, in the float walk
+# and in the stacked walk; the arity is the number of fields
+_OPS = {
+    "add": ("{} + {}",) * 2, "sub": ("{} - {}",) * 2, "mul": ("{} * {}",) * 2,
+    "div": ("{} / {}",) * 2, "neg": ("-{}",) * 2, "pow": ("_pow({}, {})", "_pow_rows({}, {})"),
+    **{op: (f"float({op}({{}}))", f"{op}({{}})") for op in ("sin", "cos", "tanh")},
+}
+# the names a generated walk reads besides its arguments, values and constants
+_NAMESPACE = {"float": float, "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
+              "_pow": _pow, "_pow_rows": _pow_rows}
+_VARIABLE = re.compile(r"[xu][1-9][0-9]*")
 # the key set of each kind of node: a constant, a variable, an operator
 _NODE_KEYS = ({"const"}, {"var"}, {"op", "args"})
 
@@ -159,94 +173,96 @@ def _is_constant(tree) -> bool:
     return isinstance(tree, (int, float)) or (isinstance(tree, dict) and "const" in tree)
 
 
-def _compile(tree, n: int, l: int, stacked: bool = False) -> Callable[[list, list], float]:
-    """``tree`` as ``(x, u) -> float`` over lists of Python floats, or, when
-    ``stacked``, as ``(x, u) -> (k,) values`` over lists of numpy columns.
-
-    In the float walk every node returns a Python float, so arithmetic
-    raises ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where
-    numpy would warn; only the transcendental nodes leave float arithmetic,
-    and they convert numpy's result back.  A ``pow`` with exponent 2, 3 or 4
-    is ``linalg.int_power``'s left-to-right product in both walks, any other
-    ``math.pow``.  The stacked walk differs only at the transcendental and
-    ``pow`` leaves, which keep numpy's values on the whole column, multiply
-    whole columns for exponents 2-4 and run ``math.pow`` per element
-    otherwise, so each row has the bits of the float walk; a constant-only
-    subtree stays one value, which broadcasts.  ``_on_stack`` runs it under
-    the numpy error checks.
-    """
+def _emit(tree, n: int, l: int, nodes: list, consts: list) -> str:
+    """Check ``tree`` over ``x1..xn`` and ``u1..ul`` and return the name of
+    its value: ``c<j>`` for the float ``consts[j]``, or ``v<i>`` for the
+    variable or operator node whose (float walk, stacked walk) expressions
+    are ``nodes[i]``.  Nodes are appended in post-order, arguments left to
+    right, so the walks evaluate the tree as a recursive walk would."""
     if isinstance(tree, dict) and set(tree) not in _NODE_KEYS:
         raise ValueError(f"bad expression node {tree!r}: a node has exactly the keys "
                          "const, or var, or op and args")
     if _is_constant(tree):
         value = tree["const"] if isinstance(tree, dict) else tree
         check_type("expression constant", value, numbers.Real)
-        value = float(value)
-        return lambda x, u: value
+        consts.append(float(value))
+        return f"c{len(consts) - 1}"
     if not isinstance(tree, dict):
         raise ValueError(f"bad expression node: {tree!r}")
     if "var" in tree:
         name = tree["var"]
-        if not (isinstance(name, str) and name[:1] in ("x", "u") and name[1:].isdigit()
-                and int(name[1:]) >= 1):
+        if not (isinstance(name, str) and _VARIABLE.fullmatch(name)):
             raise ValueError(f"bad variable {name!r}: use x1..xn or u1..ul")
         # checked here, where the dimensions are known, not as an IndexError
         # at evaluation
-        if int(name[1:]) > (n if name[0] == "x" else l):
+        index, reads_x = int(name[1:]), name[0] == "x"
+        if index > (n if reads_x else l):
             known = f"x1..x{n} or u1..u{l}" if l else f"x1..x{n} (an output reads no input)"
             raise ValueError(f"variable {name!r} is out of range: use {known}")
-        k = int(name[1:]) - 1
-        if name[0] == "x":
-            return lambda x, u: x[k]
-        return lambda x, u: u[k]
+        read = f"{'x' if reads_x else 'u'}[{index - 1}]"
+        nodes.append((read, read))
+        return f"v{len(nodes) - 1}"
     op, args = tree["op"], tree["args"]
     check_type("expression operator", op, str)
     check_type(f"{op} arguments", args, list)
-    if op in _UNARY:
-        if len(args) != 1:
-            raise ValueError(f"{op} takes one argument")
-        a = _compile(args[0], n, l, stacked)
-        if op == "neg":
-            return lambda x, u: -a(x, u)
-        fn = _TRANSCENDENTAL[op]
-        if stacked:
-            return lambda x, u: fn(a(x, u))
-        return lambda x, u: float(fn(a(x, u)))
-    if op in _BINARY:
-        if len(args) != 2:
-            raise ValueError(f"{op} takes two arguments")
-        if op == "pow" and not _is_constant(args[1]):
-            raise ValueError("pow exponent must be a constant")
-        a = _compile(args[0], n, l, stacked)
-        b = _compile(args[1], n, l, stacked)
-        if _is_constant(args[0]) and op != "pow":
-            # a coefficient: read once, here, not called at every point
-            c = a(None, None)
-            if op == "add":
-                return lambda x, u: c + b(x, u)
-            if op == "sub":
-                return lambda x, u: c - b(x, u)
-            if op == "mul":
-                return lambda x, u: c * b(x, u)
-            return lambda x, u: c / b(x, u)
-        if op == "add":
-            return lambda x, u: a(x, u) + b(x, u)
-        if op == "sub":
-            return lambda x, u: a(x, u) - b(x, u)
-        if op == "mul":
-            return lambda x, u: a(x, u) * b(x, u)
-        if op == "div":
-            return lambda x, u: a(x, u) / b(x, u)
-        exponent = b(None, None)  # a constant: evaluated once, here
-        power = _pow_rows if stacked else _pow
-        return lambda x, u: power(a(x, u), exponent)
-    raise ValueError(f"unknown operator {op!r}")
+    if op not in _OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    walks = _OPS[op]
+    arity = walks[0].count("{}")
+    if len(args) != arity:
+        raise ValueError(f"{op} takes {('one argument', 'two arguments')[arity - 1]}")
+    if op == "pow" and not _is_constant(args[1]):
+        raise ValueError("pow exponent must be a constant")
+    names = [_emit(arg, n, l, nodes, consts) for arg in args]
+    nodes.append(tuple(walk.format(*names) for walk in walks))
+    return f"v{len(nodes) - 1}"
 
 
-def _on_stack(fns: tuple, xs: np.ndarray, us) -> np.ndarray:
-    """The ``(k, len(fns[0]))`` values of the float walks ``fns[0]`` at the
-    rows of ``xs`` and ``us`` (``None`` for an output), from one walk of the
-    stacked trees ``fns[1]``.
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    # compile() costs over twice the rest of a build; a source holds
+    # only the shape of its trees and their variable indices (constants are
+    # bound names), so rebuilds of a declaration share one code object
+    return compile(source, "<koopgram declaration>", "exec")
+
+
+def _trees(what: str, trees: list, count: int, n: int, l: int) -> tuple:
+    """``count`` trees over ``x1..xn`` and ``u1..ul``, checked and generated
+    as two straight-line functions of ``(x, u)``: the float walk, on lists of
+    Python floats, returns the list of the trees' values; the stacked walk,
+    on arrays whose rows are the columns of a stack (``_on_stack``), returns
+    their columns.
+
+    In the float walk every node is a Python float, so arithmetic raises
+    ``ZeroDivisionError`` and ``pow`` raises ``OverflowError`` where numpy
+    would warn; only the transcendental nodes leave float arithmetic, and
+    they convert numpy's result back.  A ``pow`` with exponent 2, 3 or 4 is
+    ``linalg.int_power``'s left-to-right product in both walks, any other
+    ``math.pow``.  The stacked walk differs only at the transcendental and
+    ``pow`` nodes, which keep numpy's values on the whole column, multiply
+    whole columns for exponents 2-4 and run ``math.pow`` per element
+    otherwise, so each row has the bits of the float walk; a constant-only
+    subtree stays one value, which broadcasts.  Variables become indices
+    and operators come from a fixed table, so no text of the declaration
+    reaches the source, and constants are bound by reference, bits intact.
+    """
+    if len(trees) != count:
+        raise ValueError(f"need {count} {what} expressions, got {len(trees)}")
+    nodes, consts = [], []
+    values = ", ".join([_emit(tree, n, l, nodes, consts) for tree in trees])
+    source = "".join(
+        f"def {walk}(x, u):\n" + "".join(f"    v{i} = {node[k]}\n" for i, node in enumerate(nodes))
+        + f"    return [{values}]\n"
+        for k, walk in enumerate(("point", "stack")))
+    namespace = dict(_NAMESPACE, **{f"c{j}": value for j, value in enumerate(consts)})
+    exec(_code(source), namespace)
+    return namespace["point"], namespace["stack"]
+
+
+def _on_stack(walks: tuple, xs: np.ndarray, us) -> np.ndarray:
+    """The ``(k, m)`` values of the float walk ``walks[0]`` of ``m`` trees at
+    the rows of ``xs`` and ``us`` (``None`` for an output), from one call of
+    the stacked walk ``walks[1]``.
 
     Where numpy flags a division by zero, an overflow or an invalid value,
     or a ``pow`` raises, the stack is walked again row by row, so a stack
@@ -255,7 +271,7 @@ def _on_stack(fns: tuple, xs: np.ndarray, us) -> np.ndarray:
     stack with a non-finite entry goes row by row at once: there numpy can
     divide by zero without a flag (``inf / 0``), where a float raises.
     """
-    point_fns, stack_fns = fns
+    point, stack = walks
     k = xs.shape[0]
     if us is not None and (us.ndim != 2 or us.shape[0] != k):
         raise ValueError(f"need a ({k}, l) stack of inputs for {k} states, got shape {us.shape}")
@@ -264,21 +280,22 @@ def _on_stack(fns: tuple, xs: np.ndarray, us) -> np.ndarray:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 cols = np.ascontiguousarray(xs.T)
                 ucols = None if us is None else np.ascontiguousarray(us.T)
-                out = np.empty((k, len(stack_fns)))
-                for i, fn in enumerate(stack_fns):
-                    out[:, i] = fn(cols, ucols)
+                values = stack(cols, ucols)
+                out = np.empty((k, len(values)))
+                for i, value in enumerate(values):
+                    out[:, i] = value
                 return out
         except (ArithmeticError, ValueError):
             pass
     rows = us.tolist() if us is not None else [None] * k
-    return np.array([[fn(x, u) for fn in point_fns] for x, u in zip(xs.tolist(), rows)])
+    return np.array([point(x, u) for x, u in zip(xs.tolist(), rows)])
 
 
 def compile_expression(tree, n: int, l: int) -> Callable[[np.ndarray, np.ndarray], float]:
     """Compile a JSON expression tree over ``x1..xn`` and ``u1..ul`` into
     ``(x, u) -> float``; ``x`` and ``u`` are any sequences of reals."""
-    fn = _compile(tree, n, l)
-    return lambda x, u: fn(np.asarray(x, float).tolist(), np.asarray(u, float).tolist())
+    point, _ = _trees("expression", [tree], 1, n, l)
+    return lambda x, u: point(np.asarray(x, float).tolist(), np.asarray(u, float).tolist())[0]
 
 
 def _sampled_lipschitz_u(f, n: int, l: int, box: float) -> float:
@@ -326,14 +343,6 @@ def _matrices(key: str, spec: dict, dims: dict) -> list:
     return out
 
 
-def _trees(what: str, trees: list, count: int, n: int, l: int) -> tuple:
-    """``count`` trees, each compiled over ``x1..xn`` and ``u1..ul``: the
-    float walks and the stacked walks."""
-    if len(trees) != count:
-        raise ValueError(f"need {count} {what} expressions, got {len(trees)}")
-    return tuple([_compile(tree, n, l, stacked) for tree in trees] for stacked in (False, True))
-
-
 def system_from_spec(spec: dict) -> ControlSystem:
     """Build a control system from a JSON declaration.
 
@@ -378,17 +387,13 @@ def system_from_spec(spec: dict) -> ControlSystem:
             lipschitz = np.linalg.norm(b, 2)
     else:
         linear = None
-        f_fns = _trees("state derivative", spec["f"], n, n, l)
-        f_walks = f_fns[0]
-
-        def f_point(x, u):
-            # the float walk itself: the simulation's hot call
-            return [fn(x, u) for fn in f_walks]
+        f_walks = _trees("state derivative", spec["f"], n, n, l)
+        f_point = f_walks[0]  # the float walk itself: the simulation's hot call
 
         def f_call(x, u):
             x, u = asarray(x, float), asarray(u, float)
             if x.ndim == 2:
-                return _on_stack(f_fns, x, u)
+                return _on_stack(f_walks, x, u)
             return array(f_point(x.tolist(), u.tolist()))
 
         f = ListField(f_point, f_call)
@@ -399,15 +404,14 @@ def system_from_spec(spec: dict) -> ControlSystem:
         def h(x):
             return dot(c, x) if x.ndim == 1 else row_products(c, x)
     else:
-        h_fns = _trees("output", spec["h"], p, n, 0)
-        h_point = h_fns[0]
+        h_walks = _trees("output", spec["h"], p, n, 0)
+        h_point = h_walks[0]
 
         def h(x):
             x = asarray(x, float)
             if x.ndim == 2:
-                return _on_stack(h_fns, x, None)
-            x = x.tolist()
-            return array([fn(x, None) for fn in h_point])
+                return _on_stack(h_walks, x, None)
+            return array(h_point(x.tolist(), None))
 
     if lipschitz is None:
         box = float(spec.get("gain_box", ControlSystem.gain_box))

@@ -95,8 +95,12 @@ class TestCompileExpression:
             compile_expression({"op": "sinh", "args": [{"var": "x1"}]}, 1, 1)
 
     def test_bad_variable(self):
-        with pytest.raises(ValueError, match="bad variable"):
-            compile_expression({"var": "y1"}, 1, 1)
+        # a superscript and an Arabic-Indic digit pass str.isdigit, and a
+        # leading zero passes int; only ASCII x1, x2, ... and u1, u2, ... are
+        # variables
+        for name in ["y1", "x0", "x\u00b2", "x\u0661", "x01", "x1 ", 1]:
+            with pytest.raises(ValueError, match="bad variable"):
+                compile_expression({"var": name}, 1, 1)
 
     @pytest.mark.parametrize("node", [
         {"op": "tanh", "args": [{"var": "x1"}], "const": 0},
@@ -248,7 +252,14 @@ def _assert_same(got, want):
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert np.array_equal(got, want, equal_nan=True)
+        _assert_bits(got, want)
+
+
+def _assert_bits(got, want):
+    """``got`` has the bits of ``want``: equal values, NaN where it has NaN,
+    and the same signs, which ``np.array_equal`` does not compare on zeros."""
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _stacked(outcomes):
@@ -284,10 +295,10 @@ class TestStackedEvaluation:
         us = rng.uniform(-3.0, 3.0, size=(64, 1))
         stacked = _on_stack(fns, xs, us)
         assert stacked.shape == (64, len(declared))
-        walked = _rows(lambda x, u: [fn(x, u) for fn in fns[0]], xs.tolist(), us.tolist())
-        assert np.array_equal(stacked, walked)
+        walked = _rows(fns[0], xs.tolist(), us.tolist())
+        _assert_bits(stacked, walked)
         trees_at = lambda x, u: [evaluate_tree(t, x, u) for t in declared]
-        assert np.array_equal(stacked, _rows(trees_at, xs, us))
+        _assert_bits(stacked, _rows(trees_at, xs, us))
 
     @pytest.mark.parametrize("name", [s.name for s in builtin_systems()] + ["expr_lift", "matrix"])
     def test_system_stack_equals_single_calls(self, name):
@@ -302,9 +313,9 @@ class TestStackedEvaluation:
         box = system.gain_box
         xs = rng.uniform(-box, box, size=(53, system.n))
         us = rng.uniform(-box, box, size=(53, system.l))
-        assert np.array_equal(system.f(xs, us), _rows(system.f, xs, us))
-        assert np.array_equal(system.h(xs), _rows(system.h, xs))
-        assert np.array_equal(system.drift(xs), _rows(system.drift, xs))
+        _assert_bits(system.f(xs, us), _rows(system.f, xs, us))
+        _assert_bits(system.h(xs), _rows(system.h, xs))
+        _assert_bits(system.drift(xs), _rows(system.drift, xs))
         assert system.f(xs, us).shape == (53, system.n)
         assert system.h(xs).shape == (53, system.p)
 
@@ -343,7 +354,7 @@ class TestStackedEvaluation:
         system = system_from_spec(self.RAISING)
         xs = np.array([[0.5, 0.5], [1e200, 1e200]])
         got = system.h(xs)
-        assert np.array_equal(got, _rows(system.h, xs))
+        _assert_bits(got, _rows(system.h, xs))
         assert got[1, 0] == np.inf
 
     @pytest.mark.parametrize("exponent", [2, 3, 4, 2.5])
@@ -383,6 +394,30 @@ class TestStackedEvaluation:
         fns = _trees("test", [op("add", var("x1"), op("pow", 1e200, 3))], 1, 1, 1)
         with pytest.raises(OverflowError, match=r"pow\(1e\+200, 3\.0\) overflows"):
             _on_stack(fns, np.zeros((4, 1)), np.zeros((4, 1)))
+
+    def test_deep_tree_equals_the_oracle(self):
+        # deeper than the 200 nested parentheses that CPython's parser takes
+        tree = var("x1")
+        for i in range(250):
+            tree = op("add", tree, var(("x2", "u1", "x1")[i % 3]))
+        spec = {"n": 2, "l": 1, "p": 1, "lipschitz_u": 1.0, "h": [op("add", var("x1"), var("x2"))],
+                "f": [tree, op("neg", var("x2"))]}
+        system = system_from_spec(spec)
+        rng = np.random.default_rng(10)
+        xs, us = rng.uniform(-3.0, 3.0, size=(30, 2)), rng.uniform(-3.0, 3.0, size=(30, 1))
+        want = _rows(lambda x, u: [evaluate_tree(t, x, u) for t in spec["f"]], xs, us)
+        _assert_bits(system.f(xs, us), want)
+        _assert_bits(_rows(system.f.point, xs.tolist(), us.tolist()), want)
+
+    @pytest.mark.parametrize("constant", [-0.0, 5e-324, 0.1, 1.7976931348623157e308, 3])
+    def test_constant_keeps_its_bits_in_both_walks(self, constant):
+        declared = [constant, {"const": constant}, op("neg", constant), op("mul", var("x1"), constant)]
+        walks = _trees("test", declared, len(declared), 1, 1)
+        xs, us = np.array([[1.0], [-1.0]]), np.zeros((2, 1))
+        want = _rows(lambda x, u: [evaluate_tree(t, x, u) for t in declared], xs, us)
+        assert want[:, :2].tobytes() == np.full((2, 2), float(constant)).tobytes()
+        assert _rows(walks[0], xs.tolist(), us.tolist()).tobytes() == want.tobytes()
+        assert _on_stack(walks, xs, us).tobytes() == want.tobytes()
 
     def test_input_stack_must_match_the_states(self):
         system = system_from_spec(self.RAISING)
