@@ -194,12 +194,12 @@ def _emit(tree, n: int, l: int, nodes: list, consts: list) -> str:
         if not (isinstance(name, str) and _VARIABLE.fullmatch(name)):
             raise ValueError(f"bad variable {name!r}: use x1..xn or u1..ul")
         # checked here, where the dimensions are known, not as an IndexError
-        # at evaluation
-        index, reads_x = int(name[1:]), name[0] == "x"
-        if index > (n if reads_x else l):
+        # at evaluation; digits are counted first, as int() refuses over 4,300
+        limit = n if name[0] == "x" else l
+        if len(name) - 1 > len(str(limit)) or int(name[1:]) > limit:
             known = f"x1..x{n} or u1..u{l}" if l else f"x1..x{n} (an output reads no input)"
             raise ValueError(f"variable {name!r} is out of range: use {known}")
-        read = f"{'x' if reads_x else 'u'}[{index - 1}]"
+        read = f"{name[0]}[{int(name[1:]) - 1}]"
         nodes.append((read, read))
         return f"v{len(nodes) - 1}"
     op, args = tree["op"], tree["args"]

@@ -178,73 +178,66 @@ def signal_l2_norm(fn: Callable, horizon: float) -> float:
     return float(np.sqrt(scipy.integrate.simpson(sq, x=ts)))
 
 
-# each signal returns its fn, its one-point form and its peak angular
-# frequency.  A tone shapes its per-channel constants to (1, l) once, not per
-# call.  The point form repeats fn's arithmetic in fn's order on Python
-# floats: math.sin has numpy's bits, math.exp does not, so the exponential
-# is numpy's on one float
-def _decayed_tone(amp, decay, freqs, phases):
-    channels = list(zip(freqs.tolist(), phases.tolist()))
-    freqs, phases = freqs[None, :], phases[None, :]
-
+# each signal writes its values once, as ``formula(t, sin, exp)``: the list
+# of its channels at ``t``, one float or one column per channel, in the
+# order the arithmetic runs.  ``_forms`` makes fn (numpy's sin and exp on a
+# (k,) time array) and point (math.sin, which has numpy's bits, and numpy's
+# exp of one float, since math.exp does not) from it, so the two agree bit
+# for bit
+def _forms(formula, peak):
     def fn(ts):
-        ts = ts[:, None]
-        return amp * np.exp(-decay * ts) * np.sin(freqs * ts + phases)
+        return np.stack(formula(ts, np.sin, np.exp), axis=1)
 
     def point(t):
-        scale = amp * float(np.exp(-decay * t))
-        return tuple([scale * math.sin(f * t + p) for f, p in channels])
+        return tuple(formula(t, math.sin, _float_exp))
 
-    return fn, point, float(freqs.max())
+    return fn, point, peak
+
+
+def _float_exp(x):
+    return float(np.exp(x))
+
+
+def _decayed_tone(amp, decay, freqs, phases):
+    channels = list(zip(freqs.tolist(), phases.tolist()))
+
+    def formula(t, sin, exp):
+        scale = amp * exp(-decay * t)
+        return [scale * sin(f * t + p) for f, p in channels]
+
+    return _forms(formula, float(freqs.max()))
 
 
 def _noise_burst(coeffs, freqs, phases, center, width):
     channels = [list(zip(*c)) for c in zip(coeffs.T.tolist(), freqs.T.tolist(), phases.T.tolist())]
 
-    # the (k, 5, l) tone values added tone after tone, as a loop would add
-    # them (and cheaper than np.sum over the tone axis)
-    def fn(ts):
-        ts = ts[:, None]
-        window = np.exp(-(((ts - center) / width) ** 2))
-        tones = coeffs * np.sin(freqs * ts[:, None] + phases)
-        total = tones[:, 0]
-        for i in range(1, tones.shape[1]):
-            total = total + tones[:, i]
-        return window * total
-
-    # numpy's square is d * d; -0.0 is the exact identity of addition, so the
-    # sum starts from the first tone's bits, its sign included
-    def point(t):
+    # the tones added one after another; -0.0 is the exact identity of
+    # addition, so the sum starts from the first tone's bits, its sign included
+    def formula(t, sin, exp):
         d = (t - center) / width
-        window = float(np.exp(-(d * d)))
+        window = exp(-(d * d))
         values = []
         for tones in channels:
             total = -0.0
             for c, f, p in tones:
-                total += c * math.sin(f * t + p)
+                total = total + c * sin(f * t + p)
             values.append(window * total)
-        return tuple(values)
+        return values
 
-    return fn, point, float(freqs.max())
+    return _forms(formula, float(freqs.max()))
 
 
 def _chirp(amp, decay, lo, hi, horizon, phases):
     # the angular frequency sweeps from lo at t = 0 to hi at the horizon
     rate = (hi - lo) / max(horizon, 1e-6)
     channels = phases.tolist()
-    phases = phases[None, :]
 
-    def fn(ts):
-        ts = ts[:, None]
-        phase = lo * ts + 0.5 * rate * ts * ts
-        return amp * np.exp(-decay * ts) * np.sin(phase + phases)
-
-    def point(t):
+    def formula(t, sin, exp):
         phase = lo * t + 0.5 * rate * t * t
-        scale = amp * float(np.exp(-decay * t))
-        return tuple([scale * math.sin(phase + p) for p in channels])
+        scale = amp * exp(-decay * t)
+        return [scale * sin(phase + p) for p in channels]
 
-    return fn, point, hi
+    return _forms(formula, hi)
 
 
 def input_ensemble(l: int, horizon: float, count: int, seed: int = 0) -> list[Signal]:

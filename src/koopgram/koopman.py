@@ -48,12 +48,12 @@ class Dictionary:
     past the coordinates, from one pass over their factors in Python floats
     (empty when ``q = n``); the simulation's reduced fields call it per point.
     ``jacobians(xs)`` is the ``(k, q, n)`` stack of ``jacobian`` at each row
-    of a ``(k, n)`` stack of states, possibly read-only, built once per
-    stack (a monomial dictionary's entry by entry on whole columns, with the
-    bits of ``jacobian``); ``build_dictionary`` makes every one.  Monomial
-    factor powers are ``linalg.int_power``'s left-to-right products in
-    ``jacobian``, ``jacobians`` and ``lie_terms``; ``evaluate`` takes
-    numpy's power.
+    of a ``(k, n)`` stack of states, built once per stack, entry by entry on
+    whole columns; ``jacobian(x)`` is its one-row stack.  ``build_dictionary``
+    makes every one, the identity included, as a monomial dictionary with one
+    rule for phi and one for D_phi: each monomial factor power is
+    ``linalg.int_power``'s left-to-right product and the factors multiply
+    left to right, so ``evaluate`` and ``lie_terms`` give phi the same bits.
     """
 
     n: int
@@ -63,73 +63,79 @@ class Dictionary:
     jacobian: Callable[[np.ndarray], np.ndarray]
     jacobians: Callable[[np.ndarray], np.ndarray]
     exponents: tuple[tuple[int, ...], ...]
-    lie_terms: Callable[[list, list], list] = lambda x, v: []
+    lie_terms: Callable[[list, list], list]
 
     def spec(self) -> dict:
         """JSON-serializable description sufficient to rebuild the dictionary."""
         return {"kind": self.kind, "n": self.n, "q": self.q, "exponents": [list(e) for e in self.exponents]}
 
 
-def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]]) -> Dictionary:
+def _coordinates(n: int) -> tuple:
+    """The exponents of the coordinate monomials x_1..x_n."""
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
+def _monomial_dictionary(n: int, exponents: Sequence[Sequence[int]], kind: str = "monomials") -> Dictionary:
     exps = tuple(tuple(int(v) for v in e) for e in exponents)
     for e in exps:
         if len(e) != n or any(v < 0 for v in e) or sum(e) == 0:
             raise ValueError(f"bad monomial exponent {e}")
-    coords = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    if exps[:n] != coords:
+    if exps[:n] != _coordinates(n):
         raise ValueError("dictionary must be state-inclusive: first n observables are the coordinates")
-    emat = np.array(exps, dtype=float)  # (q, n)
-    present = emat > 0
-    # the nonzero entries of D_phi: row i, column j, the power of x_j in
-    # monomial i, and the other factors (k, power) of that monomial in order
+    # the factors (k, power) of each monomial in order, and the nonzero
+    # entries of D_phi: row i, column j, the power of x_j in monomial i, and
+    # the other factors of that monomial
+    factors = [[(k, pk) for k, pk in enumerate(e) if pk > 0] for e in exps]
     entries = [
-        (i, j, power, tuple((k, pk) for k, pk in enumerate(e) if k != j and pk > 0))
-        for i, e in enumerate(exps) for j, power in enumerate(e) if power > 0
+        (i, j, power, tuple((k, pk) for k, pk in fs if k != j))
+        for i, fs in enumerate(factors) for j, power in fs
     ]
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        # one state (n,) or a stack (k, n) of states; exponents are
-        # non-negative integers, so no power divides by zero
-        x = np.asarray(x, float)
-        return np.prod(np.where(present, x[..., None, :] ** emat, 1.0), axis=-1)
+    # phi and D_phi at a state's list of floats, or at an (n, k) array of a
+    # stack's columns: the same products in the same order
+    def monomial(x, fs: list):
+        return math.prod([int_power(x[k], pk) for k, pk in fs])
 
     def term(x, j: int, power: int, others: tuple):
-        # one entry of D_phi at a state's list of floats, or at an (n, k)
-        # array of a stack's columns: the same products in the same order
         out = power * int_power(x[j], power - 1) if power > 1 else float(power)
         for k, pk in others:
             out = out * int_power(x[k], pk)
         return out
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float).tolist()
-        jac = np.zeros(emat.shape)
-        for i, j, power, others in entries:
-            jac[i, j] = term(x, j, power, others)
-        return jac
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        # one state (n,) or a stack (k, n) of states
+        x = np.asarray(x, float)
+        cols = np.ascontiguousarray(np.atleast_2d(x).T)
+        out = np.empty((cols.shape[1], len(exps)))
+        for i, fs in enumerate(factors):
+            out[:, i] = monomial(cols, fs)
+        return out if x.ndim == 2 else out[0]
 
     def jacobians(xs: np.ndarray) -> np.ndarray:
-        # jacobian's entries, each computed once on the whole stack
+        # each entry computed once on the whole stack
         cols = np.ascontiguousarray(np.asarray(xs, float).T)
-        jac = np.zeros((cols.shape[1], *emat.shape))
+        jac = np.zeros((cols.shape[1], len(exps), n))
         for i, j, power, others in entries:
             jac[:, i, j] = term(cols, j, power, others)
         return jac
 
-    # the Jacobian entries and the factors of the observables past the coordinates
-    lie_entries = [entry for entry in entries if entry[0] >= n]
-    factors = [[(k, pk) for k, pk in enumerate(e) if pk > 0] for e in exps[n:]]
+    # the Jacobian's entries and the factors past the coordinates, rows from 0
+    lie_entries = [(i - n, *entry) for i, *entry in entries if i >= n]
+    nonlinear = factors[n:]
 
     def lie_terms(x: list, v: list) -> list:
-        # jacobian's products, each dotted with v as it comes
-        lie = [0.0] * len(factors)
+        # the Jacobian's products, each dotted with v as it comes, then the
+        # observables (loops, not comprehensions: this runs per field call)
+        lie = [0.0] * len(nonlinear)
         for i, j, power, others in lie_entries:
-            lie[i - n] += term(x, j, power, others) * v[j]
-        return lie + [math.prod([int_power(x[k], pk) for k, pk in fs]) for fs in factors]
+            lie[i] += term(x, j, power, others) * v[j]
+        for fs in nonlinear:
+            lie.append(monomial(x, fs))
+        return lie
 
     return Dictionary(
-        n=n, q=len(exps), kind="monomials", evaluate=evaluate, jacobian=jacobian, exponents=exps,
-        lie_terms=lie_terms, jacobians=jacobians,
+        n=n, q=len(exps), kind=kind, evaluate=evaluate, exponents=exps, lie_terms=lie_terms,
+        jacobian=lambda x: jacobians(np.asarray(x, float)[None])[0], jacobians=jacobians,
     )
 
 
@@ -141,31 +147,23 @@ def build_dictionary(
 ) -> Dictionary:
     """Construct an observable dictionary.
 
-    kind "identity" lifts by the coordinates alone; "monomials" takes either
-    every monomial of total degree 1..degree (no constant, coordinates first)
-    or an explicit exponent list.
+    kind "identity" lifts by the coordinates alone, the unit monomials;
+    "monomials" takes either every monomial of total degree 1..degree (no
+    constant, coordinates first) or an explicit exponent list.
     """
     if kind == "identity":
-        # the coordinate monomials in closed form: phi(x) = x, D_phi = I, exactly
-        eye = np.eye(n)
-        exps = tuple(tuple(int(v) for v in row) for row in eye)
-        return Dictionary(
-            n=n, q=n, kind="identity", evaluate=lambda x: np.array(x, dtype=float),
-            jacobian=lambda x: eye.copy(), exponents=exps,
-            jacobians=lambda xs: np.broadcast_to(eye, (len(xs), n, n)),
-        )
+        return _monomial_dictionary(n, _coordinates(n), kind="identity")
     if kind == "monomials":
         if exponents is None:
             if degree is None or degree < 1:
                 raise ValueError("monomial dictionaries need degree >= 1 or explicit exponents")
-            exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+            exponents = list(_coordinates(n))
             for deg in range(2, degree + 1):
                 for combo in combinations_with_replacement(range(n), deg):
                     e = [0] * n
                     for idx in combo:
                         e[idx] += 1
-                    exps.append(tuple(e))
-            exponents = exps
+                    exponents.append(tuple(e))
         return _monomial_dictionary(n, exponents)
     raise ValueError(f"dictionary kind must be identity or monomials, got {kind!r}")
 

@@ -128,6 +128,9 @@ class TestCompileExpression:
             compile_expression({"op": "neg", "args": [{"var": "x3"}]}, 2, 1)
         with pytest.raises(ValueError, match=r"'u2' is out of range: use x1..x2 or u1..u1"):
             compile_expression({"op": "tanh", "args": [{"var": "u2"}]}, 2, 1)
+        # too long for int(): the digits are counted first
+        with pytest.raises(ValueError, match=r"is out of range: use x1..x1 or u1..u1"):
+            compile_expression({"var": "x" + "1" * 5000}, 1, 1)
 
 
 class TestSystemFromSpec:

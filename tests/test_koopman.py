@@ -82,9 +82,11 @@ class TestBuildDictionary:
     ])
     def test_lie_terms_equal_jacobian_product_and_evaluate(self, kind, n, exponents):
         # one pass over the nonlinear monomials' factors gives the Jacobian's
-        # rows past the coordinates times v and those observables' values;
-        # the sum and numpy's vector power round differently, so each entry
-        # is held to a few ulps of the magnitude of its terms
+        # rows past the coordinates times v and those observables' values.
+        # The values come from evaluate's one rule for phi, so they have its
+        # bits, signs of zero included; the products with v are summed in
+        # another order than jac @ v, so each is held to a few ulps of the
+        # magnitude of its terms
         d = build_dictionary(kind, n, degree=3 if exponents is None else None, exponents=exponents)
         m = d.q - n
         rng = np.random.default_rng(6)
@@ -92,12 +94,14 @@ class TestBuildDictionary:
         xs[:20] = 0.0
         xs[20:40, 0] = 0.0
         xs[40:60, -1] = 0.0
+        xs[60:80] *= -0.0
         for x, v in zip(xs, rng.normal(size=(2000, n))):
             jac, phi = d.jacobian(x)[n:], d.evaluate(x)[n:]
             got = np.array(d.lie_terms(x.tolist(), v.tolist()))
             assert got.shape == (2 * m,)
-            scale = np.concatenate([np.abs(jac) @ np.abs(v), np.abs(phi)])
-            assert np.all(np.abs(got - np.concatenate([jac @ v, phi])) <= 4 * np.finfo(float).eps * scale)
+            assert np.array_equal(got[m:], phi) and np.array_equal(np.signbit(got[m:]), np.signbit(phi))
+            scale = np.abs(jac) @ np.abs(v)
+            assert np.all(np.abs(got[:m] - jac @ v) <= 4 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("kind", ["identity", "monomials"])
     def test_stacked_evaluate_equals_single_calls(self, kind):
@@ -113,22 +117,20 @@ class TestBuildDictionary:
 
     def test_stacked_jacobians_never_call_jacobian(self):
         # a wrapper that replaces jacobian (dataclasses.replace) keeps the
-        # stacked jacobians; the identity's one broadcast identity stack is
-        # kept and shared read-only
+        # stacked jacobians
         xs = np.random.default_rng(5).normal(size=(7, 2))
         d = build_dictionary("monomials", 2, degree=2)
         seen = []
         spy = dataclasses.replace(d, jacobian=lambda x: seen.append(x) or d.jacobian(x))
         assert np.array_equal(spy.jacobians(xs), d.jacobians(xs))
         assert not seen
-        eye = dataclasses.replace(build_dictionary("identity", 2), jacobian=None).jacobians(xs)
-        assert np.array_equal(eye, np.broadcast_to(np.eye(2), (7, 2, 2)))
-        assert not eye.flags.writeable
 
-    @pytest.mark.parametrize("n, q", [(3, 19), (6, 83)])
+    @pytest.mark.parametrize("n, q", [(3, 19), (6, 83), (6, 6)])
     def test_stacked_monomial_jacobians_equal_per_state_jacobian(self, n, q):
-        # every entry computed on the whole stack from jacobian's products
-        d = build_dictionary("monomials", n, degree=3)
+        # every entry computed on the whole stack from jacobian's products;
+        # q = n is the identity dictionary
+        kind = "identity" if q == n else "monomials"
+        d = build_dictionary(kind, n, degree=3 if kind == "monomials" else None)
         assert d.q == q
         rng = np.random.default_rng(q)
         xs = rng.uniform(-10.0, 10.0, size=(400, n))
@@ -139,6 +141,15 @@ class TestBuildDictionary:
         assert jacs.shape == (400, q, n)
         for x, jac in zip(xs, jacs):
             assert np.array_equal(jac, d.jacobian(x))
+        if kind == "identity":
+            # the unit monomials: phi is the state and D_phi the identity,
+            # bit for bit, at signed zeros and near overflow
+            xs[30:40] = -0.0
+            xs[40:50, ::2] = 1e300
+            xs[50:60, 1::2] = -1e300
+            phis = d.evaluate(xs)
+            assert np.array_equal(phis, xs) and np.array_equal(np.signbit(phis), np.signbit(xs))
+            assert np.array_equal(d.jacobians(xs), np.broadcast_to(np.eye(n), (400, n, n)))
 
     def test_explicit_exponents(self):
         d = build_dictionary("monomials", 2, exponents=SLOW_MANIFOLD_EXPONENTS)
